@@ -329,13 +329,22 @@ ApClassifier::RuleUpdateResult ApClassifier::refresh_box_predicates(BoxId box) {
 }
 
 namespace {
+/// True when a rule ranks purely by prefix length: no priority, or one
+/// equal to dst.len (the form the WAL records every rule in).  The compiler
+/// ranks such rules exactly as the incremental delta below does — longer
+/// prefix first, and among equal ones the earlier rule (stable sort; "the
+/// existing rule wins the tie").
+bool is_lpm(const ForwardingRule& r) {
+  return r.effective_priority() == static_cast<std::int32_t>(r.dst.len);
+}
+
 /// True when every rule resolves purely by prefix length (classic LPM),
 /// which admits the incremental delta below.  Custom priorities fall back
 /// to a full box recompilation.
 bool lpm_only(const Fib& fib, const ForwardingRule& rule) {
-  if (rule.priority >= 0) return false;
+  if (!is_lpm(rule)) return false;
   for (const auto& r : fib.rules)
-    if (r.priority >= 0) return false;
+    if (!is_lpm(r)) return false;
   return true;
 }
 }  // namespace

@@ -121,26 +121,77 @@ std::optional<std::vector<Behavior>> QueryEngine::try_query_batch(
   return try_query_batch_on(*s, hs.data(), hs.size(), ingress);
 }
 
-std::optional<std::vector<AtomId>> QueryEngine::try_classify_batch_on(
-    const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const {
-  // The admission permit is an RAII ticket: it is released when `ticket`
-  // leaves scope on EVERY path out of this function — normal return, the
-  // middlebox require() below, or a worker-task exception rethrown by the
-  // pool's Group::wait().  A leaked permit would permanently shrink the
-  // admission window (pending_batches_ never drains back to zero), so the
-  // fault-injection suite pins this down (AdmissionPermitRecovery).
-  BatchTicket ticket(*this);
-  if (!ticket) return std::nullopt;
+void QueryEngine::classify_admitted(const FlatSnapshot& s, const PacketHeader* hs,
+                                    std::size_t n, AtomId* out) const {
   obs::ScopedTimer timer(classify_batch_hist_);
   batch_size_hist_.record(n);
-  std::vector<AtomId> out(n);
   pool_.parallel_for(n, opts_.batch_grain,
                      [&](std::size_t first, std::size_t last) {
-                       s.classify_into(hs + first, last - first,
-                                       out.data() + first);
+                       s.classify_into(hs + first, last - first, out + first);
                      });
   queries_answered_.add(n);
+}
+
+// The admission permit is an RAII ticket: it is released when `ticket`
+// leaves scope on EVERY path out of the try_*_batch_on forms — normal
+// return, the middlebox require() in query_admitted, or a worker-task
+// exception rethrown by the pool's Group::wait().  A leaked permit would
+// permanently shrink the admission window (pending_batches_ never drains
+// back to zero), so the fault-injection suite pins this down
+// (AdmissionPermitRecovery).  The result vectors are allocated only once
+// admitted, so a shed batch costs no allocation.
+
+bool QueryEngine::try_classify_batch_on(const FlatSnapshot& s,
+                                        const PacketHeader* hs, std::size_t n,
+                                        AtomId* out) const {
+  BatchTicket ticket(*this);
+  if (!ticket) return false;
+  classify_admitted(s, hs, n, out);
+  return true;
+}
+
+std::optional<std::vector<AtomId>> QueryEngine::try_classify_batch_on(
+    const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const {
+  BatchTicket ticket(*this);
+  if (!ticket) return std::nullopt;
+  std::vector<AtomId> out(n);
+  classify_admitted(s, hs, n, out.data());
   return out;
+}
+
+void QueryEngine::query_admitted(const FlatSnapshot& s, const PacketHeader* hs,
+                                 std::size_t n, BoxId ingress,
+                                 const BehaviorSink& sink) const {
+  obs::ScopedTimer timer(query_batch_hist_);
+  batch_size_hist_.record(n);
+  require(!s.has_middleboxes(),
+          "QueryEngine::query_batch: middlebox networks need live tree "
+          "re-search; use ApClassifier::query/query_probabilistic");
+  pool_.parallel_for(n, opts_.batch_grain,
+                     [&](std::size_t first, std::size_t last) {
+                       // Batched stage 1 (cache probe + lockstep walk), then
+                       // the in-place table read of stage 2 per header.
+                       std::array<AtomId, 64> atoms;
+                       Behavior scratch;  // used only when the table is off
+                       std::size_t i = first;
+                       while (i < last) {
+                         const std::size_t m = std::min<std::size_t>(last - i, atoms.size());
+                         s.classify_into(hs + i, m, atoms.data());
+                         for (std::size_t k = 0; k < m; ++k)
+                           sink(i + k, s.behavior_ref(atoms[k], ingress, scratch));
+                         i += m;
+                       }
+                     });
+  queries_answered_.add(n);
+}
+
+bool QueryEngine::try_query_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                                     std::size_t n, BoxId ingress,
+                                     const BehaviorSink& sink) const {
+  BatchTicket ticket(*this);
+  if (!ticket) return false;
+  query_admitted(s, hs, n, ingress, sink);
+  return true;
 }
 
 std::optional<std::vector<Behavior>> QueryEngine::try_query_batch_on(
@@ -148,27 +199,9 @@ std::optional<std::vector<Behavior>> QueryEngine::try_query_batch_on(
     BoxId ingress) const {
   BatchTicket ticket(*this);
   if (!ticket) return std::nullopt;
-  obs::ScopedTimer timer(query_batch_hist_);
-  batch_size_hist_.record(n);
   std::vector<Behavior> out(n);
-  require(!s.has_middleboxes(),
-          "QueryEngine::query_batch: middlebox networks need live tree "
-          "re-search; use ApClassifier::query/query_probabilistic");
-  pool_.parallel_for(n, opts_.batch_grain,
-                     [&](std::size_t first, std::size_t last) {
-                       // Batched stage 1 (cache probe + lockstep walk), then
-                       // the table-read stage 2 per header.
-                       std::array<AtomId, 64> atoms;
-                       std::size_t i = first;
-                       while (i < last) {
-                         const std::size_t m = std::min<std::size_t>(last - i, atoms.size());
-                         s.classify_into(hs + i, m, atoms.data());
-                         for (std::size_t k = 0; k < m; ++k)
-                           out[i + k] = s.behavior_of(atoms[k], ingress);
-                         i += m;
-                       }
-                     });
-  queries_answered_.add(n);
+  query_admitted(s, hs, n, ingress,
+                 [&out](std::size_t k, const Behavior& b) { out[k] = b; });
   return out;
 }
 

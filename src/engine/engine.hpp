@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -170,10 +171,23 @@ class QueryEngine {
   // on every path, including a worker-task throw), pool fan-out, and batch
   // observability as the unpinned variants.
   /// Fan `hs[0..n)` across the pool against caller-pinned snapshot `s`
-  /// (which the caller must keep alive).  nullopt when saturated.
+  /// (which the caller must keep alive), writing the atoms to `out[0..n)`.
+  /// False when saturated.
+  bool try_classify_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                             std::size_t n, AtomId* out) const;
+  /// try_classify_batch_on into a fresh vector; nullopt when saturated.
   std::optional<std::vector<AtomId>> try_classify_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const;
-  /// Two-stage variant; requires a middlebox-free snapshot.
+  /// Receives answer k of a query batch; called on pool threads,
+  /// concurrently for distinct k.
+  using BehaviorSink = std::function<void(std::size_t k, const Behavior& b)>;
+  /// Two-stage variant; requires a middlebox-free snapshot.  Each answer is
+  /// handed to `sink` in place (FlatSnapshot::behavior_ref: the table cell
+  /// itself), so no Behavior is copied.  False when saturated.
+  bool try_query_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                          std::size_t n, BoxId ingress,
+                          const BehaviorSink& sink) const;
+  /// try_query_batch_on copied into a fresh vector; nullopt when saturated.
   std::optional<std::vector<Behavior>> try_query_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
       BoxId ingress) const;
@@ -288,6 +302,11 @@ class QueryEngine {
   struct BatchTicket;
   bool admit_batch() const;
   void release_batch() const;
+  /// The batch bodies the try_*_batch_on forms share, run once admitted.
+  void classify_admitted(const FlatSnapshot& s, const PacketHeader* hs,
+                         std::size_t n, AtomId* out) const;
+  void query_admitted(const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
+                      BoxId ingress, const BehaviorSink& sink) const;
 
   /// Mutex-guarded publication slot (see the class comment for why this is
   /// not std::atomic<std::shared_ptr>).  load() copies the pointer under

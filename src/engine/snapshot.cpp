@@ -689,7 +689,8 @@ const Behavior* FlatSnapshot::fill_cell(std::atomic<const Behavior*>& cell,
   return expected;
 }
 
-Behavior FlatSnapshot::behavior_of(AtomId atom, BoxId ingress) const {
+const Behavior& FlatSnapshot::behavior_ref(AtomId atom, BoxId ingress,
+                                           Behavior& scratch) const {
   require(ingress < box_count_, "FlatSnapshot::behavior_of: bad ingress");
   if (table_mode_ != BehaviorTableMode::kDisabled && atom < atom_capacity_) {
     std::atomic<const Behavior*>& cell = table_[atom * box_count_ + ingress];
@@ -697,7 +698,15 @@ Behavior FlatSnapshot::behavior_of(AtomId atom, BoxId ingress) const {
     if (b == nullptr) b = fill_cell(cell, atom, ingress);
     return *b;
   }
-  return behavior_walk(atom, ingress);
+  scratch = behavior_walk(atom, ingress);
+  return scratch;
+}
+
+Behavior FlatSnapshot::behavior_of(AtomId atom, BoxId ingress) const {
+  Behavior scratch;
+  const Behavior& b = behavior_ref(atom, ingress, scratch);
+  if (&b == &scratch) return scratch;
+  return b;
 }
 
 // Mirrors compute_behavior_into (classifier/behavior.cpp) step for step so

@@ -160,9 +160,14 @@ class FlatSnapshot {
   void classify_into(const PacketHeader* hs, std::size_t n, AtomId* out) const;
 
   // ---- Stage 2 (middlebox-free; mirrors compute_behavior exactly) ----
-  /// Table-assisted behavior: one acquire load on the precomputed/lazy
-  /// table (filling the cell on first touch in lazy mode); falls back to
-  /// the walk when the table is disabled.
+  /// Table-assisted behavior, read in place: one acquire load on the
+  /// precomputed/lazy table (filling the cell on first touch in lazy mode)
+  /// returns the cell itself, with no copy.  When the table is disabled (or
+  /// the atom lies beyond it) the walk's result is stored in `scratch` and
+  /// that is returned.  The reference is valid while this snapshot lives
+  /// and `scratch` is not reused.
+  const Behavior& behavior_ref(AtomId atom, BoxId ingress, Behavior& scratch) const;
+  /// behavior_ref, copied out.
   Behavior behavior_of(AtomId atom, BoxId ingress) const;
   /// The retained topology walk — table filler and differential oracle.
   /// Mirrors compute_behavior_into (classifier/behavior.cpp) step for step.

@@ -1,15 +1,34 @@
 #include "io/line_parse.hpp"
 
 #include <charconv>
-#include <sstream>
 
 namespace apc::io {
+
+namespace {
+
+/// The C locale's isspace set.
+bool is_token_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Returns the next token of `line` at or after `pos` and advances `pos`
+/// past it; an empty view at the end of the line or at a '#' token.
+std::string_view next_token(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && is_token_space(line[pos])) ++pos;
+  const std::size_t first = pos;
+  while (pos < line.size() && !is_token_space(line[pos])) ++pos;
+  if (first == pos || line[first] == '#') {
+    pos = line.size();  // end of line, or a comment that runs to it
+    return {};
+  }
+  return line.substr(first, pos - first);
+}
+
+}  // namespace
 
 void parse_fail(std::size_t line, const std::string& msg) {
   throw Error(ErrorCode::kParse, "line " + std::to_string(line) + ": " + msg);
 }
 
-bool valid_utf8(const std::string& s) {
+bool valid_utf8(std::string_view s) {
   const auto* p = reinterpret_cast<const unsigned char*>(s.data());
   const std::size_t n = s.size();
   for (std::size_t i = 0; i < n;) {
@@ -45,43 +64,49 @@ bool valid_utf8(const std::string& s) {
   return true;
 }
 
-void check_line(const std::string& line, std::size_t lineno) {
+void check_line(std::string_view line, std::size_t lineno) {
   if (line.size() > kMaxLineBytes)
     parse_fail(lineno,
                "line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
   if (!valid_utf8(line)) parse_fail(lineno, "invalid UTF-8 (binary data?)");
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) {
-    if (tok[0] == '#') break;
-    out.push_back(tok);
+std::size_t tokenize(std::string_view line, std::string_view* out, std::size_t max) {
+  std::size_t n = 0;
+  std::size_t pos = 0;
+  for (std::string_view tok = next_token(line, pos); !tok.empty();
+       tok = next_token(line, pos)) {
+    if (n < max) out[n] = tok;
+    ++n;
   }
+  return n;
+}
+
+std::vector<std::string_view> tokenize(std::string_view line) {
+  std::vector<std::string_view> out(tokenize(line, nullptr, 0));
+  tokenize(line, out.data(), out.size());
   return out;
 }
 
-std::uint32_t parse_uint(const std::string& s, std::size_t line, const char* what,
+std::uint32_t parse_uint(std::string_view s, std::size_t line, const char* what,
                          std::uint64_t max) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (s.empty() || ec != std::errc{} || ptr != s.data() + s.size())
-    parse_fail(line, std::string("bad ") + what + ": " + s);
+    parse_fail(line, std::string("bad ") + what + ": " + std::string(s));
   if (v > max)
     parse_fail(line, std::string(what) + " out of range (max " +
-                         std::to_string(max) + "): " + s);
+                         std::to_string(max) + "): " + std::string(s));
   return static_cast<std::uint32_t>(v);
 }
 
-std::uint64_t parse_hex64(const std::string& s, std::size_t line, const char* what) {
+std::uint64_t parse_hex64(std::string_view s, std::size_t line, const char* what) {
   std::uint64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), v, 16);
   if (s.empty() || s.size() > 16 || ec != std::errc{} ||
       ptr != s.data() + s.size())
-    parse_fail(line, std::string("bad ") + what + ": " + s);
+    parse_fail(line, std::string("bad ") + what + ": " + std::string(s));
   return v;
 }
 

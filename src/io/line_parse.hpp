@@ -7,11 +7,15 @@
 // integer parsing that rejects trailing garbage ("7abc") and out-of-range
 // values instead of silently truncating.
 //
+// Everything works on std::string_view: tokens are views into the caller's
+// line, so a well-formed line is parsed without touching the heap.
+//
 // Every failure is a typed apc::Error(kParse) carrying a line number.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -27,21 +31,28 @@ inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 /// Structural UTF-8 scan (RFC 3629: no overlongs, no surrogates,
 /// <= U+10FFFF).  Inputs are ASCII by convention; this admits UTF-8 names
 /// but rejects raw binary — the classic "loaded the wrong file" failure.
-bool valid_utf8(const std::string& s);
+bool valid_utf8(std::string_view s);
 
 /// Enforces the line cap and UTF-8 validity; throws kParse otherwise.
-void check_line(const std::string& line, std::size_t lineno);
+void check_line(std::string_view line, std::size_t lineno);
 
-/// Whitespace-splits `line`; a token starting with '#' ends the line.
-std::vector<std::string> tokenize(const std::string& line);
+/// The tokenizer: splits `line` at the C locale's whitespace (space, \t,
+/// \n, \v, \f, \r); a token starting with '#' ends the line.  Stores the
+/// first `max` tokens, as views into `line`, in `out` and returns how many
+/// the line holds, which may exceed `max` (the rest are counted, not
+/// stored), so callers can reject a wrong arity exactly.
+std::size_t tokenize(std::string_view line, std::string_view* out, std::size_t max);
+
+/// Every token of `line`, as views into it.
+std::vector<std::string_view> tokenize(std::string_view line);
 
 /// Exception-free unsigned parse: the whole token must be digits and the
 /// value must fit `max`.  Throws kParse with the line number otherwise.
-std::uint32_t parse_uint(const std::string& s, std::size_t line, const char* what,
+std::uint32_t parse_uint(std::string_view s, std::size_t line, const char* what,
                          std::uint64_t max = 0xFFFFFFFFull);
 
 /// Same contract for a full-width hexadecimal token (no "0x" prefix, 1-16
 /// hex digits) — the wire form of packet-header words.
-std::uint64_t parse_hex64(const std::string& s, std::size_t line, const char* what);
+std::uint64_t parse_hex64(std::string_view s, std::size_t line, const char* what);
 
 }  // namespace apc::io

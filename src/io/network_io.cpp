@@ -19,15 +19,15 @@ namespace {
               "network file line " + std::to_string(line) + ": " + msg);
 }
 
-PortRange parse_range(const std::string& s, std::size_t line) {
+PortRange parse_range(std::string_view s, std::size_t line) {
   const std::size_t dash = s.find('-');
-  if (dash == std::string::npos) fail(line, "bad port range: " + s);
+  if (dash == std::string_view::npos) fail(line, "bad port range: " + std::string(s));
   PortRange r;
   r.lo = static_cast<std::uint16_t>(
       parse_uint(s.substr(0, dash), line, "port", 0xFFFF));
   r.hi = static_cast<std::uint16_t>(
       parse_uint(s.substr(dash + 1), line, "port", 0xFFFF));
-  if (r.lo > r.hi) fail(line, "inverted port range: " + s);
+  if (r.lo > r.hi) fail(line, "inverted port range: " + std::string(s));
   return r;
 }
 
@@ -35,13 +35,13 @@ PortRange parse_range(const std::string& s, std::size_t line) {
 
 NetworkModel read_network(std::istream& in) {
   NetworkModel net;
-  std::map<std::string, BoxId> boxes;
+  std::map<std::string, BoxId, std::less<>> boxes;
   std::string line;
   std::size_t lineno = 0;
 
-  const auto box_of = [&](const std::string& name, std::size_t ln) {
+  const auto box_of = [&](std::string_view name, std::size_t ln) {
     const auto it = boxes.find(name);
-    if (it == boxes.end()) fail(ln, "unknown box: " + name);
+    if (it == boxes.end()) fail(ln, "unknown box: " + std::string(name));
     return it->second;
   };
 
@@ -52,19 +52,20 @@ NetworkModel read_network(std::istream& in) {
     const auto tok = tokenize(line);
     if (tok.empty()) continue;
     saw_directive = true;
-    const std::string& cmd = tok[0];
+    const std::string_view cmd = tok[0];
 
     if (cmd == "box") {
       if (tok.size() != 2) fail(lineno, "usage: box <name>");
-      if (boxes.count(tok[1])) fail(lineno, "duplicate box: " + tok[1]);
-      boxes[tok[1]] = net.topology.add_box(tok[1]);
+      const std::string name(tok[1]);
+      if (boxes.count(name)) fail(lineno, "duplicate box: " + name);
+      boxes[name] = net.topology.add_box(name);
     } else if (cmd == "link") {
       if (tok.size() != 3) fail(lineno, "usage: link <boxA> <boxB>");
       net.topology.add_link(box_of(tok[1], lineno), box_of(tok[2], lineno));
     } else if (cmd == "hostport") {
       if (tok.size() != 2 && tok.size() != 3) fail(lineno, "usage: hostport <box> [name]");
       net.topology.add_host_port(box_of(tok[1], lineno),
-                                 tok.size() == 3 ? tok[2] : "");
+                                 tok.size() == 3 ? std::string(tok[2]) : "");
     } else if (cmd == "fib") {
       if (tok.size() != 4 && tok.size() != 5)
         fail(lineno, "usage: fib <box> <prefix> <port> [priority]");
@@ -98,13 +99,14 @@ NetworkModel read_network(std::istream& in) {
         r.action = FlowRule::Action::Drop;
         ++i;
       } else {
-        fail(lineno, "flowrule: expected forward|drop, got " + tok[i]);
+        fail(lineno, "flowrule: expected forward|drop, got " + std::string(tok[i]));
       }
       while (i < tok.size()) {
         FieldMatch m;
-        const std::string& kind = tok[i];
+        const std::string_view kind = tok[i];
         const auto need = [&](std::size_t n) {
-          if (i + n >= tok.size()) fail(lineno, "flowrule: truncated " + kind);
+          if (i + n >= tok.size())
+            fail(lineno, "flowrule: truncated " + std::string(kind));
         };
         if (kind == "exact") {
           need(3);
@@ -130,7 +132,7 @@ NetworkModel read_network(std::istream& in) {
           m.hi = parse_uint(tok[i + 4], lineno, "hi");
           i += 5;
         } else {
-          fail(lineno, "flowrule: unknown match kind " + kind);
+          fail(lineno, "flowrule: unknown match kind " + std::string(kind));
         }
         r.matches.push_back(m);
       }
@@ -158,7 +160,7 @@ NetworkModel read_network(std::istream& in) {
       else if (tok[5] == "deny")
         acl.default_action = AclRule::Action::Deny;
       else
-        fail(lineno, "bad default action: " + tok[5]);
+        fail(lineno, "bad default action: " + std::string(tok[5]));
       if (tok[1] == "in")
         net.input_acls[{b, port}] = acl;
       else if (tok[1] == "out")
@@ -177,7 +179,7 @@ NetworkModel read_network(std::istream& in) {
       else if (tok[4] == "deny")
         r.action = AclRule::Action::Deny;
       else
-        fail(lineno, "bad action: " + tok[4]);
+        fail(lineno, "bad action: " + std::string(tok[4]));
       if (tok[5] != "src" || tok[7] != "dst" || tok[9] != "sport" ||
           tok[11] != "dport" || tok[13] != "proto")
         fail(lineno, "aclrule: bad field labels");
@@ -198,7 +200,7 @@ NetworkModel read_network(std::istream& in) {
         fail(lineno, "aclrule before matching acl declaration");
       it->second.rules.push_back(r);
     } else {
-      fail(lineno, "unknown directive: " + cmd);
+      fail(lineno, "unknown directive: " + std::string(cmd));
     }
   }
   require(saw_directive, ErrorCode::kParse,

@@ -106,6 +106,14 @@ class PacketHeader {
   /// Builds a header from a per-variable assignment (e.g. bdd::any_sat).
   static PacketHeader from_bits(const std::vector<std::uint8_t>& bits);
 
+  /// Builds a header from its raw backing words (the inverse of words()):
+  /// bit i of the header is bit i%64 of words[i/64].
+  static PacketHeader from_words(const std::array<std::uint64_t, kWords>& words) {
+    PacketHeader h;
+    h.words_ = words;
+    return h;
+  }
+
   bool operator==(const PacketHeader& other) const { return words_ == other.words_; }
 
   /// Raw 64-bit backing words (bit i of the header is bit i%64 of word

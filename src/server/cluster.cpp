@@ -29,17 +29,18 @@ struct ReplayRecord {
   RuleSpec spec;
 };
 
-ReplayRecord parse_record(const std::string& rec, std::size_t recno) {
+ReplayRecord parse_record(std::string_view rec, std::size_t recno) {
   const std::size_t sp = rec.find(' ');
-  if (sp == std::string::npos) io::parse_fail(recno, "WAL record missing sequence");
+  if (sp == std::string_view::npos) io::parse_fail(recno, "WAL record missing sequence");
   ReplayRecord out;
   std::uint64_t seq = 0;
-  const std::string seq_tok = rec.substr(0, sp);
+  const std::string_view seq_tok = rec.substr(0, sp);
   // Sequence numbers are 64-bit; parse_uint is 32-bit-bounded, so parse by
   // hand with the same strictness (digits only, no overflow past 2^63).
   if (seq_tok.empty()) io::parse_fail(recno, "empty sequence");
   for (const char c : seq_tok) {
-    if (c < '0' || c > '9') io::parse_fail(recno, "bad sequence '" + seq_tok + "'");
+    if (c < '0' || c > '9')
+      io::parse_fail(recno, "bad sequence '" + std::string(seq_tok) + "'");
     seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
   }
   out.seq = seq;
@@ -70,19 +71,12 @@ const char* shard_state_name(ShardState s) {
   return "unknown";
 }
 
-void ShardedCluster::LatencyReservoir::record(double v) {
-  std::lock_guard<std::mutex> lock(mu);
-  if (us.size() < kCap) {
-    us.push_back(v);
-  } else {
-    us[next] = v;
-    next = (next + 1) % kCap;
-  }
-}
-
-std::vector<double> ShardedCluster::LatencyReservoir::samples() const {
-  std::lock_guard<std::mutex> lock(mu);
-  return us;
+void ShardedCluster::BatchAnswers::append_line(std::size_t i, std::string& out) const {
+  const Answer& a = answers_[i];
+  if (a.is_query)
+    append_behavior_summary(out, a.summary);
+  else
+    append_classify_answer(out, a.atom);
 }
 
 ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
@@ -207,24 +201,27 @@ ShardedCluster::PinnedView ShardedCluster::pin() const {
 }
 
 bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
-                                   const std::vector<std::size_t>& classify_ix,
-                                   const std::vector<std::size_t>& query_ix,
+                                   std::size_t slice,
                                    const std::vector<BatchItem>& items,
-                                   BatchResult& out) const {
+                                   BatchAnswers& out) const {
   const engine::QueryEngine& eng = *view.engines[exec];
   const engine::FlatSnapshot& snap = *view.snaps[exec];
-  std::vector<PacketHeader> hs;
+  const std::vector<std::size_t>& classify_ix = out.classify_ix_[slice];
+  const std::vector<std::size_t>& query_ix = out.query_ix_[slice];
+  std::vector<PacketHeader>& hs = out.headers_;
   try {
     if (!classify_ix.empty()) {
-      hs.reserve(classify_ix.size());
+      hs.clear();
       for (const std::size_t i : classify_ix) hs.push_back(items[i].header);
-      auto atoms = eng.try_classify_batch_on(snap, hs.data(), hs.size());
-      if (!atoms) return false;  // shed
+      out.atoms_.resize(hs.size());
+      if (!eng.try_classify_batch_on(snap, hs.data(), hs.size(), out.atoms_.data()))
+        return false;  // shed
       for (std::size_t k = 0; k < classify_ix.size(); ++k)
-        out.lines[classify_ix[k]] = "A " + std::to_string((*atoms)[k]);
+        out.answers_[classify_ix[k]].atom = out.atoms_[k];
     }
     // Queries, one engine call per distinct ingress (query_ix arrives
-    // sorted by ingress from run_batch).
+    // sorted by ingress from run_batch_into).  Each answer is summarized
+    // straight from the behavior-table cell.
     std::size_t start = 0;
     while (start < query_ix.size()) {
       std::size_t end = start;
@@ -234,10 +231,12 @@ bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
       hs.clear();
       for (std::size_t k = start; k < end; ++k)
         hs.push_back(items[query_ix[k]].header);
-      auto behaviors = eng.try_query_batch_on(snap, hs.data(), hs.size(), ingress);
-      if (!behaviors) return false;  // shed
-      for (std::size_t k = start; k < end; ++k)
-        out.lines[query_ix[k]] = format_behavior_summary((*behaviors)[k - start]);
+      const std::size_t* ix = query_ix.data() + start;
+      if (!eng.try_query_batch_on(snap, hs.data(), hs.size(), ingress,
+                                  [&out, ix](std::size_t k, const Behavior& b) {
+                                    out.answers_[ix[k]].summary = BehaviorSummary::of(b);
+                                  }))
+        return false;  // shed
       start = end;
     }
   } catch (const std::exception&) {
@@ -246,14 +245,15 @@ bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
   return true;
 }
 
-ShardedCluster::BatchResult ShardedCluster::run_batch(
-    const std::vector<BatchItem>& items) const {
+void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
+                                    BatchAnswers& out) const {
   const PinnedView view = pin();
-  BatchResult out;
   out.epoch = view.epoch;
-  out.lines.resize(items.size());
+  out.degraded = false;
+  out.answers_.resize(items.size());
 
-  std::vector<std::size_t> healthy;  // shards with a pinned snapshot
+  std::vector<std::size_t>& healthy = out.healthy_;  // shards with a pinned snapshot
+  healthy.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i)
     if (view.snaps[i]) healthy.push_back(i);
   if (healthy.empty())
@@ -263,12 +263,15 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
   // healthy shards, queries to their home shard — or a deterministic
   // healthy stand-in (full replication makes any shard an oracle) when the
   // home is quarantined, which degrades the reply.
-  std::vector<std::vector<std::size_t>> classify_ix(shards_.size());
-  std::vector<std::vector<std::size_t>> query_ix(shards_.size());
+  out.classify_ix_.resize(shards_.size());
+  out.query_ix_.resize(shards_.size());
+  for (auto& ix : out.classify_ix_) ix.clear();
+  for (auto& ix : out.query_ix_) ix.clear();
   std::size_t rr = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
+    out.answers_[i].is_query = items[i].is_query;
     if (!items[i].is_query) {
-      classify_ix[healthy[rr++ % healthy.size()]].push_back(i);
+      out.classify_ix_[healthy[rr++ % healthy.size()]].push_back(i);
       continue;
     }
     std::size_t exec = shard_of(items[i].ingress);
@@ -276,9 +279,9 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
       exec = healthy[exec % healthy.size()];
       out.degraded = true;
     }
-    query_ix[exec].push_back(i);
+    out.query_ix_[exec].push_back(i);
   }
-  for (auto& qix : query_ix)
+  for (auto& qix : out.query_ix_)
     std::sort(qix.begin(), qix.end(), [&](std::size_t a, std::size_t b) {
       return items[a].ingress != items[b].ingress
                  ? items[a].ingress < items[b].ingress
@@ -286,14 +289,15 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
     });
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (classify_ix[s].empty() && query_ix[s].empty()) continue;
+    if (out.classify_ix_[s].empty() && out.query_ix_[s].empty()) continue;
     const auto t0 = std::chrono::steady_clock::now();
     const bool injected = util::fault_fires("cluster.shard.batch");
-    if (!injected && execute_slice(view, s, classify_ix[s], query_ix[s], items, out)) {
+    if (!injected && execute_slice(view, s, s, items, out)) {
       note_shard_success(s);
-      shards_[s]->batch_us.record(std::chrono::duration<double, std::micro>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count());
+      shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
       continue;
     }
     // This shard shed or failed mid-batch: trip its breaker and re-run its
@@ -304,7 +308,7 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
     for (std::size_t off = 1; off < shards_.size() && !rerouted; ++off) {
       const std::size_t t = (s + off) % shards_.size();
       if (!view.snaps[t] || t == s) continue;
-      if (execute_slice(view, t, classify_ix[s], query_ix[s], items, out)) {
+      if (execute_slice(view, t, s, items, out)) {
         note_shard_success(t);
         rerouted = true;
       } else {
@@ -318,6 +322,17 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
     out.degraded = true;
   }
   if (out.degraded) reroutes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+ShardedCluster::BatchResult ShardedCluster::run_batch(
+    const std::vector<BatchItem>& items) const {
+  BatchAnswers answers;
+  run_batch_into(items, answers);
+  BatchResult out;
+  out.epoch = answers.epoch;
+  out.degraded = answers.degraded;
+  out.lines.resize(answers.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) answers.append_line(i, out.lines[i]);
   return out;
 }
 
@@ -568,14 +583,13 @@ obs::MetricsSnapshot ShardedCluster::stats() const {
          "count"});
     out.rows.push_back(
         {prefix + ".read_only", shard_read_only(i) ? 1.0 : 0.0, "bool"});
-    // Cluster-level service-time rows from the raw reservoir.  An idle
-    // shard has an empty sample set; percentile_or makes that a 0 row
-    // instead of an exception that would take the whole STATS reply down.
-    const std::vector<double> us = shards_[i]->batch_us.samples();
-    out.rows.push_back({prefix + ".batch_us.p50", percentile_or(us, 50.0), "us"});
-    out.rows.push_back({prefix + ".batch_us.p99", percentile_or(us, 99.0), "us"});
+    // Cluster-level service-time rows from the shard's lifetime histogram
+    // (an idle shard's is empty and reads 0 everywhere).
+    const obs::LatencyHistogram& batch_ns = shards_[i]->batch_ns;
+    out.rows.push_back({prefix + ".batch_us.p50", batch_ns.quantile(0.50) * 1e-3, "us"});
+    out.rows.push_back({prefix + ".batch_us.p99", batch_ns.quantile(0.99) * 1e-3, "us"});
     out.rows.push_back(
-        {prefix + ".batch_us.count", static_cast<double>(us.size()), "count"});
+        {prefix + ".batch_us.count", static_cast<double>(batch_ns.count()), "count"});
     if (shards_[i]->wal) {
       out.rows.push_back({prefix + ".wal_records",
                           static_cast<double>(shards_[i]->wal->records_appended().value()),

@@ -139,12 +139,43 @@ class ShardedCluster {
     /// was quarantined, or failed mid-batch and the items were rerouted).
     bool degraded = false;
   };
-  /// Executes a mixed batch against ONE pinned epoch: items are grouped by
-  /// shard, fanned out via the engines' admitted batch paths, and answers
-  /// return in input order ("A <atom>" / format_behavior_summary lines).
+  /// A batch's answers in compact form — an atom per C item, a
+  /// BehaviorSummary per Q item — plus run_batch_into's per-shard grouping
+  /// scratch.  Everything keeps its capacity from one batch to the next, so
+  /// a connection that reuses one BatchAnswers answers a steady stream of
+  /// batches with no per-line heap work.
+  class BatchAnswers {
+   public:
+    std::uint64_t epoch = 0;  ///< the pinned epoch
+    bool degraded = false;    ///< as BatchResult::degraded
+    /// Answer lines in the batch.
+    std::size_t size() const { return answers_.size(); }
+    /// Appends answer line `i` (no newline): "A <atom>" or the
+    /// format_behavior_summary line.
+    void append_line(std::size_t i, std::string& out) const;
+
+   private:
+    friend class ShardedCluster;
+    struct Answer {
+      bool is_query = false;
+      AtomId atom = 0;          ///< C items
+      BehaviorSummary summary;  ///< Q items
+    };
+    std::vector<Answer> answers_;  ///< one per item, in input order
+    std::vector<std::size_t> healthy_;
+    std::vector<std::vector<std::size_t>> classify_ix_;  ///< per executing shard
+    std::vector<std::vector<std::size_t>> query_ix_;     ///< per executing shard
+    std::vector<PacketHeader> headers_;
+    std::vector<AtomId> atoms_;
+  };
+  /// Executes a mixed batch against ONE pinned epoch into `out`: items are
+  /// grouped by shard, fanned out via the engines' admitted batch paths,
+  /// and each answer is summarized in place from its behavior-table cell.
   /// A shard that sheds or throws trips its breaker and the batch is
   /// rerouted to a healthy replica (degraded=true); only when no healthy
   /// replica remains does the call throw apc::Error(kUnavailable).
+  void run_batch_into(const std::vector<BatchItem>& items, BatchAnswers& out) const;
+  /// run_batch_into, with the answers formatted as lines in input order.
   BatchResult run_batch(const std::vector<BatchItem>& items) const;
 
   /// Applies a FIB update to every replica under one cluster-wide epoch
@@ -184,9 +215,11 @@ class ShardedCluster {
   /// Aggregated metric snapshot: cluster rows (epoch, shards,
   /// updates_applied, shard_state, resyncs, wal.retries) plus every shard's
   /// health/WAL rows and engine inventory under "shard<i>.".  Materialized
-  /// under the update lock so callback rows never race a mutation; idle
-  /// shards (zero queries) report zeroed latency rows rather than failing
-  /// (util::percentile_or).
+  /// under the update lock so callback rows never race a mutation.  The
+  /// shard<i>.batch_us.{p50,p99,count} rows come from a lifetime
+  /// obs::LatencyHistogram of the shard's slice service time: count is every
+  /// slice served since construction, the percentiles carry the
+  /// histogram's <= 2x bucket error, and an idle shard reports zeros.
   obs::MetricsSnapshot stats() const;
 
   /// Updates applied (add + remove) since construction.
@@ -195,18 +228,6 @@ class ShardedCluster {
   }
 
  private:
-  /// Bounded ring of recent per-batch service times (us) for one shard.
-  /// stats() folds it through util::percentile_or, so a shard that served
-  /// nothing reports 0 — not an exception from percentile-of-empty.
-  struct LatencyReservoir {
-    static constexpr std::size_t kCap = 4096;
-    mutable std::mutex mu;
-    std::vector<double> us;
-    std::size_t next = 0;
-    void record(double v);
-    std::vector<double> samples() const;
-  };
-
   /// The swappable compute core of a shard.  Resync builds a replacement
   /// offline and swaps the shared_ptr; in-flight batches keep the old one
   /// alive through PinnedView::engines.  Member order matters: the engine
@@ -221,7 +242,8 @@ class ShardedCluster {
   struct Shard {
     std::shared_ptr<Replica> replica;  ///< guarded by swap_mu_
     std::unique_ptr<io::Wal> wal;      ///< guarded by update_mu_
-    LatencyReservoir batch_us;
+    /// Service time (ns) of each batch slice this shard executed.
+    obs::LatencyHistogram batch_ns;
     std::atomic<ShardState> state{ShardState::kHealthy};
     std::atomic<std::size_t> failures{0};  ///< consecutive, breaker input
     std::atomic<bool> read_only{false};    ///< poisoned WAL: refuse updates
@@ -240,12 +262,10 @@ class ShardedCluster {
   std::uint64_t apply_update(bool add, const RuleSpec& spec);
   std::shared_ptr<Replica> replica_ref(std::size_t i) const;
   std::shared_ptr<const engine::QueryEngine> replica_engine(std::size_t i) const;
-  /// Runs shard `s`'s slice of the batch on executing shard `exec` (same
-  /// pinned snapshot epoch).  Returns false on shed/exception.
-  bool execute_slice(const PinnedView& view, std::size_t exec,
-                     const std::vector<std::size_t>& classify_ix,
-                     const std::vector<std::size_t>& query_ix,
-                     const std::vector<BatchItem>& items, BatchResult& out) const;
+  /// Runs shard `slice`'s share of the batch on executing shard `exec`
+  /// (same pinned snapshot epoch).  Returns false on shed/exception.
+  bool execute_slice(const PinnedView& view, std::size_t exec, std::size_t slice,
+                     const std::vector<BatchItem>& items, BatchAnswers& out) const;
   void note_shard_success(std::size_t i) const;
   void note_shard_failure(std::size_t i) const;
   void resync_loop(std::size_t i) const;

@@ -1,6 +1,6 @@
 #include "server/protocol.hpp"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -14,32 +14,26 @@ using io::parse_fail;
 using io::parse_hex64;
 using io::parse_uint;
 
-/// Fills `h` from five 64-bit wire words (bit i of the header is bit i%64
-/// of word i/64 — the exact inverse of format_classify's words() dump).
-void header_from_words(const std::array<std::uint64_t, PacketHeader::kWords>& w,
-                       PacketHeader& h) {
-  for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
-    for (std::uint32_t j = 0; j < 64; ++j)
-      h.set_bit(i * 64 + j, (w[i] >> j) & 1);
-}
+/// The most tokens a well-formed request carries (Q: op, ingress, 5 words).
+/// Longer lines are counted, not stored, and fail their arity check.
+constexpr std::size_t kMaxTokens = 7;
 
-/// Parses the 5 hex header words at tokens[first..first+5).
-PacketHeader parse_header(const std::vector<std::string>& toks, std::size_t first,
-                          std::size_t lineno) {
-  if (toks.size() != first + PacketHeader::kWords)
+/// Parses the 5 hex header words at toks[first..first+5) of an n-token line.
+PacketHeader parse_header(const std::string_view* toks, std::size_t n,
+                          std::size_t first, std::size_t lineno) {
+  if (n != first + PacketHeader::kWords)
     parse_fail(lineno, "expected 5 header words");
   std::array<std::uint64_t, PacketHeader::kWords> w;
   for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
     w[i] = parse_hex64(toks[first + i], lineno, "header word");
-  PacketHeader h;
-  header_from_words(w, h);
-  return h;
+  return PacketHeader::from_words(w);
 }
 
-/// Parses "fib <box> <prefix> <port> [prio]" at tokens[1..].
-RuleSpec parse_rule(const std::vector<std::string>& toks, std::size_t lineno) {
-  if (toks.size() < 5 || toks.size() > 6) parse_fail(lineno, "expected: fib <box> <prefix> <port> [prio]");
-  if (toks[1] != "fib") parse_fail(lineno, "unknown rule table '" + toks[1] + "' (only 'fib')");
+/// Parses "fib <box> <prefix> <port> [prio]" at toks[1..n).
+RuleSpec parse_rule(const std::string_view* toks, std::size_t n, std::size_t lineno) {
+  if (n < 5 || n > 6) parse_fail(lineno, "expected: fib <box> <prefix> <port> [prio]");
+  if (toks[1] != "fib")
+    parse_fail(lineno, "unknown rule table '" + std::string(toks[1]) + "' (only 'fib')");
   RuleSpec spec;
   spec.box = parse_uint(toks[2], lineno, "box id");
   try {
@@ -48,87 +42,94 @@ RuleSpec parse_rule(const std::vector<std::string>& toks, std::size_t lineno) {
     parse_fail(lineno, std::string("bad prefix: ") + e.what());
   }
   spec.rule.egress_port = parse_uint(toks[4], lineno, "egress port");
-  if (toks.size() == 6)
+  if (n == 6)
     spec.rule.priority = static_cast<std::int32_t>(
         parse_uint(toks[5], lineno, "priority", 0x7FFFFFFFull));
   return spec;
 }
 
-std::string format_words(const PacketHeader& h) {
-  char buf[20];
-  std::string out;
-  for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i) {
-    std::snprintf(buf, sizeof buf, " %" PRIx64, h.words()[i]);
-    out += buf;
+/// Writes the lower-case hex digits of `v` at `p`; returns the end.
+char* put_hex(char* p, std::uint64_t v) { return std::to_chars(p, p + 16, v, 16).ptr; }
+/// Writes the decimal digits of `v` at `p`; returns the end.
+char* put_uint(char* p, std::uint64_t v) { return std::to_chars(p, p + 20, v).ptr; }
+
+void append_words(std::string& out, const PacketHeader& h) {
+  char buf[PacketHeader::kWords * 17];
+  char* p = buf;
+  for (const std::uint64_t w : h.words()) {
+    *p++ = ' ';
+    p = put_hex(p, w);
   }
-  return out;
+  out.append(buf, p);
 }
 
 }  // namespace
 
-bool parse_request(const std::string& line, std::size_t lineno, Request& out) {
+bool parse_request(std::string_view line, std::size_t lineno, Request& out) {
   io::check_line(line, lineno);
-  const std::vector<std::string> toks = io::tokenize(line);
-  if (toks.empty()) return false;  // blank / comment-only: nothing to do
-  const std::string& op = toks[0];
+  std::string_view toks[kMaxTokens];
+  const std::size_t n = io::tokenize(line, toks, kMaxTokens);
+  if (n == 0) return false;  // blank / comment-only: nothing to do
+  const std::string_view op = toks[0];
   if (op == "C") {
     out.kind = RequestKind::kClassify;
-    out.header = parse_header(toks, 1, lineno);
+    out.header = parse_header(toks, n, 1, lineno);
   } else if (op == "Q") {
-    if (toks.size() < 2) parse_fail(lineno, "Q needs an ingress box id");
+    if (n < 2) parse_fail(lineno, "Q needs an ingress box id");
     out.kind = RequestKind::kQuery;
     out.ingress = parse_uint(toks[1], lineno, "ingress box id");
-    out.header = parse_header(toks, 2, lineno);
+    out.header = parse_header(toks, n, 2, lineno);
   } else if (op == "GO") {
-    if (toks.size() != 1) parse_fail(lineno, "GO takes no arguments");
+    if (n != 1) parse_fail(lineno, "GO takes no arguments");
     out.kind = RequestKind::kGo;
   } else if (op == "A" || op == "R") {
     out.kind = op == "A" ? RequestKind::kAddRule : RequestKind::kRemoveRule;
-    out.rule = parse_rule(toks, lineno);
+    out.rule = parse_rule(toks, n, lineno);
   } else if (op == "STATS") {
-    if (toks.size() != 1) parse_fail(lineno, "STATS takes no arguments");
+    if (n != 1) parse_fail(lineno, "STATS takes no arguments");
     out.kind = RequestKind::kStats;
   } else if (op == "EPOCH") {
-    if (toks.size() != 1) parse_fail(lineno, "EPOCH takes no arguments");
+    if (n != 1) parse_fail(lineno, "EPOCH takes no arguments");
     out.kind = RequestKind::kEpoch;
   } else {
-    parse_fail(lineno, "unknown directive '" + op + "'");
+    parse_fail(lineno, "unknown directive '" + std::string(op) + "'");
   }
   return true;
 }
 
-std::string format_classify(const PacketHeader& h) { return "C" + format_words(h); }
+std::string format_classify(const PacketHeader& h) {
+  std::string out = "C";
+  append_words(out, h);
+  return out;
+}
 
 std::string format_query(BoxId ingress, const PacketHeader& h) {
-  return "Q " + std::to_string(ingress) + format_words(h);
+  std::string out = "Q ";
+  append_uint(out, ingress);
+  append_words(out, h);
+  return out;
 }
 
 std::string format_rule(bool add, const RuleSpec& spec) {
   std::string out = add ? "A fib " : "R fib ";
-  out += std::to_string(spec.box);
+  append_uint(out, spec.box);
   out += ' ';
   out += format_prefix(spec.rule.dst);
   out += ' ';
-  out += std::to_string(spec.rule.egress_port);
+  append_uint(out, spec.rule.egress_port);
   if (spec.rule.priority >= 0) {
     out += ' ';
-    out += std::to_string(spec.rule.priority);
+    append_uint(out, static_cast<std::uint64_t>(spec.rule.priority));
   }
   return out;
 }
 
-std::string format_behavior_summary(const Behavior& b) {
-  std::string out = "B ";
-  out += std::to_string(b.edges.size());
-  out += ' ';
-  out += std::to_string(b.deliveries.size());
-  out += ' ';
-  out += std::to_string(b.drops.size());
-  out += ' ';
-  out += b.loop_detected ? '1' : '0';
-  // Stable content digest so two clients comparing answer lines detect a
-  // *different* behavior, not just a different shape: fold every hop and
-  // delivery into one 64-bit FNV-1a value.
+BehaviorSummary BehaviorSummary::of(const Behavior& b) {
+  BehaviorSummary s;
+  s.edges = b.edges.size();
+  s.deliveries = b.deliveries.size();
+  s.drops = b.drops.size();
+  s.loop = b.loop_detected;
   std::uint64_t x = 1469598103934665603ull;
   const auto mix = [&x](std::uint64_t v) {
     x ^= v;
@@ -147,10 +148,39 @@ std::string format_behavior_summary(const Behavior& b) {
     mix(d.box);
     mix(static_cast<std::uint64_t>(d.reason));
   }
-  char buf[20];
-  std::snprintf(buf, sizeof buf, " %" PRIx64, x);
-  out += buf;
+  s.digest = x;
+  return s;
+}
+
+void append_behavior_summary(std::string& out, const BehaviorSummary& s) {
+  char buf[96];  // "B " + 3 x (20 digits + ' ') + loop + ' ' + 16 hex digits
+  char* p = buf;
+  *p++ = 'B';
+  for (const std::size_t v : {s.edges, s.deliveries, s.drops}) {
+    *p++ = ' ';
+    p = put_uint(p, v);
+  }
+  *p++ = ' ';
+  *p++ = s.loop ? '1' : '0';
+  *p++ = ' ';
+  p = put_hex(p, s.digest);
+  out.append(buf, p);
+}
+
+std::string format_behavior_summary(const Behavior& b) {
+  std::string out;
+  append_behavior_summary(out, BehaviorSummary::of(b));
   return out;
+}
+
+void append_classify_answer(std::string& out, AtomId atom) {
+  out += "A ";
+  append_uint(out, atom);
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, put_uint(buf, v));
 }
 
 std::string format_stat_value(double v) {

@@ -32,11 +32,16 @@
 //
 // Parsing reuses the hardened io/line_parse helpers: 64 KiB line cap,
 // structural UTF-8 validation, bounded integer parses with typed
-// apc::Error(kParse) failures.
+// apc::Error(kParse) failures.  The request path does no heap work: a line
+// is tokenized into views of the caller's buffer, its header words land in
+// the PacketHeader directly, and answers are appended to a caller's reused
+// buffer (append_classify_answer, append_behavior_summary; the
+// format_behavior_summary that returns a fresh string delegates).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "classifier/behavior.hpp"
 #include "packet/header.hpp"
@@ -72,16 +77,36 @@ struct Request {
 /// Parses one protocol line (without its terminator).  Blank and
 /// comment-only lines have no request — callers skip them (returns false).
 /// Malformed input throws apc::Error(kParse) with `lineno` in the message.
-bool parse_request(const std::string& line, std::size_t lineno, Request& out);
+bool parse_request(std::string_view line, std::size_t lineno, Request& out);
 
 /// Round-trip formatting (tests and the bench client build lines with
 /// these; answers embed format_behavior_summary).
 std::string format_classify(const PacketHeader& h);
 std::string format_query(BoxId ingress, const PacketHeader& h);
 std::string format_rule(bool add, const RuleSpec& spec);
-/// One-line behavior digest: "B <edges> <deliveries> <drops> <loop>" — a
-/// stable scalar summary two epoch-differential clients can compare.
+
+/// What one Q answer line says about a Behavior: its shape plus a stable
+/// 64-bit FNV-1a digest of every hop, delivery and drop, so two clients
+/// comparing answer lines detect a *different* behavior, not just a
+/// different shape.  Computed from the Behavior in place.
+struct BehaviorSummary {
+  std::size_t edges = 0;
+  std::size_t deliveries = 0;
+  std::size_t drops = 0;
+  bool loop = false;
+  std::uint64_t digest = 0;
+
+  static BehaviorSummary of(const Behavior& b);
+};
+/// Appends "B <edges> <deliveries> <drops> <loop> <digest-hex>" (no
+/// newline).
+void append_behavior_summary(std::string& out, const BehaviorSummary& s);
+/// One-line behavior digest, as a fresh string.
 std::string format_behavior_summary(const Behavior& b);
+/// Appends a C answer, "A <atom>" (no newline).
+void append_classify_answer(std::string& out, AtomId atom);
+/// Appends the decimal digits of `v`.
+void append_uint(std::string& out, std::uint64_t v);
 
 /// Formats one STATS row value.  Integral values (counters, epochs, byte
 /// totals) print as exact integers — "%.10g" would silently round a u64

@@ -29,6 +29,9 @@ using std::chrono::steady_clock;
               std::string("TcpServer: ") + what + ": " + std::strerror(errno));
 }
 
+/// Bytes asked of one recv().
+constexpr std::size_t kReadBytes = 64 * 1024;
+
 }  // namespace
 
 TcpServer::TcpServer(ShardedCluster& cluster, Options opts)
@@ -181,7 +184,7 @@ void TcpServer::accept_loop() {
   }
 }
 
-bool TcpServer::send_all(int fd, const std::string& data) {
+bool TcpServer::send_all(int fd, std::string_view data) {
   const bool deadline_on = opts_.write_timeout_ms > 0;
   const auto deadline =
       steady_clock::now() + milliseconds(deadline_on ? opts_.write_timeout_ms : 0);
@@ -216,8 +219,8 @@ bool TcpServer::send_all(int fd, const std::string& data) {
   return true;
 }
 
-bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
-                            std::vector<ShardedCluster::BatchItem>& batch) {
+bool TcpServer::handle_line(int fd, std::string_view line, std::size_t lineno,
+                            Connection& conn) {
   Request req;
   try {
     if (!parse_request(line, lineno, req)) return true;  // blank/comment
@@ -230,33 +233,36 @@ bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
     switch (req.kind) {
       case RequestKind::kClassify:
       case RequestKind::kQuery: {
-        if (batch.size() >= opts_.max_batch_items)
+        if (conn.batch.size() >= opts_.max_batch_items)
           return send_all(fd, "400 batch exceeds max_batch_items; GO first\n");
-        ShardedCluster::BatchItem item;
-        item.is_query = req.kind == RequestKind::kQuery;
-        item.header = req.header;
-        item.ingress = req.ingress;
-        batch.push_back(item);
+        conn.batch.push_back(
+            {req.kind == RequestKind::kQuery, req.header, req.ingress});
         return true;  // buffered silently; the 201 covers the whole batch
       }
       case RequestKind::kGo: {
-        std::vector<ShardedCluster::BatchItem> items;
-        items.swap(batch);  // the batch is consumed even when shedding
+        // The batch is consumed even when shedding; clear() keeps its
+        // capacity for the next one.
         active_batches_.fetch_add(1, std::memory_order_acq_rel);
-        ShardedCluster::BatchResult res;
         try {
-          res = cluster_.run_batch(items);
+          cluster_.run_batch_into(conn.batch, conn.answers);
         } catch (...) {
           active_batches_.fetch_sub(1, std::memory_order_acq_rel);
+          conn.batch.clear();
           throw;
         }
         active_batches_.fetch_sub(1, std::memory_order_acq_rel);
-        std::string reply = "201 " + std::to_string(res.epoch) + ' ' +
-                            std::to_string(res.lines.size());
-        if (res.degraded) reply += " degraded=1";
+        conn.batch.clear();
+        const ShardedCluster::BatchAnswers& answers = conn.answers;
+        std::string& reply = conn.reply;
+        reply.clear();
+        reply += "201 ";
+        append_uint(reply, answers.epoch);
+        reply += ' ';
+        append_uint(reply, answers.size());
+        if (answers.degraded) reply += " degraded=1";
         reply += '\n';
-        for (const std::string& l : res.lines) {
-          reply += l;
+        for (std::size_t i = 0; i < answers.size(); ++i) {
+          answers.append_line(i, reply);
           reply += '\n';
         }
         return send_all(fd, reply);
@@ -304,36 +310,57 @@ bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
 }
 
 void TcpServer::serve_connection(int fd) {
-  std::vector<ShardedCluster::BatchItem> batch;
-  std::string buffer;
+  Connection conn;
+  // Receive buffer: [head, tail) holds the bytes not yet framed into
+  // lines.  It has room for one capped unterminated line plus one full
+  // read, so it never grows, and lines are handed out as views into it.
+  std::vector<char> buf(io::kMaxLineBytes + kReadBytes);
+  std::size_t head = 0;
+  std::size_t tail = 0;
   std::size_t lineno = 0;
-  char chunk[4096];
+  const auto refuse_oversized = [&] {
+    send_all(fd, "400 line exceeds " + std::to_string(io::kMaxLineBytes) +
+                     " byte cap\n");
+    ::shutdown(fd, SHUT_RDWR);
+  };
   auto last_rx = steady_clock::now();
   for (;;) {
-    // Split out complete lines first so a flood of pipelined directives is
+    // Frame complete lines first so a flood of pipelined directives is
     // served without waiting for more input.
-    std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
+      const char* first = buf.data() + head;
+      const auto* nl = static_cast<const char*>(std::memchr(first, '\n', tail - head));
+      if (nl == nullptr) break;
+      std::string_view line(first, static_cast<std::size_t>(nl - first));
+      head += line.size() + 1;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       ++lineno;
-      if (!handle_line(fd, line, lineno, batch)) {
+      // Past the cap a line is a blob, not a directive, however it was
+      // split across reads.
+      if (line.size() > io::kMaxLineBytes) {
+        refuse_oversized();
+        return;
+      }
+      if (!handle_line(fd, line, lineno, conn)) {
         ::shutdown(fd, SHUT_RDWR);
         return;
       }
     }
-    buffer.erase(0, start);
     // The partial-line cap applies to the UNTERMINATED tail too: a client
     // streaming an endless line must not grow the buffer unboundedly, and
     // there is no clean place to resynchronize once the cap is blown.
-    if (buffer.size() > io::kMaxLineBytes) {
-      send_all(fd, "400 line exceeds " + std::to_string(io::kMaxLineBytes) +
-                       " byte cap\n");
-      ::shutdown(fd, SHUT_RDWR);
+    if (tail - head > io::kMaxLineBytes) {
+      refuse_oversized();
       return;
+    }
+    // Move the unterminated tail to the front once a full read no longer
+    // fits behind it (it is at most kMaxLineBytes, so one always will).
+    if (head == tail) {
+      head = tail = 0;
+    } else if (buf.size() - tail < kReadBytes) {
+      std::memmove(buf.data(), buf.data() + head, tail - head);
+      tail -= head;
+      head = 0;
     }
     // Wait for input in <=100 ms poll ticks, enforcing the read-idle
     // deadline (time since the last byte ARRIVED — a trickling client
@@ -367,7 +394,7 @@ void TcpServer::serve_connection(int fd) {
       }
       if (r > 0) break;  // readable or HUP; recv below resolves which
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    const ssize_t n = ::recv(fd, buf.data() + tail, kReadBytes, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       // Orderly or abrupt close: whatever the client batched but never
@@ -376,7 +403,7 @@ void TcpServer::serve_connection(int fd) {
       return;
     }
     last_rx = steady_clock::now();
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    tail += static_cast<std::size_t>(n);
   }
 }
 

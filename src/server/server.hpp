@@ -15,8 +15,8 @@
 // tests/server_robustness_test.cpp):
 //  * A malformed line costs a "400" reply — never the connection, never the
 //    pending batch.
-//  * A line exceeding io::kMaxLineBytes — even arriving in many partial
-//    reads — gets "400" and a close: past the cap it is a binary blob or an
+//  * A line exceeding io::kMaxLineBytes — terminated or not, in one read or
+//    many — gets "400" and a close: past the cap it is a binary blob or an
 //    attack, and resynchronizing on the next '\n' of garbage is guessing.
 //  * A client that dies mid-batch (abrupt close) has its pending batch
 //    discarded; nothing it buffered is executed and the server keeps
@@ -35,7 +35,9 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "server/cluster.hpp"
 
@@ -117,17 +119,24 @@ class TcpServer {
     std::atomic<bool> done{false};
   };
 
+  /// One connection's buffers.  Each keeps its capacity from one batch to
+  /// the next, so a steady stream of batches does no per-line heap work.
+  struct Connection {
+    std::vector<ShardedCluster::BatchItem> batch;  ///< pending C/Q items
+    ShardedCluster::BatchAnswers answers;
+    std::string reply;
+  };
+
   void accept_loop();
   /// Joins and erases finished sessions; called with sessions_mu_ held.
   void reap_sessions_locked();
   void serve_connection(int fd);
-  /// Handles one complete line; returns false when the connection must
-  /// close (oversized line).
-  bool handle_line(int fd, const std::string& line, std::size_t lineno,
-                   std::vector<ShardedCluster::BatchItem>& batch);
+  /// Handles one complete line (a view into the receive buffer); returns
+  /// false when the connection must close (the reply could not be sent).
+  bool handle_line(int fd, std::string_view line, std::size_t lineno, Connection& conn);
   /// Writes the whole reply under the write deadline; false = peer dead or
   /// deadline hit (the counter is ticked inside).
-  bool send_all(int fd, const std::string& data);
+  bool send_all(int fd, std::string_view data);
 
   ShardedCluster& cluster_;
   Options opts_;

@@ -97,13 +97,16 @@ TEST_F(AdmissionFixture, CapRejectsConcurrentOverload) {
   engine::QueryEngine eng(clf_, opts);
 
   // Occupy the single admission slot with a big batch on another thread,
-  // then hammer try_classify_batch until a rejection is observed.
-  std::atomic<bool> go{false};
+  // then hammer try_classify_batch until a rejection is observed.  Start
+  // hammering only once the big batch holds the slot: if this thread took
+  // the slot first, the big thread's 50 tries would all be refused within
+  // this thread's first batch, and this thread would never be.
+  std::atomic<bool> done{false};
   std::thread big([&] {
-    go.store(true);
     for (int i = 0; i < 50; ++i) (void)eng.try_classify_batch(probes_);
+    done.store(true);
   });
-  while (!go.load()) std::this_thread::yield();
+  while (eng.pending_batches() == 0 && !done.load()) std::this_thread::yield();
 
   bool rejected = false;
   for (int i = 0; i < 100000 && !rejected; ++i)

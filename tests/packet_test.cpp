@@ -141,6 +141,26 @@ TEST(PacketHeader, Word32ViewRoundTrip) {
   EXPECT_EQ(back, h);
 }
 
+TEST(PacketHeader, FromWordsMatchesSetBit) {
+  // from_words stores the five wire words directly; it must build exactly
+  // the header that setting bit i from bit i%64 of word i/64 builds, and
+  // words() must give the words back.
+  Rng rng(17);
+  for (int round = 0; round < 64; ++round) {
+    std::array<std::uint64_t, PacketHeader::kWords> w;
+    for (auto& x : w) x = rng.next();
+    if (round == 1) w.fill(0);
+    if (round == 2) w.fill(~std::uint64_t{0});
+    PacketHeader by_bits;
+    for (std::uint32_t i = 0; i < PacketHeader::kMaxBits; ++i)
+      by_bits.set_bit(i, (w[i / 64] >> (i % 64)) & 1);
+    const PacketHeader h = PacketHeader::from_words(w);
+    EXPECT_EQ(h, by_bits);
+    EXPECT_EQ(h.words(), w);
+    EXPECT_EQ(PacketHeader::from_words(by_bits.words()), by_bits);
+  }
+}
+
 TEST(PacketHeader, OutOfRangeThrows) {
   PacketHeader h;
   EXPECT_THROW(h.set_field(PacketHeader::kMaxBits - 8, 16, 0), Error);

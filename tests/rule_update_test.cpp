@@ -4,6 +4,7 @@
 
 #include "baselines/forwarding_sim.hpp"
 #include "classifier/classifier.hpp"
+#include "datasets/traces.hpp"
 #include "io/network_io.hpp"
 #include "util/rng.hpp"
 
@@ -191,6 +192,101 @@ TEST(RuleUpdate, RebuildAfterChurnShrinksState) {
   w.clf->rebuild();
   EXPECT_LE(w.clf->atom_count(), atoms_before);
   w.check_against_forwarding_sim();
+}
+
+/// Every live atom's witness header, queried from every box, must get the
+/// same behavior from `x` and `y`.
+void expect_same_answers_on_witnesses(const ApClassifier& x, const ApClassifier& y,
+                                      const char* what) {
+  Rng rng(5);
+  for (const ApClassifier* from : {&x, &y}) {
+    const auto reps = datasets::atom_representatives(from->atoms(), rng);
+    for (const PacketHeader& h : reps.headers)
+      for (BoxId box = 0; box < x.network().topology.box_count(); ++box)
+        ASSERT_EQ(x.query(h, box), y.query(h, box)) << what << ": " << h.to_string();
+  }
+}
+
+/// The first hop `clf` takes from `box` for destination `dst` must be the
+/// port its own FIB's lookup picks (no ACLs in these worlds).
+void expect_first_hop_matches_fib_lookup(const ApClassifier& clf, BoxId box,
+                                         std::uint32_t dst) {
+  PacketHeader h = PacketHeader::from_five_tuple(parse_ipv4("10.1.0.1"), dst, 1000, 80, 6);
+  const Behavior b = clf.query(h, box);
+  const auto port = clf.network().fib(box).lookup(dst);
+  if (port) {
+    ASSERT_FALSE(b.edges.empty()) << h.to_string();
+    EXPECT_EQ(b.edges[0].box, box) << h.to_string();
+    EXPECT_EQ(b.edges[0].out_port, *port) << h.to_string();
+  } else {
+    ASSERT_FALSE(b.drops.empty()) << h.to_string();
+    EXPECT_EQ(b.drops[0].box, box) << h.to_string();
+  }
+}
+
+TEST(RuleUpdate, LengthPrioritiesReplayLikePlainLpm) {
+  // The WAL writes every rule with an explicit priority equal to its
+  // prefix length.  Such rules take the incremental path, so a replayed
+  // history must answer exactly like the same history without priorities
+  // — and like a full compile of the final tables.
+  World plain;
+  World explicit_len;
+  Rng rng(23);
+  std::vector<std::pair<BoxId, ForwardingRule>> installed;
+  for (int step = 0; step < 60; ++step) {
+    if (rng.coin(0.6) || installed.empty()) {
+      const BoxId box = static_cast<BoxId>(rng.uniform(2));
+      const std::uint8_t len = static_cast<std::uint8_t>(12 + rng.uniform(14));
+      const Ipv4Prefix p{(10u << 24) | (static_cast<std::uint32_t>(rng.next()) & 0x00FFFF00u),
+                         len};
+      // Two ports on each box; duplicates of a prefix with another port
+      // exercise the "existing rule wins the tie" order.
+      installed.push_back({box, {p.normalized(), static_cast<std::uint32_t>(rng.uniform(2)), -1}});
+    } else {
+      const std::size_t i = rng.uniform(installed.size());
+      const auto [box, rule] = installed[i];
+      installed.erase(installed.begin() + static_cast<std::ptrdiff_t>(i));
+      ForwardingRule with_len = rule;
+      with_len.priority = with_len.dst.len;
+      plain.clf->remove_fib_rule(box, rule);
+      explicit_len.clf->remove_fib_rule(box, with_len);
+      continue;
+    }
+    const auto& [box, rule] = installed.back();
+    ForwardingRule with_len = rule;
+    with_len.priority = with_len.dst.len;
+    plain.clf->insert_fib_rule(box, rule);
+    explicit_len.clf->insert_fib_rule(box, with_len);
+  }
+  expect_same_answers_on_witnesses(*plain.clf, *explicit_len.clf, "plain vs length");
+  const ApClassifier full(explicit_len.clf->network(), explicit_len.mgr);
+  expect_same_answers_on_witnesses(full, *explicit_len.clf, "full compile vs length");
+  for (int i = 0; i < 200; ++i) {
+    const std::uint32_t dst = (10u << 24) | static_cast<std::uint32_t>(rng.next() & 0x00FFFFFFu);
+    for (BoxId box = 0; box < 2; ++box)
+      expect_first_hop_matches_fib_lookup(*explicit_len.clf, box, dst);
+  }
+}
+
+TEST(RuleUpdate, CustomPriorityStillMatchesFibLookup) {
+  // One genuinely custom priority (a /12 that outranks the longer prefixes
+  // inside it) keeps the box on the full recompile, before and after
+  // further length-priority updates.
+  World w;
+  w.clf->insert_fib_rule(w.a, {parse_prefix("10.0.0.0/12"), 1, 30});
+  w.clf->insert_fib_rule(w.a, {parse_prefix("10.2.128.0/17"), 0, 17});
+  w.clf->insert_fib_rule(w.a, {parse_prefix("10.2.3.0/24"), 0, -1});
+  w.clf->remove_fib_rule(w.a, {parse_prefix("10.2.0.0/16"), 0, -1});
+  w.clf->insert_fib_rule(w.a, {parse_prefix("10.32.0.0/11"), 0, 11});
+  Rng rng(31);
+  for (int i = 0; i < 300; ++i) {
+    const std::uint32_t dst = (10u << 24) | static_cast<std::uint32_t>(rng.next() & 0x003FFFFFu);
+    expect_first_hop_matches_fib_lookup(*w.clf, w.a, dst);
+  }
+  for (const char* dst : {"10.2.3.4", "10.2.200.1", "10.1.0.9", "10.40.0.1", "11.0.0.1"})
+    expect_first_hop_matches_fib_lookup(*w.clf, w.a, parse_ipv4(dst));
+  const ApClassifier full(w.clf->network(), w.mgr);
+  expect_same_answers_on_witnesses(full, *w.clf, "full compile vs custom");
 }
 
 }  // namespace

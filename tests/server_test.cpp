@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,6 +138,309 @@ TEST(ServerProtocol, BehaviorSummaryDistinguishesContent) {
   b.edges[0].out_port = 9;  // same shape, different content
   EXPECT_NE(format_behavior_summary(a), format_behavior_summary(b));
   EXPECT_EQ(format_behavior_summary(a), format_behavior_summary(a));
+}
+
+Request parse_ok(const std::string& line) {
+  Request req;
+  EXPECT_TRUE(parse_request(line, 1, req)) << line;
+  return req;
+}
+
+PacketHeader header_of_words(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+                             std::uint64_t w3, std::uint64_t w4) {
+  return PacketHeader::from_words({w0, w1, w2, w3, w4});
+}
+
+TEST(ServerProtocol, EveryWhitespaceCharacterSeparatesTokens) {
+  const PacketHeader want = header_of_words(1, 2, 3, 4, 5);
+  for (const char* line : {"C\t1\t2\t3\t4\t5", "C 1\v2\f3\r4 5", "\t C 1 2 3 4 5 \r",
+                           "C\f\f1  2\v\v3\t 4\r\r5"}) {
+    const Request req = parse_ok(line);
+    EXPECT_EQ(req.kind, RequestKind::kClassify) << line;
+    EXPECT_EQ(req.header, want) << line;
+  }
+  const Request q = parse_ok("Q\t9\v1\f2\r3 4\t5");
+  EXPECT_EQ(q.kind, RequestKind::kQuery);
+  EXPECT_EQ(q.ingress, 9u);
+  EXPECT_EQ(q.header, want);
+  EXPECT_EQ(parse_ok("GO\r").kind, RequestKind::kGo);
+  Request req;
+  EXPECT_FALSE(parse_request("\t\v\f\r ", 1, req));
+}
+
+TEST(ServerProtocol, HashTokenEndsTheLine) {
+  EXPECT_EQ(parse_ok("C 1 2 3 4 5 # six seven").header, header_of_words(1, 2, 3, 4, 5));
+  EXPECT_EQ(parse_ok("C 1 2 3 4 5 #6").header, header_of_words(1, 2, 3, 4, 5));
+  EXPECT_EQ(parse_ok("Q 3 1 2 3 4 5\t#").ingress, 3u);
+  EXPECT_EQ(parse_ok("GO # now").kind, RequestKind::kGo);
+  EXPECT_EQ(parse_ok("A fib 1 10.0.0.0/24 2 #prio").rule.rule.priority, -1);
+  // A '#' inside a token is not a comment.
+  expect_parse_error("C 1 2 3 4 5#", "header word");
+  // A comment that swallows a field leaves the line short.
+  expect_parse_error("C 1 2 3 4 #5", "expected 5 header words");
+  Request req;
+  EXPECT_FALSE(parse_request("\t# only a comment", 1, req));
+}
+
+TEST(ServerProtocol, HexWordsTakeOneToSixteenDigitsInEitherCase) {
+  EXPECT_EQ(parse_ok("C ffffffffffffffff 0 0 0 0").header.words()[0], ~std::uint64_t{0});
+  EXPECT_EQ(parse_ok("C 0000000000000001 0 0 0 0").header.words()[0], 1u);
+  expect_parse_error("C 00000000000000001 0 0 0 0", "header word");
+  expect_parse_error("C 1ffffffffffffffff 0 0 0 0", "header word");
+  EXPECT_EQ(parse_ok("C ABCDEF 0 0 0 DeadBeef").header,
+            header_of_words(0xabcdef, 0, 0, 0, 0xdeadbeef));
+}
+
+TEST(ServerProtocol, PrefixesSignsAndTrailingGarbageAreRejected) {
+  for (const char* word : {"0x1", "0X1", "+1", "-1", "1g", "12 z", "1.0", "1,", "\x01"}) {
+    expect_parse_error(std::string("C 0 0 0 0 ") + word, "");
+  }
+  expect_parse_error("C 0x1 0 0 0 0", "header word");
+  expect_parse_error("C +1 0 0 0 0", "header word");
+  expect_parse_error("C 1 2 3 4 5z", "header word");
+  expect_parse_error("Q +1 1 2 3 4 5", "ingress box id");
+  expect_parse_error("Q -1 1 2 3 4 5", "ingress box id");
+  expect_parse_error("Q 0x1 1 2 3 4 5", "ingress box id");
+  expect_parse_error("Q 1x 1 2 3 4 5", "ingress box id");
+  expect_parse_error("A fib +1 10.0.0.0/24 2", "box id");
+  expect_parse_error("A fib 1 10.0.0.0/24 2x", "egress port");
+  expect_parse_error("A fib 1 10.0.0.0/24 2 -5", "priority");
+  expect_parse_error("A fib 1 10.0.0.0/24 2 2147483648", "priority");
+  EXPECT_EQ(parse_ok("A fib 1 10.0.0.0/24 2 2147483647").rule.rule.priority, 2147483647);
+}
+
+TEST(ServerProtocol, IngressIsBoundedToThirtyTwoBits) {
+  EXPECT_EQ(parse_ok("Q 4294967295 1 2 3 4 5").ingress, 4294967295u);
+  expect_parse_error("Q 4294967296 1 2 3 4 5", "ingress box id out of range");
+  expect_parse_error("Q 18446744073709551616 1 2 3 4 5", "ingress box id");
+  EXPECT_EQ(parse_ok("Q 0000000000000000000000007 1 2 3 4 5").ingress, 7u);
+}
+
+TEST(ServerProtocol, CAndQRequireExactlyFiveWords) {
+  expect_parse_error("C", "expected 5 header words");
+  expect_parse_error("C 1", "expected 5 header words");
+  expect_parse_error("C 1 2 3 4", "expected 5 header words");
+  expect_parse_error("C 1 2 3 4 5 6", "expected 5 header words");
+  expect_parse_error("C 1 2 3 4 5 6 7 8 9 10 11 12", "expected 5 header words");
+  expect_parse_error("Q", "ingress");
+  expect_parse_error("Q 1", "expected 5 header words");
+  expect_parse_error("Q 1 1 2 3 4", "expected 5 header words");
+  expect_parse_error("Q 1 1 2 3 4 5 6", "expected 5 header words");
+  expect_parse_error("Q 1 1 2 3 4 5 6 7 8 9 10", "expected 5 header words");
+  expect_parse_error("A fib 1 10.0.0.0/24 2 3 4", "expected: fib");
+}
+
+// A reference parser for the mutation test below, written the way the
+// protocol was first parsed: std::istringstream tokens and hand-rolled
+// strict number parses.  It lives only here.
+namespace reference {
+
+struct Reject {};
+
+std::uint64_t decimal(const std::string& s, std::uint64_t max) {
+  if (s.empty()) throw Reject{};
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') throw Reject{};
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (max - d) / 10) throw Reject{};
+    v = v * 10 + d;
+  }
+  return v;
+}
+
+std::uint64_t hex(const std::string& s) {
+  if (s.empty() || s.size() > 16) throw Reject{};
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    std::uint64_t d;
+    if (c >= '0' && c <= '9') {
+      d = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      d = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      d = static_cast<std::uint64_t>(c - 'A' + 10);
+    } else {
+      throw Reject{};
+    }
+    v = v << 4 | d;
+  }
+  return v;
+}
+
+/// False for a blank or comment-only line; throws Reject on bad input.
+bool parse(const std::string& line, Request& out) {
+  if (line.size() > io::kMaxLineBytes) throw Reject{};
+  // The mutation alphabet's only non-ASCII bytes are 0x80 and 0xFF, which
+  // never form valid UTF-8.
+  for (const char c : line)
+    if (static_cast<unsigned char>(c) >= 0x80) throw Reject{};
+  std::istringstream is(line);
+  std::vector<std::string> t;
+  for (std::string tok; is >> tok;) {
+    if (tok[0] == '#') break;
+    t.push_back(tok);
+  }
+  if (t.empty()) return false;
+  const auto header_at = [&](std::size_t first) {
+    if (t.size() != first + 5) throw Reject{};
+    PacketHeader h;
+    for (std::uint32_t w = 0; w < 5; ++w) {
+      const std::uint64_t v = hex(t[first + w]);
+      for (std::uint32_t j = 0; j < 64; ++j) h.set_bit(w * 64 + j, (v >> j) & 1);
+    }
+    return h;
+  };
+  const std::string& op = t[0];
+  if (op == "C") {
+    out.kind = RequestKind::kClassify;
+    out.header = header_at(1);
+  } else if (op == "Q") {
+    if (t.size() < 2) throw Reject{};
+    out.kind = RequestKind::kQuery;
+    out.ingress = static_cast<BoxId>(decimal(t[1], 0xFFFFFFFFull));
+    out.header = header_at(2);
+  } else if (op == "A" || op == "R") {
+    if (t.size() < 5 || t.size() > 6 || t[1] != "fib") throw Reject{};
+    out.kind = op == "A" ? RequestKind::kAddRule : RequestKind::kRemoveRule;
+    out.rule.box = static_cast<BoxId>(decimal(t[2], 0xFFFFFFFFull));
+    try {
+      out.rule.rule.dst = parse_prefix(t[3]);
+    } catch (const Error&) {
+      throw Reject{};
+    }
+    out.rule.rule.egress_port = static_cast<std::uint32_t>(decimal(t[4], 0xFFFFFFFFull));
+    out.rule.rule.priority =
+        t.size() == 6 ? static_cast<std::int32_t>(decimal(t[5], 0x7FFFFFFFull)) : -1;
+  } else if (op == "GO" || op == "STATS" || op == "EPOCH") {
+    if (t.size() != 1) throw Reject{};
+    out.kind = op == "GO" ? RequestKind::kGo
+               : op == "STATS" ? RequestKind::kStats
+                               : RequestKind::kEpoch;
+  } else {
+    throw Reject{};
+  }
+  return true;
+}
+
+}  // namespace reference
+
+std::string random_valid_line(Rng& rng) {
+  PacketHeader h;
+  std::array<std::uint64_t, PacketHeader::kWords> w{};
+  for (auto& x : w) x = rng.coin(0.3) ? rng.uniform(16) : rng.next() >> rng.uniform(64);
+  h = PacketHeader::from_words(w);
+  switch (rng.uniform(4)) {
+    case 0:
+      return format_classify(h);
+    case 1:
+      return format_query(static_cast<BoxId>(rng.uniform(1u << 20)), h);
+    default: {
+      RuleSpec spec;
+      spec.box = static_cast<BoxId>(rng.uniform(64));
+      spec.rule.dst = Ipv4Prefix{static_cast<std::uint32_t>(rng.next()),
+                                 static_cast<std::uint8_t>(rng.uniform(33))}
+                          .normalized();
+      spec.rule.egress_port = static_cast<std::uint32_t>(rng.uniform(8));
+      spec.rule.priority = rng.coin() ? -1 : static_cast<std::int32_t>(rng.uniform(40));
+      return format_rule(rng.coin(), spec);
+    }
+  }
+}
+
+std::string mutate(std::string line, Rng& rng) {
+  static constexpr char kAlphabet[] =
+      " \t\v\f\r\n#+-xX0123456789abcdefABCDEFgz./\x01\x7f\x80\xff";
+  const auto pick = [&] {
+    return kAlphabet[rng.uniform(sizeof kAlphabet)];  // includes the '\0'
+  };
+  const std::size_t edits = 1 + rng.uniform(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = line.empty() ? 0 : rng.uniform(line.size());
+    switch (rng.uniform(7)) {
+      case 0:
+        if (!line.empty()) line[at] = pick();
+        break;
+      case 1:
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), pick());
+        break;
+      case 2:
+        if (!line.empty()) line.erase(at, 1);
+        break;
+      case 3:
+        line.resize(at);
+        break;
+      case 4: {  // duplicate the token around `at`
+        const std::size_t b = line.rfind(' ', at);
+        const std::size_t first = b == std::string::npos ? 0 : b;
+        const std::size_t last = std::min(line.find(' ', at + 1), line.size());
+        line.insert(last, line.substr(first, last - first));
+        break;
+      }
+      case 5:  // widen a hex word with leading zeros (16 vs 17 digits)
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(line.rfind(' ', at) + 1),
+                    rng.uniform(17), '0');
+        break;
+      default:  // drop the last token
+        line.resize(line.empty() ? 0 : line.rfind(' ') == std::string::npos
+                                           ? 0
+                                           : line.rfind(' '));
+        break;
+    }
+  }
+  return line;
+}
+
+TEST(ServerProtocol, MutatedLinesParseLikeTheReferenceParser) {
+  Rng rng(0x5eed);
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::string line = mutate(random_valid_line(rng), rng);
+    Request want;
+    bool want_has = false, want_reject = false;
+    try {
+      want_has = reference::parse(line, want);
+    } catch (const reference::Reject&) {
+      want_reject = true;
+    }
+    Request got;
+    bool got_has = false, got_reject = false;
+    try {
+      got_has = parse_request(line, 1, got);
+    } catch (const Error& e) {
+      ASSERT_EQ(e.code(), ErrorCode::kParse) << line;
+      got_reject = true;
+    }
+    ASSERT_EQ(got_reject, want_reject) << "line: " << ::testing::PrintToString(line);
+    if (want_reject) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(got_has, want_has) << ::testing::PrintToString(line);
+    if (!want_has) continue;
+    ++accepted;
+    ASSERT_EQ(got.kind, want.kind) << ::testing::PrintToString(line);
+    switch (want.kind) {
+      case RequestKind::kQuery:
+        ASSERT_EQ(got.ingress, want.ingress) << ::testing::PrintToString(line);
+        [[fallthrough]];
+      case RequestKind::kClassify:
+        ASSERT_EQ(got.header, want.header) << ::testing::PrintToString(line);
+        break;
+      case RequestKind::kAddRule:
+      case RequestKind::kRemoveRule:
+        ASSERT_EQ(got.rule.box, want.rule.box) << ::testing::PrintToString(line);
+        ASSERT_EQ(got.rule.rule.dst, want.rule.rule.dst) << ::testing::PrintToString(line);
+        ASSERT_EQ(got.rule.rule.egress_port, want.rule.rule.egress_port);
+        ASSERT_EQ(got.rule.rule.priority, want.rule.rule.priority);
+        break;
+      default:
+        break;
+    }
+  }
+  // The mutations must exercise both outcomes, not just one.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 2000u);
 }
 
 // ------------------------------------------------------------------ cluster
@@ -540,6 +845,49 @@ TEST(TcpServer, PartialLinesAcrossWritesReassemble) {
     client.send(wire.substr(off, 3));
   EXPECT_EQ(client.read_line(), "201 0 1");
   EXPECT_EQ(client.read_line(), format_behavior_summary(w.reference.query(h, 2)));
+}
+
+TEST(TcpServer, OversizedTerminatedLineGets400AndClose) {
+  // Just past the cap and terminated: the line fits one read plus a bit,
+  // and must still be refused as a blob, not parsed.
+  ServerWorld w;
+  LineClient client(w.server.port());
+  ASSERT_TRUE(client.ok());
+  client.send(std::string(io::kMaxLineBytes + 1, 'x') + "\n" + format_classify(w.trace[0]) +
+              "\nGO\n");
+  const std::string err = client.read_line();
+  EXPECT_EQ(err.rfind("400 ", 0), 0u) << err;
+  EXPECT_NE(err.find("cap"), std::string::npos) << err;
+  EXPECT_TRUE(client.at_eof());
+}
+
+TEST(TcpServer, PipelinedBatchLargerThanTheReceiveBufferIsAnswered) {
+  // ~300 KB of lines in one send: lines straddle read boundaries and the
+  // buffer compacts several times; every answer must come back in order,
+  // and a second batch on the same connection must reuse it cleanly.
+  ServerWorld w;
+  LineClient client(w.server.port());
+  ASSERT_TRUE(client.ok());
+  for (int round = 0; round < 2; ++round) {
+    std::string out;
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < 8000; ++i) {
+      const PacketHeader& h = w.trace[(i + static_cast<std::size_t>(round)) % w.trace.size()];
+      if (i % 3 == 0) {
+        out += format_classify(h) + "\r\n";
+        expected.push_back("A " + std::to_string(w.reference.classify(h)));
+      } else {
+        const BoxId ingress = static_cast<BoxId>(i % w.data.net.topology.box_count());
+        out += format_query(ingress, h) + "\n";
+        expected.push_back(format_behavior_summary(w.reference.query(h, ingress)));
+      }
+    }
+    out += "GO\n";
+    client.send(out);
+    ASSERT_EQ(client.read_line(), "201 0 " + std::to_string(expected.size()));
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      ASSERT_EQ(client.read_line(), expected[i]) << "round " << round << " answer " << i;
+  }
 }
 
 TEST(TcpServer, InterleavedUpdateAndQueryConnections) {
