@@ -147,21 +147,17 @@ int main() {
     }
 
     // Compiled match program (docs/architecture.md, "Compiled match
-    // program"): stage-1 batch classification on the uncached uniform trace
-    // — header cache and behavior table off, so every header pays the full
-    // walk.  Three rows: the interpreted lockstep walk, the compiled
-    // program's scalar kernel, and its AVX2 lane-parallel kernel.
+    // program"): stage-1 classification on the uncached uniform trace —
+    // header cache and behavior table off, so every header pays the full
+    // walk.  Three rows on one snapshot: the interpreted per-header walk
+    // (classify_walk, the stage-1 oracle), the compiled program's scalar
+    // kernel, and its AVX2 lane-parallel kernel.
     {
-      engine::FlatSnapshot::Options interp_opts;
-      interp_opts.behavior_table_budget = 0;
-      interp_opts.header_cache_capacity = 0;
-      interp_opts.compile_program = engine::ProgramMode::kNever;
-      const auto interp = engine::FlatSnapshot::build(*w.clf, interp_opts);
-      engine::FlatSnapshot::Options prog_opts = interp_opts;
-      prog_opts.compile_program = engine::ProgramMode::kAlways;
+      engine::FlatSnapshot::Options prog_opts;
+      prog_opts.behavior_table_budget = 0;
+      prog_opts.header_cache_capacity = 0;
       const auto compiled = engine::FlatSnapshot::build(*w.clf, prog_opts);
       const engine::MatchProgram* prog = compiled->program();
-      require(prog != nullptr, "fig12: program compilation failed");
 
       std::vector<AtomId> out(trace.size());
       const auto batch_qps = [&](auto&& run) {
@@ -175,7 +171,8 @@ int main() {
         return static_cast<double>(done) / sw.seconds();
       };
       const double interp_qps = batch_qps([&] {
-        interp->classify_into(trace.data(), trace.size(), out.data());
+        for (std::size_t i = 0; i < trace.size(); ++i)
+          out[i] = compiled->classify_walk(trace[i]);
       });
       const double scalar_qps = batch_qps([&] {
         prog->run_batch(trace.data(), nullptr, trace.size(), out.data(),

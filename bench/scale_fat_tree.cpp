@@ -43,7 +43,6 @@ int main() {
     engine::FlatSnapshot::Options popts;
     popts.behavior_table_budget = 0;
     popts.header_cache_capacity = 0;
-    popts.compile_program = engine::ProgramMode::kAlways;
     const auto snap = engine::FlatSnapshot::build(clf, popts);
     std::vector<AtomId> out(trace.size());
     Stopwatch ksw;

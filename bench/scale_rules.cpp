@@ -1,13 +1,13 @@
-// Million-rule scale harness: construction, snapshot size, cold load vs
+// Million-rule scale harness: construction, snapshot size, owned load vs
 // mmap warm restore, and mapped-vs-owned query throughput as the rule count
 // grows (datasets::stanford_scaled islands — Full scale x2 passes 1.5M
 // rules, x7 passes 5M).
 //
-// The claim under test: because the v2 snapshot file IS the in-memory arena
+// The claim under test: because the snapshot file IS the in-memory arena
 // (engine/arena.hpp), a warm restore is an mmap + CRC + validation pass —
-// page faults, not a parse — and must beat the v1 cold load (field-by-field
-// parse, per-bitset allocations, match-program recompile) by >= 10x, while
-// a mapped snapshot classifies at owned-heap speed and bit-identically.
+// page faults, not a parse — and must beat cold construction of the
+// classifier by >= 10x, while a mapped snapshot classifies at owned-heap
+// speed and bit-identically.
 //
 // Env knobs:
 //   APC_BENCH_SCALE=tiny|small|medium|full   island scale (default medium)
@@ -81,18 +81,11 @@ int main() {
     const double freeze_us = freeze_sw.seconds() * 1e6;
 
     const std::string v2_path = dir + "/scale_rules_" + tag + ".snap";
-    const std::string v1_path = v2_path + ".v1";
     engine::save_snapshot(*snap, v2_path);
-    engine::save_snapshot_v1(*snap, v1_path);
     const std::size_t snapshot_bytes = file_bytes(v2_path);
 
-    // v1 cold load: full parse + bitset allocs + program recompile.
-    engine::FlatSnapshot::Options lo;
-    Stopwatch v1_sw;
-    const auto v1_loaded = engine::load_snapshot(v1_path, lo);
-    const double cold_load_us = v1_sw.seconds() * 1e6;
-
     // v2 owned read: same bytes, heap storage (APC_FORCE_NO_MMAP's path).
+    engine::FlatSnapshot::Options lo;
     lo.mmap_load = false;
     Stopwatch owned_sw;
     const auto owned = engine::load_snapshot(v2_path, lo);
@@ -128,7 +121,6 @@ int main() {
     json.row("scale_rules.cold_build_us_" + tag, cold_build_us, "us");
     json.row("scale_rules.freeze_us_" + tag, freeze_us, "us");
     json.row("scale_rules.snapshot_bytes_" + tag, static_cast<double>(snapshot_bytes), "bytes");
-    json.row("scale_rules.cold_load_us_" + tag, cold_load_us, "us");
     json.row("scale_rules.v2_owned_load_us_" + tag, v2_owned_load_us, "us");
     json.row("scale_rules.warm_restore_us_" + tag, warm_restore_us, "us");
     json.row("scale_rules.snapshot_mapped_" + tag, is_mapped ? 1.0 : 0.0, "bool");
@@ -139,11 +131,11 @@ int main() {
 
     std::printf(
         "%-6s rules=%9zu atoms=%6zu build=%9.0fus freeze=%8.0fus snap=%8zuB\n"
-        "       v1_load=%8.0fus v2_owned=%8.0fus warm(mmap)=%7.0fus (%5.1fx vs v1)\n"
+        "       v2_owned=%8.0fus warm(mmap)=%7.0fus (%5.1fx vs build)\n"
         "       qps mapped=%.2e owned=%.2e  peak_rss=%.1f MiB\n",
         tag.c_str(), rules, static_cast<std::size_t>(clf.atoms().alive_count()),
-        cold_build_us, freeze_us, snapshot_bytes, cold_load_us, v2_owned_load_us,
-        warm_restore_us, warm_restore_us > 0 ? cold_load_us / warm_restore_us : 0.0,
+        cold_build_us, freeze_us, snapshot_bytes, v2_owned_load_us,
+        warm_restore_us, warm_restore_us > 0 ? cold_build_us / warm_restore_us : 0.0,
         mapped_qps, owned_qps,
         static_cast<double>(util::peak_rss_bytes()) / (1024.0 * 1024.0));
 
@@ -163,7 +155,6 @@ int main() {
     }
 
     std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
   }
   return ok ? 0 : 1;
 }

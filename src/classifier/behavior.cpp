@@ -136,11 +136,36 @@ std::string Behavior::to_string(const Topology& topo) const {
 
 namespace {
 
-/// True when `pred` is live and contains `atom`.
-bool pred_contains(const PredicateRegistry& reg, PredId pred, AtomId atom) {
-  const PredicateInfo& info = reg.info(pred);
-  return !info.deleted && info.atoms.test(atom);
-}
+/// The live compiled network as a walk_behavior view.
+struct LiveNetView {
+  const CompiledNetwork& cn;
+  const Topology& topo;
+  const PredicateRegistry& reg;
+
+  /// True when `pred` is live and contains `atom`.
+  bool contains(PredId pred, AtomId atom) const {
+    const PredicateInfo& info = reg.info(pred);
+    return !info.deleted && info.atoms.test(atom);
+  }
+
+  std::size_t box_count() const { return topo.box_count(); }
+  bool input_acl_drops(BoxId box, std::uint32_t in_port, AtomId atom) const {
+    const PredId acl = cn.in_acl_by_port[box][in_port];
+    return acl != kNoPred && !contains(acl, atom);
+  }
+  const std::vector<CompiledNetwork::PortEntry>& port_entries(BoxId box) const {
+    return cn.port_preds[box];
+  }
+  bool forwards(const CompiledNetwork::PortEntry& e, AtomId atom) const {
+    return contains(e.pred, atom);
+  }
+  bool output_acl_drops(const CompiledNetwork::PortEntry& e, AtomId atom) const {
+    return e.out_acl != kNoPred && !contains(e.out_acl, atom);
+  }
+  std::optional<PortId> peer(BoxId box, const CompiledNetwork::PortEntry& e) const {
+    return topo.box(box).ports[e.port].peer;  // unset for host ports
+  }
+};
 
 }  // namespace
 
@@ -155,99 +180,8 @@ Behavior compute_behavior(const CompiledNetwork& cn, const Topology& topo,
 void compute_behavior_into(const CompiledNetwork& cn, const Topology& topo,
                            const PredicateRegistry& reg, AtomId atom, BoxId ingress,
                            std::optional<std::uint32_t> ingress_port, Behavior& out) {
-  out.edges.clear();
-  out.deliveries.clear();
-  out.drops.clear();
-  out.loop_detected = false;
-
-  struct Visit {
-    BoxId box;
-    std::uint32_t in_port;  // kNoInPort when entering at the ingress box
-  };
-  static constexpr std::uint32_t kNoInPort = 0xFFFFFFFFu;
-
-  // Bounded inline work stack: each box is expanded at most once, so the
-  // stack never holds more than box_count pending visits + multicast fanout
-  // within one box; 64 covers both evaluation networks, with a heap
-  // fallback for larger topologies.
-  Visit inline_stack[64];
-  std::vector<Visit> heap_stack;
-  const bool small = topo.box_count() <= 48;
-  std::size_t top = 0;
-  const auto push = [&](BoxId b, std::uint32_t in) {
-    if (small && top < 64)
-      inline_stack[top++] = {b, in};
-    else
-      heap_stack.push_back({b, in}), ++top;
-  };
-  const auto pop = [&]() -> Visit {
-    --top;
-    if (small && heap_stack.empty()) return inline_stack[top];
-    const Visit v = heap_stack.back();
-    heap_stack.pop_back();
-    return v;
-  };
-  push(ingress, ingress_port ? *ingress_port : kNoInPort);
-
-  // Visited set: bitmask fast path for <=64 boxes.
-  std::uint64_t visited_mask = 0;
-  std::vector<bool> visited_vec;
-  if (topo.box_count() > 64) visited_vec.assign(topo.box_count(), false);
-  const auto test_and_set_visited = [&](BoxId b) {
-    if (visited_vec.empty()) {
-      const std::uint64_t bit = std::uint64_t{1} << b;
-      const bool was = visited_mask & bit;
-      visited_mask |= bit;
-      return was;
-    }
-    const bool was = visited_vec[b];
-    visited_vec[b] = true;
-    return was;
-  };
-
-  while (top > 0) {
-    const Visit v = pop();
-
-    if (test_and_set_visited(v.box)) {
-      // Re-entering an already-expanded box: forwarding loop.
-      out.loop_detected = true;
-      continue;
-    }
-
-    // Input ACL on the arrival port.
-    if (v.in_port != kNoInPort) {
-      const PredId acl = cn.in_acl_by_port[v.box][v.in_port];
-      if (acl != kNoPred && !pred_contains(reg, acl, atom)) {
-        out.drops.push_back({v.box, Drop::Reason::InputAcl});
-        continue;
-      }
-    }
-
-    // Find all output ports whose forwarding predicate contains the atom
-    // (several for multicast; at most one for disjoint unicast FIBs).
-    bool forwarded = false;
-    bool acl_blocked = false;
-    for (const auto& entry : cn.port_preds[v.box]) {
-      if (!pred_contains(reg, entry.pred, atom)) continue;
-      if (entry.out_acl != kNoPred && !pred_contains(reg, entry.out_acl, atom)) {
-        acl_blocked = true;
-        continue;
-      }
-      forwarded = true;
-      const Port& p = topo.box(v.box).ports[entry.port];
-      if (p.kind == Port::Kind::Host) {
-        out.edges.push_back({v.box, entry.port, std::nullopt});
-        out.deliveries.push_back({v.box, entry.port});
-      } else {
-        out.edges.push_back({v.box, entry.port, p.peer->box});
-        push(p.peer->box, p.peer->port);
-      }
-    }
-    if (!forwarded) {
-      out.drops.push_back({v.box, acl_blocked ? Drop::Reason::OutputAcl
-                                              : Drop::Reason::NoMatchingRule});
-    }
-  }
+  walk_behavior(LiveNetView{cn, topo, reg}, atom, ingress,
+                ingress_port.value_or(kNoInPort), out);
 }
 
 }  // namespace apc

@@ -29,7 +29,6 @@ FlatSnapshot::Options snapshot_options(const QueryEngine::Options& o) {
   so.behavior_table_budget = o.behavior_table_budget;
   so.header_cache_capacity = o.header_cache_capacity;
   so.header_cache_shards = o.header_cache_shards;
-  so.compile_program = o.compile_program;
   so.mmap_load = o.snapshot_mmap;
   so.prefault = o.snapshot_prefault;
   return so;
@@ -169,7 +168,7 @@ void QueryEngine::query_admitted(const FlatSnapshot& s, const PacketHeader* hs,
           "re-search; use ApClassifier::query/query_probabilistic");
   pool_.parallel_for(n, opts_.batch_grain,
                      [&](std::size_t first, std::size_t last) {
-                       // Batched stage 1 (cache probe + lockstep walk), then
+                       // Batched stage 1 (cache probe + program kernel), then
                        // the in-place table read of stage 2 per header.
                        std::array<AtomId, 64> atoms;
                        Behavior scratch;  // used only when the table is off
@@ -323,7 +322,7 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_fn(prefix + ".peak_rss_bytes",
                   [] { return static_cast<double>(util::peak_rss_bytes()); },
                   "bytes");
-  // Compiled match program rows (0s when the program is off / over budget).
+  // Compiled match program rows.
   reg.register_fn(
       prefix + ".snapshot.program_instructions",
       [this] { return static_cast<double>(snapshot()->program_instructions()); },
@@ -335,7 +334,7 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
     return snapshot()->program_compile_seconds() * 1e6;
   }, "us");
   reg.register_fn(prefix + ".snapshot.kernel_dispatch", [this] {
-    // 0 = no program (interpreted walk), 1 = scalar kernel, 2 = AVX2 kernel.
+    // 1 = scalar kernel, 2 = AVX2 kernel.
     return static_cast<double>(snapshot()->kernel_dispatch());
   });
   reg.register_counter(prefix + ".snapshot_delta_publishes",

@@ -81,13 +81,6 @@ class QueryEngine {
     /// Header-cache shard count (power of two); 0 = auto-size from
     /// capacity.
     std::size_t header_cache_shards = 0;
-    /// Whether each published snapshot compiles its frozen tree+BDDs into a
-    /// flat branchless match program (engine/program.hpp) that cache misses
-    /// execute instead of the interpreted walk.  kAuto compiles when the
-    /// program fits MatchProgram::kAutoProgramBytes; kNever keeps the
-    /// interpreted lockstep walk.  Delta publishes share the retiring
-    /// snapshot's program when the frozen arrays are unchanged.
-    ProgramMode compile_program = ProgramMode::kAuto;
     /// Durable snapshot file (empty = off).  At construction a valid file
     /// here is warm-restored — the engine serves queries from it without
     /// paying the freeze/precompute cost — and every publish (including the
@@ -96,11 +89,11 @@ class QueryEngine {
     /// and tolerated (serving continues).  See snapshot.hpp and
     /// docs/architecture.md, "Fault tolerance & durability".
     std::string snapshot_path;
-    /// Warm restore via mmap (README knob `snapshot_mmap`): map a v2
+    /// Warm restore via mmap (README knob `snapshot_mmap`): map the
     /// snapshot file read-only instead of parsing it into the heap, so
     /// restore cost is page faults, not bytes, and the frozen arena is
     /// shared page cache across processes.  Falls back to an owned read
-    /// when mmap is compiled out (APC_FORCE_NO_MMAP) or the file is v1.
+    /// when mmap is compiled out (APC_FORCE_NO_MMAP).
     bool snapshot_mmap = true;
     /// How much of a mapped snapshot the restore prefaults (madvise
     /// WILLNEED): kHot = tree + match program, kAll = whole arena, kNone =

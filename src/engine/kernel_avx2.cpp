@@ -17,8 +17,7 @@
 //
 // A lane whose pc carries the leaf bit (sign bit, so one movemask over the
 // pc vector finds them) retires its atom and admits the next pending
-// header — the same refill discipline as the interpreted lockstep walk, so
-// short walks never stall long ones.
+// header at once, so short walks never stall long ones.
 //
 // Gathers are masked by the per-lane active state: retired/dead lanes keep
 // a leaf-tagged pc whose sign bit switches their loads off, so the kernel

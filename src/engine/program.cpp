@@ -1,6 +1,5 @@
 #include "engine/program.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <unordered_map>
 
@@ -22,12 +21,8 @@ std::uint32_t pack_jump(std::uint32_t jump, std::uint32_t word) {
 
 std::shared_ptr<const MatchProgram> MatchProgram::compile(
     const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
-    const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
-    std::size_t max_bytes) {
+    const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root) {
   if (tree_count == 0 || root < 0) return nullptr;
-  const std::size_t cap =
-      max_bytes == 0 ? kMaxInstructions
-                     : std::min(kMaxInstructions, max_bytes / sizeof(MatchInsn));
   Stopwatch sw;
 
   // Pass 1 — lower, tree nodes in reverse DFS order.  A node's true branch
@@ -110,7 +105,7 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
     const std::uint32_t on_match = emit(pass_ref);
     const std::uint32_t on_fail = emit(fail_ref);
     if (overflow) return 0;
-    if (code.size() >= cap) {
+    if (code.size() >= kMaxInstructions) {
       overflow = true;
       return 0;
     }

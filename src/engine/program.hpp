@@ -1,14 +1,15 @@
 // MatchProgram — a frozen snapshot compiled to a flat, branchless match
-// program.
+// program: the snapshot's only stage-1 executor behind its header cache.
 //
-// FlatSnapshot's interpreted walk resolves one BDD *bit* per dependent load:
-// tree node -> BDD root -> node -> node -> ... -> terminal -> next tree
-// node.  An uncached uniform trace therefore pays a full load latency per
-// header bit.  Click's Classifier shows the classic fix in software: compile
-// the decision structure into a linear program of mask-and-compare steps,
-// each testing a whole aligned word of the packet at once (SNIPPETS.md,
-// classifier.hh: "four bytes of packet data are ANDed with a mask and
-// compared against four bytes of classifier pattern").
+// An interpreted walk (FlatSnapshot::classify_walk, kept as the test oracle)
+// resolves one BDD *bit* per dependent load: tree node -> BDD root -> node
+// -> node -> ... -> terminal -> next tree node.  An uncached uniform trace
+// would therefore pay a full load latency per header bit.  Click's
+// Classifier shows the classic fix in software: compile the decision
+// structure into a linear program of mask-and-compare steps, each testing
+// a whole aligned word of the packet at once (SNIPPETS.md, classifier.hh:
+// "four bytes of packet data are ANDed with a mask and compared against
+// four bytes of classifier pattern").
 //
 // The compiler lowers the frozen tree + shared BDD array into contiguous
 // 16-byte instructions
@@ -59,19 +60,8 @@
 
 namespace apc::engine {
 
-/// Whether a snapshot compiles a match program at freeze/publish time.
-enum class ProgramMode : std::uint8_t {
-  /// Compile when the program fits the auto budget (kAutoProgramBytes);
-  /// fall back to the interpreted walk above it.
-  kAuto,
-  /// Compile unconditionally (hard cap: kMaxInstructions).
-  kAlways,
-  /// Never compile — interpreted walk only (the pre-program behavior).
-  kNever,
-};
-
 /// Which executor a program run uses.  Values are stable: obs rows report
-/// them (0 in those rows means "no program — interpreted walk").
+/// them.
 enum class KernelKind : std::uint8_t { kScalar = 1, kAvx2 = 2 };
 
 /// 8-byte AP-tree node in DFS preorder (frozen by FlatSnapshot::build_core,
@@ -111,27 +101,23 @@ class MatchProgram {
   static constexpr std::uint32_t kWordShift = 27;
   static constexpr std::uint32_t kWordFieldMask = 0xFu;  ///< 4 bits: 16 words
   static constexpr std::size_t kMaxInstructions = std::size_t{1} << 27;
-  /// ProgramMode::kAuto compiles only while the instruction array stays
-  /// under this footprint; larger programs fall back to the walk.
-  static constexpr std::size_t kAutoProgramBytes = std::size_t{64} << 20;
 
   /// Lowers the frozen tree + shared BDD array into a program.  Instructions
   /// are laid out in DFS order from the entry (match path first), so the hot
   /// prefix of a walk is forward-contiguous.  Returns nullptr when the
-  /// program would exceed `max_bytes` (0 = the kMaxInstructions hard cap
-  /// only) — the caller keeps the interpreted walk.  Pure function of its
-  /// arguments; the result holds no references to them.
+  /// program would exceed kMaxInstructions.  Pure function of its arguments;
+  /// the result holds no references to them.
   static std::shared_ptr<const MatchProgram> compile(
       const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
-      const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
-      std::size_t max_bytes = 0);
+      const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root);
 
   /// Wraps a program already materialized elsewhere — the snapshot arena's
   /// `program` section — without copying.  `keepalive` (typically the
   /// shared_ptr<const Arena>) pins the storage for the program's lifetime,
   /// so a mapped snapshot file stays mapped while any reader still runs its
   /// program.  The caller vouches for the code: snapshot_io validates every
-  /// instruction's jump targets and word indices before adopting.
+  /// instruction's jump targets and word indices, and that the jumps form
+  /// no cycle, before adopting.
   static std::shared_ptr<const MatchProgram> adopt(
       const MatchInsn* code, std::size_t count, std::uint32_t entry,
       std::shared_ptr<const void> keepalive, double compile_seconds = 0.0);
@@ -140,9 +126,9 @@ class MatchProgram {
   AtomId run(const PacketHeader& h) const;
 
   /// Classifies `n` headers into `out`; `which`, when non-null, selects the
-  /// header/output indices to process (the cache-miss list, mirroring
-  /// classify_lockstep).  Dispatches to the best kernel the CPU supports
-  /// (AVX2 via CPUID when the kernel was built, scalar otherwise).
+  /// header/output indices to process (the snapshot's cache-miss list).
+  /// Dispatches to the best kernel the CPU supports (AVX2 via CPUID when the
+  /// kernel was built, scalar otherwise).
   void run_batch(const PacketHeader* hs, const std::size_t* which,
                  std::size_t n, AtomId* out) const {
     run_batch(hs, which, n, out, dispatch_kernel());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 
 #include "util/stopwatch.hpp"
@@ -21,6 +22,43 @@ std::size_t behavior_heap_bytes(const Behavior& b) {
 /// any behavior has been computed (a handful of hops and drops per class).
 constexpr std::size_t kBehaviorBytesEstimate =
     sizeof(Behavior) + 8 * sizeof(BehaviorEdge) + 4 * sizeof(Drop);
+
+[[noreturn]] void throw_program_too_large() {
+  throw Error(ErrorCode::kResourceExhausted,
+              "FlatSnapshot: match program exceeds MatchProgram::kMaxInstructions");
+}
+
+/// The arena's stage-2 sections as a walk_behavior view.  Deleted
+/// predicates froze to empty BitsRefs, which contain no atom.
+struct ArenaNetView {
+  const ArenaBox* boxes;
+  const ArenaPortEntry* ports;
+  const ArenaInAcl* in_acls;
+  const std::uint64_t* words;
+  std::size_t nboxes;
+
+  std::size_t box_count() const { return nboxes; }
+  bool input_acl_drops(BoxId box, std::uint32_t in_port, AtomId atom) const {
+    const ArenaBox& b = boxes[box];
+    // A loaded file's peer_port is not range-checked: out of range, no ACL.
+    if (in_port >= b.acl_count) return false;
+    const ArenaInAcl& acl = in_acls[b.acl_begin + in_port];
+    return acl.present != 0 && !acl.atoms.test(words, atom);
+  }
+  std::span<const ArenaPortEntry> port_entries(BoxId box) const {
+    return {ports + boxes[box].port_begin, boxes[box].port_count};
+  }
+  bool forwards(const ArenaPortEntry& e, AtomId atom) const {
+    return e.fwd_atoms.test(words, atom);
+  }
+  bool output_acl_drops(const ArenaPortEntry& e, AtomId atom) const {
+    return e.has_out_acl != 0 && !e.out_acl_atoms.test(words, atom);
+  }
+  std::optional<PortId> peer(BoxId, const ArenaPortEntry& e) const {
+    if (e.peer_box < 0) return std::nullopt;
+    return PortId{static_cast<BoxId>(e.peer_box), e.peer_port};
+  }
+};
 
 }  // namespace
 
@@ -190,31 +228,13 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   // save_snapshot write one contiguous image and a mapped load skip the
   // recompile entirely.
   std::shared_ptr<const MatchProgram> compiled;
-  const MatchInsn* prog_code = nullptr;
-  std::size_t prog_count = 0;
-  std::uint32_t prog_entry = 0;
-  double compile_seconds = 0.0;
-  bool have_program = false;
-  if (carried != nullptr) {
-    prog_code = carried->instructions();
-    prog_count = carried->instruction_count();
-    prog_entry = carried->entry();
-    have_program = true;
-  } else if (opts.compile_program != ProgramMode::kNever) {
-    const std::size_t max_bytes = opts.compile_program == ProgramMode::kAuto
-                                      ? MatchProgram::kAutoProgramBytes
-                                      : 0;
+  if (carried == nullptr) {
     compiled = MatchProgram::compile(core.bdd_nodes.data(), core.bdd_nodes.size(),
                                      core.tree.data(), core.tree.size(),
-                                     core.tree_root, max_bytes);
-    if (compiled) {  // nullptr (over budget) keeps the interpreted walk
-      prog_code = compiled->instructions();
-      prog_count = compiled->instruction_count();
-      prog_entry = compiled->entry();
-      compile_seconds = compiled->compile_seconds();
-      have_program = true;
-    }
+                                     core.tree_root);
+    if (!compiled) throw_program_too_large();
   }
+  const MatchProgram& prog = carried != nullptr ? *carried : *compiled;
 
   ArenaBuilder b;
   const ArenaRef bdd_ref = b.reserve<bdd::FlatBddNode>(core.bdd_nodes.size());
@@ -223,7 +243,7 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   const ArenaRef ports_ref = b.reserve<ArenaPortEntry>(core.ports.size());
   const ArenaRef acls_ref = b.reserve<ArenaInAcl>(core.in_acls.size());
   const ArenaRef words_ref = b.reserve<std::uint64_t>(core.words.size());
-  const ArenaRef prog_ref = b.reserve<MatchInsn>(prog_count);
+  const ArenaRef prog_ref = b.reserve<MatchInsn>(prog.instruction_count());
   b.allocate();
 
   const auto copy = [&](auto& ref, const auto* src, std::size_t elem) {
@@ -236,15 +256,15 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   copy(ports_ref, core.ports.data(), sizeof(ArenaPortEntry));
   copy(acls_ref, core.in_acls.data(), sizeof(ArenaInAcl));
   copy(words_ref, core.words.data(), sizeof(std::uint64_t));
-  copy(prog_ref, prog_code, sizeof(MatchInsn));
+  copy(prog_ref, prog.instructions(), sizeof(MatchInsn));
 
   ArenaHeader& h = b.header();
   h.flags = (core.has_middleboxes ? ArenaHeader::kHasMiddleboxes : 0u) |
             (core.tracks_visits ? ArenaHeader::kTracksVisits : 0u) |
-            (have_program ? ArenaHeader::kHasProgram : 0u);
+            ArenaHeader::kHasProgram;
   h.atom_capacity = core.atom_capacity;
   h.tree_root = core.tree_root;
-  h.program_entry = prog_entry;
+  h.program_entry = prog.entry();
   // The union of header bits any frozen BDD node tests — the header-cache
   // canonicalization mask, persisted so a mapped load never re-derives it.
   for (std::size_t i = 2; i < core.bdd_nodes.size(); ++i) {
@@ -260,7 +280,9 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   h.program = prog_ref;
 
   auto snap = std::shared_ptr<FlatSnapshot>(new FlatSnapshot());
-  snap->adopt_arena(b.finish(), opts, compile_seconds, carried != nullptr);
+  snap->adopt_arena(b.finish(), opts,
+                    compiled ? compiled->compile_seconds() : 0.0,
+                    carried != nullptr);
   return snap;
 }
 
@@ -268,17 +290,6 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_arena(
     std::shared_ptr<const Arena> arena, const Options& opts) {
   auto snap = std::shared_ptr<FlatSnapshot>(new FlatSnapshot());
   snap->adopt_arena(std::move(arena), opts, 0.0, false);
-  // A loaded arena without a program section (built under kNever, or over
-  // the auto budget) still honors the caller's options: compile now, off
-  // the arena's frozen arrays (load-path parity with v1).
-  if (!snap->program_ && opts.compile_program != ProgramMode::kNever) {
-    const std::size_t max_bytes = opts.compile_program == ProgramMode::kAuto
-                                      ? MatchProgram::kAutoProgramBytes
-                                      : 0;
-    snap->program_ =
-        MatchProgram::compile(snap->bdd_nodes_, snap->bdd_count_, snap->tree_,
-                              snap->tree_count_, snap->tree_root_, max_bytes);
-  }
   return snap;
 }
 
@@ -301,14 +312,19 @@ void FlatSnapshot::adopt_arena(std::shared_ptr<const Arena> arena,
   has_middleboxes_ = (h.flags & ArenaHeader::kHasMiddleboxes) != 0;
   if ((h.flags & ArenaHeader::kTracksVisits) != 0) visits_.reset(atom_capacity_);
 
-  if ((h.flags & ArenaHeader::kHasProgram) != 0 &&
-      opts.compile_program != ProgramMode::kNever) {
+  if ((h.flags & ArenaHeader::kHasProgram) != 0) {
     // Zero-copy adoption: the program runs straight out of the arena (and
     // keeps it alive — a mapped file stays mapped while any reader runs).
     program_ = MatchProgram::adopt(arena_->ptr<MatchInsn>(h.program),
                                    static_cast<std::size_t>(h.program.count),
                                    h.program_entry, arena_, compile_seconds);
     program_carried_ = carried;
+  } else {
+    // Only a loaded file can lack the section (older builds could skip or
+    // cap compilation): compile now, off the validated frozen arrays.
+    program_ = MatchProgram::compile(bdd_nodes_, bdd_count_, tree_, tree_count_,
+                                     tree_root_);
+    if (!program_) throw_program_too_large();
   }
 
   init_accelerators(opts);
@@ -390,7 +406,7 @@ std::shared_ptr<const FlatSnapshot> FlatSnapshot::build_delta(
   // new arena self-contained, so saving it still persists the program and
   // the retiring snapshot's storage can be unmapped).
   const MatchProgram* carried = nullptr;
-  if (prev.program_ && core.tree.size() == prev.tree_count_ &&
+  if (core.tree.size() == prev.tree_count_ &&
       core.bdd_nodes.size() == prev.bdd_count_ &&
       std::memcmp(core.tree.data(), prev.tree_,
                   core.tree.size() * sizeof(FlatTreeNode)) == 0 &&
@@ -504,29 +520,19 @@ FlatSnapshot::~FlatSnapshot() {
 }
 
 AtomId FlatSnapshot::classify(const PacketHeader& h) const {
+  AtomId atom;
+  if (cache_ && cache_->lookup(h, atom)) {
+    cache_hits_.add(1);
+    visits_.bump(atom);  // no-op (size 0) unless tracking is on
+    return atom;
+  }
+  atom = program_->run(h);
+  visits_.bump(atom);
   if (cache_) {
-    AtomId atom;
-    if (cache_->lookup(h, atom)) {
-      cache_hits_.add(1);
-      visits_.bump(atom);  // no-op (size 0) unless tracking is on
-      return atom;
-    }
-    if (program_) {
-      atom = program_->run(h);
-      visits_.bump(atom);
-    } else {
-      atom = classify_walk(h);  // bumps visits at the leaf
-    }
     cache_->insert(h, atom);
     cache_misses_.add(1);
-    return atom;
   }
-  if (program_) {
-    const AtomId atom = program_->run(h);
-    visits_.bump(atom);
-    return atom;
-  }
-  return classify_walk(h);
+  return atom;
 }
 
 AtomId FlatSnapshot::classify_walk(const PacketHeader& h) const {
@@ -555,87 +561,12 @@ AtomId FlatSnapshot::classify_counted(const PacketHeader& h,
   return a;
 }
 
-void FlatSnapshot::classify_lockstep(const PacketHeader* hs,
-                                     const std::size_t* which, std::size_t n,
-                                     AtomId* out) const {
-  const bdd::FlatBddNode* nodes = bdd_nodes_;
-  const FlatTreeNode* tree = tree_;
-
-  // Single-leaf tree: every header lands on the same atom, no walk needed.
-  // One batched counter add instead of n contended per-packet bumps.
-  if (tree[tree_root_].right == kLeaf) {
-    const AtomId a = static_cast<AtomId>(tree[tree_root_].bdd_root);
-    for (std::size_t i = 0; i < n; ++i) out[which ? which[i] : i] = a;
-    visits_.add(a, n);
-    return;
-  }
-
-  // One in-flight walk per lane.  Each lane advances one dependent load per
-  // round (a BDD node or a tree node) and prefetches the next, so the DRAM
-  // latencies of up to kLanes cold walks overlap instead of serializing.
-  constexpr std::size_t kLanes = 8;
-  struct Lane {
-    const PacketHeader* h;
-    std::size_t slot;  ///< output index
-    std::int32_t idx;  ///< current tree node
-    std::uint32_t r;   ///< BDD cursor resolving tree[idx]'s predicate
-  };
-  Lane lanes[kLanes];
-  std::size_t active = 0;
-  std::size_t next = 0;
-
-  const auto admit = [&](Lane& L) -> bool {
-    if (next >= n) return false;
-    const std::size_t slot = which ? which[next] : next;
-    ++next;
-    L.h = &hs[slot];
-    L.slot = slot;
-    L.idx = tree_root_;
-    L.r = tree[tree_root_].bdd_root;
-    __builtin_prefetch(&nodes[L.r]);
-    return true;
-  };
-
-  while (active < kLanes && admit(lanes[active])) ++active;
-
-  while (active > 0) {
-    for (std::size_t i = 0; i < active;) {
-      Lane& L = lanes[i];
-      if (L.r > bdd::kTrue) {  // one BDD step
-        const bdd::FlatBddNode& b = nodes[L.r];
-        L.r = L.h->bit(b.var) ? b.hi : b.lo;
-        __builtin_prefetch(&nodes[L.r]);
-        ++i;
-        continue;
-      }
-      // Predicate resolved: take the tree branch.
-      L.idx = L.r == bdd::kTrue ? L.idx + 1 : tree[L.idx].right;
-      const FlatTreeNode& t = tree[L.idx];
-      if (t.right == kLeaf) {
-        const AtomId a = static_cast<AtomId>(t.bdd_root);
-        visits_.bump(a);
-        out[L.slot] = a;
-        if (!admit(L)) L = lanes[--active];  // refill lane or compact
-        continue;  // re-examine slot i with its new contents
-      }
-      L.r = t.bdd_root;
-      __builtin_prefetch(&nodes[L.r]);
-      ++i;
-    }
-  }
-}
-
-// Batch classification of the slots in `which` (or all of [0, n)): the
-// compiled match program's kernel when present, the interpreted lockstep
-// walk otherwise.  The kernels don't touch the visit counters, so the bumps
-// happen here, from the written outputs.
+// Batch classification of the slots in `which` (or all of [0, n)) through
+// the match program's kernel.  The kernels don't touch the visit counters,
+// so the bumps happen here, from the written outputs.
 void FlatSnapshot::classify_batch(const PacketHeader* hs,
                                   const std::size_t* which, std::size_t n,
                                   AtomId* out) const {
-  if (!program_) {
-    classify_lockstep(hs, which, n, out);
-    return;
-  }
   program_->run_batch(hs, which, n, out);
   if (visits_.size() > 0) {
     for (std::size_t i = 0; i < n; ++i) visits_.bump(out[which ? which[i] : i]);
@@ -649,7 +580,7 @@ void FlatSnapshot::classify_into(const PacketHeader* hs, std::size_t n,
     classify_batch(hs, nullptr, n, out);
     return;
   }
-  // Probe pass, then one kernel/lockstep pass over the misses.  Hit/miss
+  // Probe pass, then one kernel pass over the misses.  Hit/miss
   // counts are folded into the shared counters once per batch, not per
   // packet.
   std::vector<std::size_t> misses;
@@ -709,77 +640,11 @@ Behavior FlatSnapshot::behavior_of(AtomId atom, BoxId ingress) const {
   return b;
 }
 
-// Mirrors compute_behavior_into (classifier/behavior.cpp) step for step so
-// behaviors are byte-identical: same stack discipline, same push order, same
-// visited-loop semantics, same drop reasons.
 Behavior FlatSnapshot::behavior_walk(AtomId atom, BoxId ingress) const {
   require(ingress < box_count_, "FlatSnapshot::behavior_walk: bad ingress");
   Behavior out;
-
-  struct Visit {
-    BoxId box;
-    std::uint32_t in_port;
-  };
-  static constexpr std::uint32_t kNoInPort = 0xFFFFFFFFu;
-  std::vector<Visit> stack;
-  stack.push_back({ingress, kNoInPort});
-
-  std::uint64_t visited_mask = 0;
-  std::vector<bool> visited_vec;
-  if (box_count_ > 64) visited_vec.assign(box_count_, false);
-  const auto test_and_set_visited = [&](BoxId b) {
-    if (visited_vec.empty()) {
-      const std::uint64_t bit = std::uint64_t{1} << b;
-      const bool was = visited_mask & bit;
-      visited_mask |= bit;
-      return was;
-    }
-    const bool was = visited_vec[b];
-    visited_vec[b] = true;
-    return was;
-  };
-
-  while (!stack.empty()) {
-    const Visit v = stack.back();
-    stack.pop_back();
-
-    if (test_and_set_visited(v.box)) {
-      out.loop_detected = true;
-      continue;
-    }
-    const ArenaBox& fb = boxes_[v.box];
-
-    if (v.in_port != kNoInPort && v.in_port < fb.acl_count) {
-      const ArenaInAcl& acl = in_acls_[fb.acl_begin + v.in_port];
-      if (acl.present != 0 && !bits_test(acl.atoms, atom)) {
-        out.drops.push_back({v.box, Drop::Reason::InputAcl});
-        continue;
-      }
-    }
-
-    bool forwarded = false;
-    bool acl_blocked = false;
-    for (std::uint32_t k = 0; k < fb.port_count; ++k) {
-      const ArenaPortEntry& e = ports_[fb.port_begin + k];
-      if (!bits_test(e.fwd_atoms, atom)) continue;
-      if (e.has_out_acl != 0 && !bits_test(e.out_acl_atoms, atom)) {
-        acl_blocked = true;
-        continue;
-      }
-      forwarded = true;
-      if (e.peer_box < 0) {
-        out.edges.push_back({v.box, e.port, std::nullopt});
-        out.deliveries.push_back({v.box, e.port});
-      } else {
-        out.edges.push_back({v.box, e.port, static_cast<BoxId>(e.peer_box)});
-        stack.push_back({static_cast<BoxId>(e.peer_box), e.peer_port});
-      }
-    }
-    if (!forwarded) {
-      out.drops.push_back({v.box, acl_blocked ? Drop::Reason::OutputAcl
-                                              : Drop::Reason::NoMatchingRule});
-    }
-  }
+  walk_behavior(ArenaNetView{boxes_, ports_, in_acls_, words_, box_count_}, atom,
+                ingress, kNoInPort, out);
   return out;
 }
 
@@ -799,7 +664,7 @@ std::size_t FlatSnapshot::owned_bytes() const {
   if (cache_) bytes += cache_->memory_bytes();
   // A load-time-compiled program lives on its own heap; an adopted program
   // runs out of the arena and is already counted there.
-  if (program_ && program_->owns_code()) bytes += program_->bytes();
+  if (program_->owns_code()) bytes += program_->bytes();
   return bytes;
 }
 

@@ -23,12 +23,12 @@
 //      front of the tree walk; hot flows (real traffic is Zipfian, SS VII)
 //      skip the tree entirely.  The cache lives inside the snapshot, so a
 //      republish invalidates it wholesale and stale hits cannot exist.
-//   3. Layout + batching.  Tree nodes are 8 bytes in DFS preorder (the
-//      true-branch child is the next element; only the false-branch index
-//      is stored) and BDD nodes are reordered DFS-contiguous in tree order,
-//      so a walk touches a hot prefix of both arrays.  classify_into()
-//      advances several headers through the tree in lockstep with software
-//      prefetch, hiding the dependent-load DRAM latency of cold walks.
+//   3. Compiled match program.  The frozen tree and BDDs are lowered to a
+//      flat mask-and-compare program (engine/program.hpp) that every cache
+//      miss runs — classify_into() through the AVX2 lane-parallel kernel
+//      when the CPU has it.  Tree nodes stay 8 bytes in DFS preorder and
+//      BDD nodes DFS-contiguous in tree order for classify_walk(), the
+//      interpreted stage-1 oracle.
 //
 // Storage: everything frozen lives in ONE relocatable Arena (engine/
 // arena.hpp) — BDD array, tree, stage-2 records, bitset word pool, compiled
@@ -92,16 +92,10 @@ class FlatSnapshot {
     /// Cache shard count (power of two).  0 = auto (one shard per 256
     /// slots, at most 64).
     std::size_t header_cache_shards = 0;
-    /// Whether to compile the frozen tree+BDDs into a flat match program
-    /// (engine/program.hpp) at build time.  kAuto compiles when the program
-    /// fits MatchProgram::kAutoProgramBytes; kNever keeps the interpreted
-    /// lockstep walk (the program-less behavior).  Cache misses in
-    /// classify()/classify_into() route through the program when present.
-    ProgramMode compile_program = ProgramMode::kAuto;
-    /// load_snapshot() only: mmap a v2 snapshot file instead of reading it
+    /// load_snapshot() only: mmap the snapshot file instead of reading it
     /// into an owned buffer (README knob `snapshot_mmap`).  Ignored — with
     /// an automatic owned-read fallback — when mmap support is compiled out
-    /// (APC_FORCE_NO_MMAP) or the file is v1.
+    /// (APC_FORCE_NO_MMAP).
     bool mmap_load = true;
     /// load_snapshot() only: prefault policy for mapped arenas.
     PrefaultPolicy prefault = PrefaultPolicy::kHot;
@@ -110,11 +104,13 @@ class FlatSnapshot {
   enum class BehaviorTableMode : std::uint8_t { kDisabled, kLazy, kPrecomputed };
 
   /// Freezes the classifier's current tree, predicates, and compiled
-  /// network.  Pure read of the classifier — call from the writer side only
-  /// (it must not race with classifier mutations).  Visit tracking follows
-  /// the classifier's `track_visits` option.  `pool`, when given, fans the
-  /// eager behavior-table fill across its workers (the query engine passes
-  /// its own pool); nullptr fills serially.
+  /// network, and compiles the match program.  Pure read of the classifier —
+  /// call from the writer side only (it must not race with classifier
+  /// mutations).  Visit tracking follows the classifier's `track_visits`
+  /// option.  `pool`, when given, fans the eager behavior-table fill across
+  /// its workers (the query engine passes its own pool); nullptr fills
+  /// serially.  Throws apc::Error(kResourceExhausted) when the program would
+  /// exceed MatchProgram::kMaxInstructions.
   static std::shared_ptr<const FlatSnapshot> build(const ApClassifier& clf,
                                                    const Options& opts,
                                                    util::TaskPool* pool = nullptr);
@@ -147,7 +143,8 @@ class FlatSnapshot {
   ~FlatSnapshot();
 
   // ---- Stage 1 (lock-free, const, thread-safe) ----
-  /// Cache-assisted classification: header-cache probe, tree walk on miss.
+  /// Cache-assisted classification: header-cache probe, match program on
+  /// miss.
   AtomId classify(const PacketHeader& h) const;
   /// Pure tree walk, never consulting the cache — the stage-1 oracle.
   AtomId classify_walk(const PacketHeader& h) const;
@@ -155,11 +152,11 @@ class FlatSnapshot {
   /// depth).  Bypasses the cache so the count is always the tree's.
   AtomId classify_counted(const PacketHeader& h, std::size_t& evals) const;
   /// Batch classification into `out[0..n)`: probes the cache for every
-  /// header, then advances all misses through the tree in lockstep with
-  /// software prefetch.  Equivalent to classify() per element.
+  /// header, then runs all misses through the match program's batch kernel.
+  /// Equivalent to classify() per element.
   void classify_into(const PacketHeader* hs, std::size_t n, AtomId* out) const;
 
-  // ---- Stage 2 (middlebox-free; mirrors compute_behavior exactly) ----
+  // ---- Stage 2 (middlebox-free; the same walk as compute_behavior) ----
   /// Table-assisted behavior, read in place: one acquire load on the
   /// precomputed/lazy table (filling the cell on first touch in lazy mode)
   /// returns the cell itself, with no copy.  When the table is disabled (or
@@ -169,8 +166,8 @@ class FlatSnapshot {
   const Behavior& behavior_ref(AtomId atom, BoxId ingress, Behavior& scratch) const;
   /// behavior_ref, copied out.
   Behavior behavior_of(AtomId atom, BoxId ingress) const;
-  /// The retained topology walk — table filler and differential oracle.
-  /// Mirrors compute_behavior_into (classifier/behavior.cpp) step for step.
+  /// The topology walk (walk_behavior over the frozen arena) — the table
+  /// filler.
   Behavior behavior_walk(AtomId atom, BoxId ingress) const;
 
   /// Two-stage query.  Requires a middlebox-free network: header-rewriting
@@ -222,21 +219,16 @@ class FlatSnapshot {
   std::uint64_t header_entries_carried() const { return cache_entries_carried_; }
 
   // ---- Compiled match program (engine/program.hpp) ----
-  /// nullptr when compilation is off (Options) or the program exceeded its
-  /// budget — classify falls back to the interpreted lockstep walk.
+  /// Never null: every built or loaded snapshot carries its program.
   const MatchProgram* program() const { return program_.get(); }
-  std::size_t program_instructions() const {
-    return program_ ? program_->instruction_count() : 0;
-  }
-  std::size_t program_bytes() const { return program_ ? program_->bytes() : 0; }
-  /// Wall-clock seconds the compile took (0 when absent or delta-carried).
-  double program_compile_seconds() const {
-    return program_ ? program_->compile_seconds() : 0.0;
-  }
-  /// Kernel batch classification dispatches to: 0 = no program (interpreted
-  /// walk), 1 = scalar, 2 = AVX2.  Matches the obs `kernel_dispatch` row.
+  std::size_t program_instructions() const { return program_->instruction_count(); }
+  std::size_t program_bytes() const { return program_->bytes(); }
+  /// Wall-clock seconds the compile took (0 when adopted or delta-carried).
+  double program_compile_seconds() const { return program_->compile_seconds(); }
+  /// Kernel batch classification dispatches to: 1 = scalar, 2 = AVX2.
+  /// Matches the obs `kernel_dispatch` row.
   int kernel_dispatch() const {
-    return program_ ? static_cast<int>(program_->dispatch_kernel()) : 0;
+    return static_cast<int>(program_->dispatch_kernel());
   }
   /// True when build_delta() reused the previous snapshot's program instead
   /// of recompiling (frozen tree+BDD arrays were unchanged; the instruction
@@ -247,13 +239,12 @@ class FlatSnapshot {
   FlatSnapshot() = default;
 
   friend void save_snapshot(const FlatSnapshot& snap, const std::string& path);
-  friend void save_snapshot_v1(const FlatSnapshot& snap, const std::string& path);
   friend std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,
                                                            const Options& opts);
 
   /// The frozen core as plain vectors — the intermediate between "walk the
-  /// classifier" (freeze_core) or "parse a v1 file" (load_snapshot) and the
-  /// single-arena form (from_core).  Never outlives the build.
+  /// classifier" (freeze_core) and the single-arena form (from_core).  Never
+  /// outlives the build.
   struct CoreData {
     std::vector<bdd::FlatBddNode> bdd_nodes;
     std::vector<FlatTreeNode> tree;
@@ -278,20 +269,19 @@ class FlatSnapshot {
   static CoreData freeze_core(const ApClassifier& clf);
 
   /// Assembles CoreData (plus an optional carried program) into one owned
-  /// arena, compiles the match program per `opts` when not carried, and
-  /// returns the snapshot with accelerators initialized.
+  /// arena, compiles the match program when not carried, and returns the
+  /// snapshot with accelerators initialized.
   static std::shared_ptr<FlatSnapshot> from_core(CoreData&& core,
                                                  const Options& opts,
                                                  const MatchProgram* carried);
 
   /// Wraps an existing (validated) arena — the mmap / owned-read load path.
-  /// Adopts the arena's program section when present, else compiles per
-  /// `opts`.
   static std::shared_ptr<FlatSnapshot> from_arena(
       std::shared_ptr<const Arena> arena, const Options& opts);
 
-  /// Resolves the member views against arena_'s header and initializes the
-  /// runtime accelerators (cache, table, program) — tail of both paths.
+  /// Resolves the member views against arena_'s header, adopts the arena's
+  /// program section (compiling one when the section is absent), and
+  /// initializes the runtime accelerators — tail of both paths.
   void adopt_arena(std::shared_ptr<const Arena> arena, const Options& opts,
                    double compile_seconds, bool carried);
 
@@ -311,22 +301,15 @@ class FlatSnapshot {
   /// peers, ACL placement) — the carry-over precondition for behavior rows.
   bool same_stage2_shape(const FlatSnapshot& prev) const;
 
-  /// Lockstep tree walk over `n` headers; `which`, when non-null, selects
-  /// the header/output indices to process (the cache-miss list).
-  void classify_lockstep(const PacketHeader* hs, const std::size_t* which,
-                         std::size_t n, AtomId* out) const;
-  /// Same contract; runs the compiled match program's kernel when present
-  /// (bumping visit counters from the outputs), the lockstep walk otherwise.
+  /// Runs `n` headers through the match program's batch kernel, bumping
+  /// visit counters from the outputs; `which`, when non-null, selects the
+  /// header/output indices to process (the cache-miss list).
   void classify_batch(const PacketHeader* hs, const std::size_t* which,
                       std::size_t n, AtomId* out) const;
   /// Publishes the walk result into `cell` (first writer wins); returns the
   /// published pointer either way.
   const Behavior* fill_cell(std::atomic<const Behavior*>& cell, AtomId atom,
                             BoxId ingress) const;
-
-  bool bits_test(const BitsRef& b, std::size_t i) const {
-    return b.test(words_, i);
-  }
 
   // ---- The frozen core: views into arena_ (relocatable offsets resolved
   // once in adopt_arena; immutable afterwards) ----
@@ -359,7 +342,7 @@ class FlatSnapshot {
   mutable obs::Counter cache_hits_;
   mutable obs::Counter cache_misses_;
 
-  // ---- Compiled match program (layer 3b; immutable after build) ----
+  // ---- Compiled match program (layer 3; immutable after build) ----
   std::shared_ptr<const MatchProgram> program_;
   bool program_carried_ = false;
 
@@ -383,19 +366,14 @@ class FlatSnapshot {
 /// intentionally not persisted — it regenerates.
 void save_snapshot(const FlatSnapshot& snap, const std::string& path);
 
-/// Writes the legacy v1 format (field-by-field serialization, no arena).
-/// Kept for compatibility tests and as the bench's cold-load baseline;
-/// load_snapshot still reads both.
-void save_snapshot_v1(const FlatSnapshot& snap, const std::string& path);
-
-/// Loads a snapshot saved by save_snapshot() (v2) or save_snapshot_v1().
-/// Every header field, the checksum, and all structural invariants (section
-/// bounds, index bounds, DFS-forward tree edges, strictly increasing BDD
-/// variable order, program jump targets) are validated; a file failing any
-/// check is rejected with apc::Error(kCorruptData) — never UB.  A v2 file is
-/// mmap'd when `opts.mmap_load` allows (the arena then IS the file; warm
-/// restore costs page faults, not a parse) and read into an owned arena
-/// otherwise; a v1 file always takes the owned parse-and-assemble path.
+/// Loads a snapshot saved by save_snapshot().  Every header field, the
+/// checksum, and all structural invariants (section bounds, index bounds,
+/// DFS-forward tree edges, strictly increasing BDD variable order, program
+/// jump targets, an acyclic program) are validated; a file failing any check
+/// — including a file in any other format, such as the retired v1 — is
+/// rejected with apc::Error(kCorruptData), never UB.  The file is mmap'd
+/// when `opts.mmap_load` allows (the arena then IS the file; warm restore
+/// costs page faults, not a parse) and read into an owned arena otherwise.
 /// The behavior table starts lazy (or disabled, per `opts`) and the header
 /// cache starts cold.  Throws kIo when the file cannot be read.
 std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,

@@ -1,8 +1,8 @@
 // Durable FlatSnapshot persistence — see snapshot.hpp for the contract and
 // docs/architecture.md ("Snapshot memory layout & warm restore") for the
-// formats.
+// format.
 //
-// v2 (written by save_snapshot):
+// The file (v2; the only format — anything else is rejected as corrupt):
 //
 //   +------------------------------------------------------------------+
 //   | magic "APCSNAP2" (8B) | version u32 | endian u32                  |
@@ -18,16 +18,6 @@
 //   cache — warm restore costs page faults, not a parse.  When mmap is
 //   unavailable (APC_FORCE_NO_MMAP) or disabled (Options::mmap_load) the
 //   same bytes are read into an owned aligned buffer instead.
-//
-// v1 (written by save_snapshot_v1, still loaded transparently):
-//
-//   +-----------------------------------------------------------+
-//   | magic "APCSNAP1" (8B) | version u32 | endian u32           |
-//   | payload_len u64 | crc32c(payload) u32 (masked)             |
-//   +-----------------------------------------------------------+
-//   | payload: flags, atom capacity, BDD node array, tree array, |
-//   |          per-box stage-2 port entries and ACL bitsets      |
-//   +-----------------------------------------------------------+
 //
 // Saves are atomic (tmp + fsync + rename + directory fsync): a reader never
 // observes a half-written snapshot, and a crash mid-save leaves the previous
@@ -54,12 +44,9 @@ namespace apc::engine {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'A', 'P', 'C', 'S', 'N', 'A', 'P', '1'};
 constexpr char kMagicV2[8] = {'A', 'P', 'C', 'S', 'N', 'A', 'P', '2'};
-constexpr std::uint32_t kVersion1 = 1;
 constexpr std::uint32_t kVersion2 = 2;
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
-constexpr std::size_t kV1HeaderBytes = sizeof(kMagicV1) + 4 + 4 + 8 + 4;
 /// v2 file header size: one page, so the arena starts page-aligned in the
 /// file (an mmap offset must be page-aligned, and the arena's 64-byte
 /// section alignment then holds in memory too).
@@ -77,62 +64,28 @@ static_assert(sizeof(bdd::FlatBddNode) == 12, "FlatBddNode layout is serialized 
               "snapshot " + path + ": " + what);
 }
 
-// ---- serialization primitives (v1 + the v2 file header) ----
+// ---- file header (de)serialization ----
 
 void put_bytes(std::string& out, const void* p, std::size_t n) {
   if (n != 0) out.append(static_cast<const char*>(p), n);
 }
-void put_u8(std::string& out, std::uint8_t v) { put_bytes(out, &v, 1); }
 void put_u32(std::string& out, std::uint32_t v) { put_bytes(out, &v, 4); }
-void put_i32(std::string& out, std::int32_t v) { put_bytes(out, &v, 4); }
 void put_u64(std::string& out, std::uint64_t v) { put_bytes(out, &v, 8); }
 
-void put_bits(std::string& out, const BitsRef& r, const std::uint64_t* pool) {
-  put_u64(out, r.nbits);
-  put_u64(out, r.word_count());
-  put_bytes(out, pool + r.word_off, r.word_count() * sizeof(std::uint64_t));
-}
-
-/// Bounds-checked cursor over the untrusted payload.
+/// Bounds-checked cursor over the untrusted file header.
 struct Reader {
   const char* p;
   std::size_t left;
   const std::string& path;
 
   void take(void* out, std::size_t n) {
-    if (left < n) fail_corrupt(path, "truncated payload");
-    if (n != 0) std::memcpy(out, p, n);  // empty arrays have a null data()
+    if (left < n) fail_corrupt(path, "truncated header");
+    std::memcpy(out, p, n);
     p += n;
     left -= n;
   }
-  std::uint8_t u8() { std::uint8_t v; take(&v, 1); return v; }
   std::uint32_t u32() { std::uint32_t v; take(&v, 4); return v; }
-  std::int32_t i32() { std::int32_t v; take(&v, 4); return v; }
   std::uint64_t u64() { std::uint64_t v; take(&v, 8); return v; }
-
-  /// Reads a length-prefixed array of `elem_size`-byte elements, rejecting
-  /// counts that do not fit the remaining payload *before* allocating.
-  template <typename T>
-  std::vector<T> array(std::size_t elem_size) {
-    const std::uint64_t n = u64();
-    if (n > left / elem_size) fail_corrupt(path, "array length exceeds payload");
-    std::vector<T> out(static_cast<std::size_t>(n));
-    take(out.data(), static_cast<std::size_t>(n) * elem_size);
-    return out;
-  }
-
-  FlatBitset bitset() {
-    const std::uint64_t nbits = u64();
-    const std::uint64_t nwords = u64();
-    if (nwords > left / sizeof(std::uint64_t))
-      fail_corrupt(path, "bitset length exceeds payload");
-    std::vector<std::uint64_t> words(static_cast<std::size_t>(nwords));
-    take(words.data(), words.size() * sizeof(std::uint64_t));
-    FlatBitset out;
-    if (!FlatBitset::from_words(static_cast<std::size_t>(nbits), std::move(words), &out))
-      fail_corrupt(path, "bitset word count / tail bits inconsistent");
-    return out;
-  }
 };
 
 // ---- file I/O helpers ----
@@ -224,7 +177,7 @@ void atomic_write_file(const std::string& path,
   fsync_parent_dir(path, "snapshot.save.dirsync");
 }
 
-// ---- structural validation (shared by the v1 parse and the v2 arena) ----
+// ---- structural validation ----
 
 /// Validates the frozen core arrays so adversarial indices can never walk
 /// out of bounds or loop forever.  `nwords` is the bitset word-pool size
@@ -286,10 +239,10 @@ void validate_frozen(const bdd::FlatBddNode* bdd, std::size_t nb,
     if (!bits_ok(acls[i].atoms)) fail_corrupt(path, "ACL bitset out of bounds");
 }
 
-/// Validates a whole arena: header sanity, section bounds, the shared
-/// structural checks, and — v2-only — the match program's jump targets and
-/// word indices (the kernels index headers and code with NO runtime checks,
-/// so every encoded target must be proven in range here).
+/// Validates a whole arena: header sanity, section bounds, the frozen-core
+/// structural checks, and the match program's jump targets, word indices and
+/// acyclicity (the kernels index headers and code with NO runtime checks and
+/// loop until a leaf with no step bound, so both must be proven here).
 void validate_arena(const Arena& a, const std::string& path) {
   if (a.size() < sizeof(ArenaHeader)) fail_corrupt(path, "arena shorter than header");
   const ArenaHeader& h = a.header();
@@ -318,6 +271,7 @@ void validate_arena(const Arena& a, const std::string& path) {
   if ((h.flags & ArenaHeader::kHasProgram) != 0) {
     const MatchInsn* code = a.ptr<MatchInsn>(h.program);
     const std::uint64_t n = h.program.count;
+    if (n > MatchProgram::kMaxInstructions) fail_corrupt(path, "program too long");
     const auto jump_ok = [&](std::uint32_t j) {
       const std::uint32_t word =
           (j >> MatchProgram::kWordShift) & MatchProgram::kWordFieldMask;
@@ -338,6 +292,34 @@ void validate_arena(const Arena& a, const std::string& path) {
       if (!jump_ok(code[i].on_match) || !jump_ok(code[i].on_fail))
         fail_corrupt(path, "program jump out of range");
     }
+    // Acyclic jumps (Kahn's algorithm).  Forward-only jumps would be too
+    // strict: compile() numbers instructions in DFS preorder, so a shared
+    // instruction is legitimately reached backward.  Leaf jumps count
+    // against a sink slot `n`, which keeps the passes free of data-dependent
+    // branches.
+    const std::uint32_t sink = static_cast<std::uint32_t>(n);
+    const auto slot = [sink](std::uint32_t j) {
+      return (j & MatchProgram::kLeafBit) != 0 ? sink : j & MatchProgram::kTargetMask;
+    };
+    std::vector<std::uint32_t> indegree(n + 1, 0);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ++indegree[slot(code[i].on_match)];
+      ++indegree[slot(code[i].on_fail)];
+    }
+    std::vector<std::uint32_t> ready(n + 1);  // FIFO of pcs whose in-degree hit 0
+    std::uint64_t queued = 0;
+    for (std::uint32_t pc = 0; pc < sink; ++pc) {
+      ready[queued] = pc;
+      queued += indegree[pc] == 0;
+    }
+    for (std::uint64_t head = 0; head < queued; ++head) {
+      const MatchInsn& insn = code[ready[head]];
+      for (const std::uint32_t t : {slot(insn.on_match), slot(insn.on_fail)}) {
+        ready[queued] = t;
+        queued += (--indegree[t] == 0) & (t != sink);
+      }
+    }
+    if (queued != n) fail_corrupt(path, "program jump cycle");
   } else if (h.program.count != 0) {
     fail_corrupt(path, "program section without program flag");
   }
@@ -364,55 +346,6 @@ void save_snapshot(const FlatSnapshot& snap, const std::string& path) {
              {reinterpret_cast<const char*>(arena.base()), arena.size()}});
 }
 
-void save_snapshot_v1(const FlatSnapshot& snap, const std::string& path) {
-  require(!path.empty(), ErrorCode::kInvalidArgument, "save_snapshot_v1: empty path");
-
-  // ---- serialize the frozen core, field by field ----
-  std::string payload;
-  put_u8(payload, snap.has_middleboxes_ ? 1 : 0);
-  put_u8(payload, snap.tracks_visits() ? 1 : 0);
-  put_u64(payload, snap.atom_capacity_);
-
-  put_u64(payload, snap.bdd_count_);
-  put_bytes(payload, snap.bdd_nodes_, snap.bdd_count_ * sizeof(bdd::FlatBddNode));
-
-  put_u64(payload, snap.tree_count_);
-  put_bytes(payload, snap.tree_, snap.tree_count_ * sizeof(FlatTreeNode));
-  put_i32(payload, snap.tree_root_);
-
-  put_u64(payload, snap.box_count_);
-  for (std::size_t b = 0; b < snap.box_count_; ++b) {
-    const ArenaBox& fb = snap.boxes_[b];
-    put_u64(payload, fb.port_count);
-    for (std::uint32_t i = 0; i < fb.port_count; ++i) {
-      const ArenaPortEntry& e = snap.ports_[fb.port_begin + i];
-      put_u32(payload, e.port);
-      put_i32(payload, e.peer_box);
-      put_u32(payload, e.peer_port);
-      put_u8(payload, e.has_out_acl != 0 ? 1 : 0);
-      put_bits(payload, e.fwd_atoms, snap.words_);
-      put_bits(payload, e.out_acl_atoms, snap.words_);
-    }
-    put_u64(payload, fb.acl_count);
-    for (std::uint32_t i = 0; i < fb.acl_count; ++i) {
-      const ArenaInAcl& a = snap.in_acls_[fb.acl_begin + i];
-      put_u8(payload, a.present != 0 ? 1 : 0);
-      put_bits(payload, a.atoms, snap.words_);
-    }
-  }
-
-  std::string file;
-  file.reserve(kV1HeaderBytes + payload.size());
-  put_bytes(file, kMagicV1, sizeof(kMagicV1));
-  put_u32(file, kVersion1);
-  put_u32(file, kEndianSentinel);
-  put_u64(file, payload.size());
-  put_u32(file, util::crc32c_mask(util::crc32c(payload.data(), payload.size())));
-  file += payload;
-
-  atomic_write_file(path, {{file.data(), file.size()}});
-}
-
 std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,
                                                   const FlatSnapshot::Options& opts) {
   if (const int err = util::fault_errno("snapshot.load.read"))
@@ -432,141 +365,73 @@ std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,
   char magic[8] = {};
   if (file_size < sizeof(magic)) fail_corrupt(path, "file shorter than header");
   read_exact_fd(fd, 0, magic, sizeof(magic), path);
-
-  // ---------------- v2: arena image, mmap or owned read ----------------
-  if (std::memcmp(magic, kMagicV2, sizeof(magic)) == 0) {
-    if (file_size < kV2HeaderBytes) fail_corrupt(path, "file shorter than header");
-    std::string head(kV2HeaderBytes, '\0');
-    read_exact_fd(fd, 0, head.data(), head.size(), path);
-    Reader hdr{head.data() + sizeof(magic), head.size() - sizeof(magic), path};
-    if (hdr.u32() != kVersion2) fail_corrupt(path, "unsupported version");
-    if (hdr.u32() != kEndianSentinel) fail_corrupt(path, "endianness mismatch");
-    const std::uint64_t arena_len = hdr.u64();
-    const std::uint32_t stored_crc = util::crc32c_unmask(hdr.u32());
-    // Everything between the fixed fields and the page boundary must be
-    // zero: the pad is not CRC-covered, so any flipped bit there is caught
-    // here instead of silently accepted.
-    for (std::size_t i = 0; i < hdr.left; ++i)
-      if (hdr.p[i] != '\0') fail_corrupt(path, "nonzero header padding");
-    if (arena_len < sizeof(ArenaHeader) || arena_len % Arena::kAlign != 0)
-      fail_corrupt(path, "bad arena length");
-    if (file_size != kV2HeaderBytes + arena_len)
-      fail_corrupt(path, "file length does not match arena length");
-
-    std::shared_ptr<const Arena> arena;
-    if (opts.mmap_load && Arena::mmap_supported()) {
-      try {
-        arena = Arena::map_file(fd, kV2HeaderBytes, arena_len);
-      } catch (const Error&) {
-        arena = nullptr;  // e.g. a filesystem that refuses mmap: owned read
-      }
-    }
-    if (arena != nullptr) {
-      // Ask for readahead before the CRC touches every page in order, and
-      // (kHot) keep the per-query-hot sections warm explicitly.
-      switch (opts.prefault) {
-        case PrefaultPolicy::kNone:
-          break;
-        case PrefaultPolicy::kAll:
-          arena->prefault_all();
-          break;
-        case PrefaultPolicy::kHot:
-          if (arena->size() >= sizeof(ArenaHeader)) {
-            const ArenaHeader& h = arena->header();
-            arena->prefault(h.tree, sizeof(FlatTreeNode));
-            arena->prefault(h.program, sizeof(MatchInsn));
-          }
-          break;
-      }
-    } else {
-      // Owned fallback: same bytes, same validation, heap storage.
-      const std::size_t alloc = (arena_len + Arena::kAlign - 1) &
-                                ~(std::size_t{Arena::kAlign} - 1);
-      void* buf = std::aligned_alloc(Arena::kAlign, alloc);
-      if (buf == nullptr)
-        throw Error(ErrorCode::kResourceExhausted, "snapshot: arena allocation");
-      try {
-        read_exact_fd(fd, kV2HeaderBytes, buf, arena_len, path);
-      } catch (...) {
-        std::free(buf);
-        throw;
-      }
-      arena = Arena::adopt_owned(buf, arena_len);
-    }
-
-    if (util::crc32c(reinterpret_cast<const char*>(arena->base()),
-                     arena->size()) != stored_crc)
-      fail_corrupt(path, "checksum mismatch");
-    validate_arena(*arena, path);
-    return FlatSnapshot::from_arena(std::move(arena), opts);
-  }
-
-  // ---------------- v1: parse into CoreData, assemble an arena ----------
-  if (std::memcmp(magic, kMagicV1, sizeof(magic)) != 0)
+  if (std::memcmp(magic, kMagicV2, sizeof(magic)) != 0)
     fail_corrupt(path, "bad magic");
-  if (file_size < kV1HeaderBytes) fail_corrupt(path, "file shorter than header");
-  std::string file(file_size, '\0');
-  read_exact_fd(fd, 0, file.data(), file.size(), path);
 
-  Reader hdr{file.data() + sizeof(magic), file.size() - sizeof(magic), path};
-  const std::uint32_t version = hdr.u32();
-  if (version != kVersion1) fail_corrupt(path, "unsupported version");
+  if (file_size < kV2HeaderBytes) fail_corrupt(path, "file shorter than header");
+  std::string head(kV2HeaderBytes, '\0');
+  read_exact_fd(fd, 0, head.data(), head.size(), path);
+  Reader hdr{head.data() + sizeof(magic), head.size() - sizeof(magic), path};
+  if (hdr.u32() != kVersion2) fail_corrupt(path, "unsupported version");
   if (hdr.u32() != kEndianSentinel) fail_corrupt(path, "endianness mismatch");
-  const std::uint64_t payload_len = hdr.u64();
+  const std::uint64_t arena_len = hdr.u64();
   const std::uint32_t stored_crc = util::crc32c_unmask(hdr.u32());
-  if (payload_len != hdr.left) fail_corrupt(path, "payload length mismatch");
-  if (util::crc32c(hdr.p, hdr.left) != stored_crc) fail_corrupt(path, "checksum mismatch");
+  // Everything between the fixed fields and the page boundary must be
+  // zero: the pad is not CRC-covered, so any flipped bit there is caught
+  // here instead of silently accepted.
+  for (std::size_t i = 0; i < hdr.left; ++i)
+    if (hdr.p[i] != '\0') fail_corrupt(path, "nonzero header padding");
+  if (arena_len < sizeof(ArenaHeader) || arena_len % Arena::kAlign != 0)
+    fail_corrupt(path, "bad arena length");
+  if (file_size != kV2HeaderBytes + arena_len)
+    fail_corrupt(path, "file length does not match arena length");
 
-  Reader r{hdr.p, hdr.left, path};
-  FlatSnapshot::CoreData core;
-  core.has_middleboxes = r.u8() != 0;
-  core.tracks_visits = r.u8() != 0;
-  core.atom_capacity = static_cast<std::size_t>(r.u64());
-
-  core.bdd_nodes = r.array<bdd::FlatBddNode>(sizeof(bdd::FlatBddNode));
-  core.tree = r.array<FlatTreeNode>(sizeof(FlatTreeNode));
-  core.tree_root = r.i32();
-
-  const std::uint64_t box_count = r.u64();
-  if (box_count > r.left) fail_corrupt(path, "box count exceeds payload");
-  core.boxes.resize(static_cast<std::size_t>(box_count));
-  for (ArenaBox& fb : core.boxes) {
-    const std::uint64_t ports = r.u64();
-    if (ports > r.left) fail_corrupt(path, "port count exceeds payload");
-    fb.port_begin = static_cast<std::uint32_t>(core.ports.size());
-    fb.port_count = static_cast<std::uint32_t>(ports);
-    for (std::uint64_t i = 0; i < ports; ++i) {
-      ArenaPortEntry e;
-      e.port = r.u32();
-      e.peer_box = r.i32();
-      e.peer_port = r.u32();
-      e.has_out_acl = r.u8() != 0 ? 1 : 0;
-      e.fwd_atoms = core.intern_bits(r.bitset());
-      e.out_acl_atoms = core.intern_bits(r.bitset());
-      core.ports.push_back(e);
-    }
-    const std::uint64_t acls = r.u64();
-    if (acls > r.left) fail_corrupt(path, "ACL count exceeds payload");
-    fb.acl_begin = static_cast<std::uint32_t>(core.in_acls.size());
-    fb.acl_count = static_cast<std::uint32_t>(acls);
-    for (std::uint64_t i = 0; i < acls; ++i) {
-      ArenaInAcl a;
-      a.present = r.u8() != 0 ? 1 : 0;
-      a.atoms = core.intern_bits(r.bitset());
-      core.in_acls.push_back(a);
+  std::shared_ptr<const Arena> arena;
+  if (opts.mmap_load && Arena::mmap_supported()) {
+    try {
+      arena = Arena::map_file(fd, kV2HeaderBytes, arena_len);
+    } catch (const Error&) {
+      arena = nullptr;  // e.g. a filesystem that refuses mmap: owned read
     }
   }
-  if (r.left != 0) fail_corrupt(path, "trailing bytes after payload");
+  if (arena != nullptr) {
+    // Ask for readahead before the CRC touches every page in order, and
+    // (kHot) keep the per-query-hot sections warm explicitly.
+    switch (opts.prefault) {
+      case PrefaultPolicy::kNone:
+        break;
+      case PrefaultPolicy::kAll:
+        arena->prefault_all();
+        break;
+      case PrefaultPolicy::kHot:
+        if (arena->size() >= sizeof(ArenaHeader)) {
+          const ArenaHeader& h = arena->header();
+          arena->prefault(h.tree, sizeof(FlatTreeNode));
+          arena->prefault(h.program, sizeof(MatchInsn));
+        }
+        break;
+    }
+  } else {
+    // Owned fallback: same bytes, same validation, heap storage.
+    const std::size_t alloc = (arena_len + Arena::kAlign - 1) &
+                              ~(std::size_t{Arena::kAlign} - 1);
+    void* buf = std::aligned_alloc(Arena::kAlign, alloc);
+    if (buf == nullptr)
+      throw Error(ErrorCode::kResourceExhausted, "snapshot: arena allocation");
+    try {
+      read_exact_fd(fd, kV2HeaderBytes, buf, arena_len, path);
+    } catch (...) {
+      std::free(buf);
+      throw;
+    }
+    arena = Arena::adopt_owned(buf, arena_len);
+  }
 
-  // Structural validation BEFORE from_core: the program compiler and the
-  // walks index these arrays unchecked.
-  validate_frozen(core.bdd_nodes.data(), core.bdd_nodes.size(), core.tree.data(),
-                  core.tree.size(), core.tree_root, core.atom_capacity,
-                  core.boxes.data(), core.boxes.size(), core.ports.data(),
-                  core.ports.size(), core.in_acls.data(), core.in_acls.size(),
-                  core.words.size(), path);
-
-  return FlatSnapshot::from_core(std::move(core), opts, nullptr);
+  if (util::crc32c(reinterpret_cast<const char*>(arena->base()),
+                   arena->size()) != stored_crc)
+    fail_corrupt(path, "checksum mismatch");
+  validate_arena(*arena, path);
+  return FlatSnapshot::from_arena(std::move(arena), opts);
 }
 
 }  // namespace apc::engine

@@ -13,6 +13,7 @@
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
 #include "engine/snapshot.hpp"
+#include "io/network_io.hpp"
 #include "packet/ipv4.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -270,18 +271,54 @@ TEST(QueryEngine, StatsRoundTripUnderConcurrentUpdates) {
   EXPECT_DOUBLE_EQ(snap.find("engine.classifier.rebuilds")->value, 3.0);
 }
 
+/// A ring a -> b -> c -> a that reaches every branch of the stage-2 walk:
+/// a forwarding loop (10.9/16), an input-ACL drop (10.1.7/24 into c), an
+/// output-ACL drop (10.2.5/24 out of hb), a multicast fan-out at b (the
+/// group to c and hb) that the output ACL trims for sources in 10.66/16,
+/// and no-rule drops for everything else.
+constexpr const char* kEveryBranchNet = R"(
+box a
+box b
+box c
+link a b
+link b c
+link c a
+hostport a ha
+hostport b hb
+hostport c hc
+fib a 10.1.0.0/16 0
+fib b 10.1.0.0/16 1
+fib c 10.1.0.0/16 2
+fib a 10.2.0.0/16 0
+fib b 10.2.0.0/16 2
+fib a 10.9.0.0/16 0
+fib b 10.9.0.0/16 1
+fib c 10.9.0.0/16 1
+mcast a 224.0.1.0/32 0
+mcast b 224.0.1.0/32 1 2
+mcast c 224.0.1.0/32 2
+acl in c 0 default permit
+aclrule in c 0 deny src 0.0.0.0/0 dst 10.1.7.0/24 sport 0-65535 dport 0-65535 proto any
+acl out b 2 default permit
+aclrule out b 2 deny src 0.0.0.0/0 dst 10.2.5.0/24 sport 0-65535 dport 0-65535 proto any
+aclrule out b 2 deny src 10.66.0.0/16 dst 224.0.1.0/32 sport 0-65535 dport 0-65535 proto any
+)";
+
 TEST(FlatSnapshot, BehaviorTableMatchesOracleExhaustively) {
   // Differential sweep over every (atom, ingress) cell, on a middlebox-free
-  // FIB-dominated dataset and an ACL-heavy one: the precomputed table, the
-  // lazy table (first touch + cached re-read), and the disabled-table walk
-  // must all be byte-identical to the topology-walk oracle and to the live
-  // classifier's behavior_of.
-  for (const bool acl_heavy : {false, true}) {
-    Dataset data = acl_heavy ? datasets::stanford_like(Scale::Tiny, 21)
-                             : datasets::internet2_like(Scale::Tiny, 21);
+  // FIB-dominated dataset, an ACL-heavy one, and kEveryBranchNet: the
+  // snapshot's walk, the precomputed table, the lazy table (first touch +
+  // cached re-read), and the disabled-table walk must all be byte-identical
+  // to the live classifier's behavior_of (compute_behavior).
+  for (int input = 0; input < 3; ++input) {
+    SCOPED_TRACE(input);
+    const NetworkModel net =
+        input == 0   ? datasets::internet2_like(Scale::Tiny, 21).net
+        : input == 1 ? datasets::stanford_like(Scale::Tiny, 21).net
+                     : io::read_network_string(kEveryBranchNet);
     auto mgr = Dataset::make_manager();
-    ApClassifier clf(data.net, mgr);
-    const std::size_t boxes = data.net.topology.box_count();
+    ApClassifier clf(net, mgr);
+    const std::size_t boxes = net.topology.box_count();
 
     FlatSnapshot::Options pre;  // default budget: precomputed at build time
     FlatSnapshot::Options lazy;
@@ -306,11 +343,11 @@ TEST(FlatSnapshot, BehaviorTableMatchesOracleExhaustively) {
     EXPECT_EQ(sp->behavior_table_fills(), alive.size() * boxes);
     EXPECT_EQ(sl->behavior_table_fills(), 0u);
 
+    std::size_t loops = 0, in_acl_drops = 0, out_acl_drops = 0, fan_outs = 0;
     for (BoxId ingress = 0; ingress < boxes; ++ingress) {
       for (const AtomId atom : alive) {
-        const Behavior oracle = sd->behavior_walk(atom, ingress);
-        expect_same_behavior(oracle, clf.behavior_of(atom, ingress),
-                             "classifier");
+        const Behavior oracle = clf.behavior_of(atom, ingress);
+        expect_same_behavior(oracle, sd->behavior_walk(atom, ingress), "walk");
         expect_same_behavior(oracle, sp->behavior_of(atom, ingress),
                              "precomputed");
         expect_same_behavior(oracle, sl->behavior_of(atom, ingress),
@@ -319,10 +356,22 @@ TEST(FlatSnapshot, BehaviorTableMatchesOracleExhaustively) {
                              "lazy cached");
         expect_same_behavior(oracle, sd->behavior_of(atom, ingress),
                              "disabled");
+        loops += oracle.loop_detected;
+        fan_outs += oracle.deliveries.size() > 1;
+        for (const Drop& d : oracle.drops) {
+          in_acl_drops += d.reason == Drop::Reason::InputAcl;
+          out_acl_drops += d.reason == Drop::Reason::OutputAcl;
+        }
       }
     }
     // The lazy sweep filled exactly the touched cells, once each.
     EXPECT_EQ(sl->behavior_table_fills(), alive.size() * boxes);
+    if (input == 2) {  // the hand-built input reached every branch
+      EXPECT_GT(loops, 0u);
+      EXPECT_GT(in_acl_drops, 0u);
+      EXPECT_GT(out_acl_drops, 0u);
+      EXPECT_GT(fan_outs, 0u);
+    }
   }
 }
 
@@ -349,7 +398,7 @@ TEST(FlatSnapshot, HeaderCacheMatchesWalkAndCounts) {
   for (std::size_t i = 0; i < w.trace.size(); ++i)
     ASSERT_EQ(out[i], snap->classify_walk(w.trace[i]));
 
-  // A cache-free snapshot takes the lockstep-walk path in classify_into.
+  // A cache-free snapshot runs every header through the program kernel.
   FlatSnapshot::Options no_cache;
   no_cache.header_cache_capacity = 0;
   const auto bare = FlatSnapshot::build(w.clf, no_cache);

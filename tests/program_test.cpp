@@ -1,5 +1,6 @@
-// Tests for the compiled match program (engine/program.hpp): the scalar and
-// AVX2 kernels must be bit-identical to the interpreted lockstep walk on
+// Tests for the compiled match program (engine/program.hpp): every snapshot
+// carries one, the scalar and AVX2 kernels must be bit-identical to the
+// interpreted walk (FlatSnapshot::classify_walk, the stage-1 oracle) on
 // every header — exhaustively across atoms, on random and adversarial
 // headers, and across delta-published snapshots — and the coalescer must
 // collapse same-word BDD chains to single instructions.
@@ -26,12 +27,10 @@ using datasets::Scale;
 using engine::FlatSnapshot;
 using engine::KernelKind;
 using engine::MatchProgram;
-using engine::ProgramMode;
 using engine::QueryEngine;
 
-FlatSnapshot::Options program_options(ProgramMode mode) {
+FlatSnapshot::Options program_options() {
   FlatSnapshot::Options o;
-  o.compile_program = mode;
   o.header_cache_capacity = 0;  // classify_into goes straight to the kernel
   o.behavior_table_budget = 0;
   return o;
@@ -108,7 +107,7 @@ TEST(MatchProgram, DifferentialExhaustiveAcrossAtoms) {
                            : datasets::stanford_like(Scale::Tiny, 11);
     auto mgr = Dataset::make_manager();
     ApClassifier clf(d.net, mgr);
-    const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+    const auto snap = FlatSnapshot::build(clf, program_options());
     ASSERT_GT(snap->program_instructions(), 0u);
     expect_kernels_match(*snap, differential_headers(clf, 17 + which));
 
@@ -121,37 +120,43 @@ TEST(MatchProgram, DifferentialExhaustiveAcrossAtoms) {
   }
 }
 
-TEST(MatchProgram, ProgramModeKnobControlsCompilation) {
+TEST(MatchProgram, EverySnapshotHasAnAccountedProgram) {
+  // Built (with and without accelerators), delta-published, and loaded
+  // (mapped and owned) snapshots all carry a program: it is the only
+  // stage-1 executor behind the header cache.
   Dataset d = datasets::internet2_like(Scale::Tiny, 3);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(d.net, mgr);
+  const std::string path = ::testing::TempDir() + "/apc_program_every.bin";
+  std::vector<std::shared_ptr<const FlatSnapshot>> snaps = {
+      FlatSnapshot::build(clf), FlatSnapshot::build(clf, program_options())};
+  engine::save_snapshot(*snaps[0], path);
+  FlatSnapshot::Options owned;
+  owned.mmap_load = false;
+  snaps.push_back(engine::load_snapshot(path));
+  snaps.push_back(engine::load_snapshot(path, owned));
+  QueryEngine::Options eopts;
+  eopts.num_threads = 1;
+  eopts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
+  QueryEngine eng(clf, eopts);
+  eng.add_predicate(mgr->equals(HeaderLayout::kDstPort, 16, 8080));
+  snaps.push_back(eng.snapshot());
 
-  const auto never = FlatSnapshot::build(clf, program_options(ProgramMode::kNever));
-  EXPECT_EQ(never->program(), nullptr);
-  EXPECT_EQ(never->kernel_dispatch(), 0);
-  EXPECT_EQ(never->program_bytes(), 0u);
-
-  const auto always = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
-  ASSERT_NE(always->program(), nullptr);
-  EXPECT_EQ(always->program_bytes(),
-            always->program_instructions() * sizeof(engine::MatchInsn));
-  EXPECT_GE(always->program_compile_seconds(), 0.0);
-  // Dispatch reports whichever kernel this machine will run — never 0 here.
-  EXPECT_NE(always->kernel_dispatch(), 0);
-  EXPECT_EQ(always->kernel_dispatch(),
-            MatchProgram::avx2_available() ? 2 : 1);
-  // The program is accounted memory.
-  EXPECT_GE(always->memory_bytes(), never->memory_bytes() + always->program_bytes());
-
-  // kAuto on a tiny dataset fits the budget and compiles.
-  const auto aut = FlatSnapshot::build(clf, program_options(ProgramMode::kAuto));
-  EXPECT_NE(aut->program(), nullptr);
-
-  // And both compiled snapshots still agree with the interpreted one.
   Rng rng(5);
   const auto reps = datasets::atom_representatives(clf.atoms(), rng);
-  for (const PacketHeader& h : reps.headers)
-    ASSERT_EQ(always->classify(h), never->classify(h));
+  for (const auto& snap : snaps) {
+    ASSERT_NE(snap->program(), nullptr);
+    EXPECT_GT(snap->program_instructions(), 0u);
+    EXPECT_EQ(snap->program_bytes(),
+              snap->program_instructions() * sizeof(engine::MatchInsn));
+    EXPECT_GE(snap->program_compile_seconds(), 0.0);
+    // Dispatch reports whichever kernel this machine will run.
+    EXPECT_EQ(snap->kernel_dispatch(), MatchProgram::avx2_available() ? 2 : 1);
+    // The program is accounted memory.
+    EXPECT_GE(snap->memory_bytes(), snap->program_bytes());
+    for (const PacketHeader& h : reps.headers)
+      ASSERT_EQ(snap->classify(h), snap->classify_walk(h));
+  }
 }
 
 TEST(MatchProgram, CoalescesSameWordChainsToOneInstruction) {
@@ -166,7 +171,7 @@ TEST(MatchProgram, CoalescesSameWordChainsToOneInstruction) {
   auto mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
   ApClassifier clf(net, mgr);
 
-  const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+  const auto snap = FlatSnapshot::build(clf, program_options());
   ASSERT_NE(snap->program(), nullptr);
   EXPECT_EQ(snap->program_instructions(), 1u);
 
@@ -178,9 +183,8 @@ TEST(MatchProgram, CoalescesSameWordChainsToOneInstruction) {
 }
 
 TEST(MatchProgram, SingleLeafTreeAndBatchedVisitTotals) {
-  // Regression (satellite 1): the single-leaf fast path used to bump the
-  // visit counter once per packet inside the lockstep admit loop; it now
-  // batches one add() per call.  The observable contract: totals are exact.
+  // A single-leaf tree compiles to an instruction-free program whose entry
+  // is the leaf; batched visit totals through it must stay exact.
   NetworkModel net;
   const BoxId b = net.topology.add_box("b");
   const PortId h1 = net.topology.add_host_port(b, "h1");
@@ -192,31 +196,27 @@ TEST(MatchProgram, SingleLeafTreeAndBatchedVisitTotals) {
   copts.track_visits = true;
   ApClassifier clf(net, mgr, copts);
 
-  for (const ProgramMode mode : {ProgramMode::kNever, ProgramMode::kAlways}) {
-    const auto snap = FlatSnapshot::build(clf, program_options(mode));
-    ASSERT_TRUE(snap->tracks_visits());
-    if (mode == ProgramMode::kAlways) {
-      ASSERT_NE(snap->program(), nullptr);
-      // Single-leaf tree: zero instructions, leaf-encoded entry.
-      EXPECT_EQ(snap->program_instructions(), 0u);
-      EXPECT_NE(snap->program()->entry() & MatchProgram::kLeafBit, 0u);
-    }
-    Rng rng(8);
-    std::vector<PacketHeader> hs;
-    for (int i = 0; i < 257; ++i)
-      hs.push_back(PacketHeader::from_five_tuple(
-          static_cast<std::uint32_t>(rng.next()),
-          static_cast<std::uint32_t>(rng.next()), 0, 0, 17));
-    std::vector<AtomId> out(hs.size());
-    snap->classify_into(hs.data(), hs.size(), out.data());
-    for (std::size_t i = 1; i < out.size(); ++i) ASSERT_EQ(out[i], out[0]);
+  const auto snap = FlatSnapshot::build(clf, program_options());
+  ASSERT_TRUE(snap->tracks_visits());
+  ASSERT_NE(snap->program(), nullptr);
+  // Single-leaf tree: zero instructions, leaf-encoded entry.
+  EXPECT_EQ(snap->program_instructions(), 0u);
+  EXPECT_NE(snap->program()->entry() & MatchProgram::kLeafBit, 0u);
+  Rng rng(8);
+  std::vector<PacketHeader> hs;
+  for (int i = 0; i < 257; ++i)
+    hs.push_back(PacketHeader::from_five_tuple(
+        static_cast<std::uint32_t>(rng.next()),
+        static_cast<std::uint32_t>(rng.next()), 0, 0, 17));
+  std::vector<AtomId> out(hs.size());
+  snap->classify_into(hs.data(), hs.size(), out.data());
+  for (std::size_t i = 1; i < out.size(); ++i) ASSERT_EQ(out[i], out[0]);
 
-    std::uint64_t total = 0;
-    std::vector<std::uint64_t> counts = snap->visit_counts();
-    for (const std::uint64_t c : counts) total += c;
-    EXPECT_EQ(total, hs.size());
-    EXPECT_EQ(counts[out[0]], hs.size());
-  }
+  std::uint64_t total = 0;
+  std::vector<std::uint64_t> counts = snap->visit_counts();
+  for (const std::uint64_t c : counts) total += c;
+  EXPECT_EQ(total, hs.size());
+  EXPECT_EQ(counts[out[0]], hs.size());
 }
 
 TEST(MatchProgram, VisitTotalsExactThroughKernelPath) {
@@ -227,7 +227,7 @@ TEST(MatchProgram, VisitTotalsExactThroughKernelPath) {
   ApClassifier::Options copts;
   copts.track_visits = true;
   ApClassifier clf(d.net, mgr, copts);
-  const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+  const auto snap = FlatSnapshot::build(clf, program_options());
   Rng rng(24);
   const auto reps = datasets::atom_representatives(clf.atoms(), rng);
   const auto hs = datasets::uniform_trace(reps, 500, rng);
@@ -247,7 +247,6 @@ TEST(MatchProgram, DeltaPublishesCarryOrRecompileCorrectly) {
   ApClassifier clf(d.net, mgr);
   QueryEngine::Options opts;
   opts.num_threads = 1;
-  opts.compile_program = ProgramMode::kAlways;
   opts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
   opts.header_cache_capacity = 0;
   QueryEngine eng(clf, opts);
@@ -282,15 +281,15 @@ TEST(MatchProgram, DeltaPublishesCarryOrRecompileCorrectly) {
 }
 
 TEST(MatchProgram, SurvivesSnapshotPersistRoundTrip) {
-  // load_snapshot goes through init_accelerators, so a warm-restored
-  // snapshot compiles its program and classifies identically.
+  // A warm-restored snapshot adopts the saved program and classifies
+  // identically.
   Dataset d = datasets::internet2_like(Scale::Tiny, 41);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(d.net, mgr);
-  const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+  const auto snap = FlatSnapshot::build(clf, program_options());
   const std::string path = ::testing::TempDir() + "/apc_program_snap.bin";
   engine::save_snapshot(*snap, path);
-  const auto loaded = engine::load_snapshot(path, program_options(ProgramMode::kAlways));
+  const auto loaded = engine::load_snapshot(path, program_options());
   ASSERT_NE(loaded->program(), nullptr);
   EXPECT_EQ(loaded->program_instructions(), snap->program_instructions());
   expect_kernels_match(*loaded, differential_headers(clf, 43));
@@ -306,7 +305,6 @@ TEST(MatchProgram, ChurnKernelQueriesAgainstConcurrentRepublish) {
   ApClassifier clf(d.net, mgr);
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.compile_program = ProgramMode::kAlways;
   opts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
   QueryEngine eng(clf, opts);
 

@@ -175,18 +175,32 @@ TEST(SnapshotPersist, CorruptFileFallsBackToBuild) {
   opts.snapshot_path = path;
   { QueryEngine eng(*fx.clf, opts); }
 
-  std::string bytes = read_raw(path);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xFF);
-  write_raw(path, bytes);
+  // Two unusable files: a flipped byte, and the retired v1 format (a valid
+  // snapshot under the v1 magic — the magic alone must reject it).
+  const std::string clean = read_raw(path);
+  std::string flipped = clean;
+  flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0xFF);
+  const std::string v1 = "APCSNAP1" + clean.substr(8);
+  for (const std::string& bytes : {flipped, v1}) {
+    write_raw(path, bytes);
+    try {
+      (void)load_snapshot(path);
+      ADD_FAILURE() << "loaded an unusable snapshot file";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << e.what();
+    }
 
-  QueryEngine eng(*fx.clf, opts);
-  EXPECT_EQ(eng.snapshot_restores().value(), 0u);  // fell back, didn't crash
-  // Still serves correct answers (built fresh from the classifier)...
-  for (const PacketHeader& h : fx.probes)
-    EXPECT_EQ(eng.classify(h), fx.clf->classify(h));
-  // ...and the save at publish healed the file for the next restart.
-  QueryEngine eng2(*fx.clf, opts);
-  EXPECT_EQ(eng2.snapshot_restores().value(), 1u);
+    QueryEngine eng(*fx.clf, opts);
+    EXPECT_EQ(eng.snapshot_restores().value(), 0u);  // fell back, didn't crash
+    // Still serves correct answers (built fresh from the classifier)...
+    for (const PacketHeader& h : fx.probes)
+      EXPECT_EQ(eng.classify(h), fx.clf->classify(h));
+    // ...and the save at publish healed the file, as v2, for the next
+    // restart.
+    EXPECT_EQ(read_raw(path).substr(0, 8), "APCSNAP2");
+    QueryEngine eng2(*fx.clf, opts);
+    EXPECT_EQ(eng2.snapshot_restores().value(), 1u);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Tests for the v2 arena snapshot format (engine/arena.hpp +
-// engine/snapshot_io.cpp): mmap warm restore vs owned-read storage, the
-// legacy v1 parse path, memory accounting, prefault policies, and RCU
-// retirement of a mapped snapshot under republish churn.  The suite name
-// rides the CI TSan/chaos regexes via the SnapshotPersist substring.
+// engine/snapshot_io.cpp): mmap warm restore vs owned-read storage, memory
+// accounting, prefault policies, rejection of corrupt and non-terminating
+// files, and RCU retirement of a mapped snapshot under republish churn.
+// The suite name rides the CI TSan/chaos regexes via the SnapshotPersist
+// substring.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
 #include "engine/snapshot.hpp"
+#include "util/crc32c.hpp"
 #include "util/rng.hpp"
 
 namespace apc::engine {
@@ -124,7 +127,7 @@ TEST(SnapshotPersistV2, MappedAndOwnedAgreeOnEveryAtom) {
   }
   expect_same_answers(*mapped, *owned, fx.probes);
 
-  // Batched classification too (the lockstep/prefetch path).
+  // Batched classification too (the program kernel path).
   std::vector<AtomId> a(fx.probes.size()), b(fx.probes.size());
   mapped->classify_into(fx.probes.data(), fx.probes.size(), a.data());
   owned->classify_into(fx.probes.data(), fx.probes.size(), b.data());
@@ -145,33 +148,6 @@ TEST(SnapshotPersistV2, PrefaultPoliciesAllLoadCorrectly) {
     ASSERT_NE(loaded, nullptr);
     expect_same_answers(*loaded, *snap, fx.probes);
   }
-}
-
-TEST(SnapshotPersistV2, V1FormatRoundTripsThroughTheLegacyParser) {
-  Fixture fx;
-  const auto snap = FlatSnapshot::build(*fx.clf);
-  const std::string v1_path = tmp_snap("v1");
-  save_snapshot_v1(*snap, v1_path);
-
-  // A v1 file takes the parse path regardless of mmap_load: the on-disk
-  // layout is not the in-memory layout, so storage is always owned and the
-  // match program is recompiled rather than adopted.
-  const auto loaded = load_snapshot(v1_path);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->storage(), Arena::Storage::kOwned);
-  EXPECT_EQ(loaded->mapped_bytes(), 0u);
-  EXPECT_EQ(loaded->bdd_node_count(), snap->bdd_node_count());
-  EXPECT_EQ(loaded->tree_node_count(), snap->tree_node_count());
-  EXPECT_EQ(loaded->atom_capacity(), snap->atom_capacity());
-  expect_same_answers(*loaded, *snap, fx.probes);
-
-  // Re-saving the v1-loaded snapshot as v2 and mapping it must agree too
-  // (the upgrade path a deployment takes on its first restart).
-  const std::string v2_path = tmp_snap("v1_upgraded");
-  save_snapshot(*loaded, v2_path);
-  const auto upgraded = load_snapshot(v2_path);
-  ASSERT_NE(upgraded, nullptr);
-  expect_same_answers(*upgraded, *snap, fx.probes);
 }
 
 TEST(SnapshotPersistV2, MappedFileBitFlipsAreRejected) {
@@ -214,7 +190,6 @@ TEST(SnapshotPersistV2, MappedFileBitFlipsAreRejected) {
 TEST(SnapshotPersistV2, MappedSnapshotAdoptsProgramWithoutRecompile) {
   Fixture fx;
   const auto snap = FlatSnapshot::build(*fx.clf);
-  if (snap->program() == nullptr) GTEST_SKIP() << "no program at this scale";
   const std::string path = tmp_snap("program");
   save_snapshot(*snap, path);
 
@@ -228,6 +203,48 @@ TEST(SnapshotPersistV2, MappedSnapshotAdoptsProgramWithoutRecompile) {
   // the program does not own a private copy of the code.
   EXPECT_EQ(loaded->program()->compile_seconds(), 0.0);
   EXPECT_FALSE(loaded->program()->owns_code());
+}
+
+TEST(SnapshotPersistV2, ProgramJumpCycleIsRejected) {
+  // The kernels run until a leaf jump with no step bound, so a program whose
+  // jumps loop must be refused at load instead of hanging the first
+  // classify.  Instruction 0 jumping to itself passes every range check;
+  // with the CRC recomputed only an acyclicity check can catch it.  Nothing
+  // here classifies, so a loader without that check fails the test rather
+  // than hanging it.
+  Fixture fx;
+  const auto snap = FlatSnapshot::build(*fx.clf);
+  ASSERT_GT(snap->program_instructions(), 0u);
+  const std::string path = tmp_snap("cycle");
+  save_snapshot(*snap, path);
+  std::string bytes = read_raw(path);
+  constexpr std::size_t kArenaOffset = 4096;  // the arena follows the file header
+  ArenaHeader h;
+  std::memcpy(&h, bytes.data() + kArenaOffset, sizeof(h));
+  char* first = bytes.data() + kArenaOffset + h.program.off;
+  MatchInsn insn;
+  std::memcpy(&insn, first, sizeof(insn));
+  const std::uint32_t word =
+      insn.on_match & ~(MatchProgram::kLeafBit | MatchProgram::kTargetMask);
+  insn.on_match = word;  // non-leaf jump to pc 0, same header word
+  insn.on_fail = word;
+  std::memcpy(first, &insn, sizeof(insn));
+  const std::uint32_t crc = util::crc32c_mask(
+      util::crc32c(bytes.data() + kArenaOffset, bytes.size() - kArenaOffset));
+  std::memcpy(bytes.data() + 24, &crc, sizeof(crc));  // the file header's CRC
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  FlatSnapshot::Options owned;
+  owned.mmap_load = false;
+  for (const FlatSnapshot::Options& lo : {FlatSnapshot::Options{}, owned}) {
+    try {
+      (void)load_snapshot(path, lo);
+      ADD_FAILURE() << "accepted a program whose jumps form a cycle";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << e.what();
+    }
+  }
 }
 
 // TSan target: republish churn must retire a MAPPED snapshot (munmap via
