@@ -182,7 +182,15 @@ Behavior ApClassifier::query(const PacketHeader& h, BoxId ingress) const {
 
 AddPredicateResult ApClassifier::add_predicate(bdd::Bdd p, PredicateKind kind,
                                                std::optional<PortId> origin) {
-  return add_predicate_internal(std::move(p), kind, origin);
+  auto res = add_predicate_internal(std::move(p), kind, origin);
+  // Forward/ACL predicates shape stage-2 behavior: every member atom's
+  // behavior may change even if the atom itself did not split.  External
+  // predicates never enter the compiled network, so they stay clean.
+  if (kind != PredicateKind::External) {
+    reg_.atoms_of(res.pred_id).for_each(
+        [this](std::size_t a) { delta_.dirty.push_back(static_cast<AtomId>(a)); });
+  }
+  return res;
 }
 
 AddPredicateResult ApClassifier::add_predicate_internal(bdd::Bdd p, PredicateKind kind,
@@ -193,13 +201,6 @@ AddPredicateResult ApClassifier::add_predicate_internal(bdd::Bdd p, PredicateKin
     delta_.killed.push_back(s.old_atom);
     delta_.added.push_back(s.in_atom);
     delta_.added.push_back(s.out_atom);
-  }
-  // Forward/ACL predicates shape stage-2 behavior: every member atom's
-  // behavior may change even if the atom itself did not split.  External
-  // predicates never enter the compiled network, so they stay clean.
-  if (kind != PredicateKind::External) {
-    reg_.atoms_of(res.pred_id).for_each(
-        [this](std::size_t a) { delta_.dirty.push_back(static_cast<AtomId>(a)); });
   }
   visit_counts_.grow(uni_.capacity());
   return res;
@@ -257,16 +258,20 @@ void ApClassifier::apply_atom_merges(const std::vector<AtomMerge>& merges) {
 }
 
 DeletePredicateResult ApClassifier::remove_predicate(PredId id) {
-  return delete_predicate_internal(id);
-}
-
-DeletePredicateResult ApClassifier::delete_predicate_internal(PredId id) {
-  const PredicateKind kind = reg_.info(id).kind;
   std::vector<AtomId> old_r;
-  if (kind != PredicateKind::External) {
+  if (reg_.info(id).kind != PredicateKind::External) {
     reg_.atoms_of(id).for_each(
         [&old_r](std::size_t a) { old_r.push_back(static_cast<AtomId>(a)); });
   }
+  auto res = delete_predicate_internal(id);
+  // The deleted predicate's former members may change behavior (a Forward/
+  // ACL entry vanished); merge operands in old_r land in `killed` too, and
+  // consumers treat killed ∪ added ∪ dirty uniformly.
+  for (const AtomId a : old_r) delta_.dirty.push_back(a);
+  return res;
+}
+
+DeletePredicateResult ApClassifier::delete_predicate_internal(PredId id) {
   auto res = apc::delete_predicate(tree_, reg_, uni_, id);
   apply_atom_merges(res.merges);
   for (const AtomMerge& m : res.merges) {
@@ -274,12 +279,43 @@ DeletePredicateResult ApClassifier::delete_predicate_internal(PredId id) {
     delta_.killed.push_back(m.right_atom);
     delta_.added.push_back(m.merged);
   }
-  // The deleted predicate's former members may change behavior (a Forward/
-  // ACL entry vanished); merge operands in old_r land in `killed` too, and
-  // consumers treat killed ∪ added ∪ dirty uniformly.
-  for (const AtomId a : old_r) delta_.dirty.push_back(a);
   visit_counts_.grow(uni_.capacity());
   return res;
+}
+
+PredId ApClassifier::replace_predicate(PredId old, std::optional<bdd::Bdd> next,
+                                       PredicateKind kind, PortId origin,
+                                       RuleUpdateResult& res) {
+  // Ids at or past cap0 are born in this call; below it, an atom still alive
+  // afterwards survived both the merge and the split.
+  const std::size_t cap0 = uni_.capacity();
+  FlatBitset old_r;
+  if (old != kNoPred) {
+    old_r = reg_.atoms_of(old);
+    delete_predicate_internal(old);
+  }
+  PredId id = kNoPred;
+  if (next) {
+    const auto add = add_predicate_internal(std::move(*next), kind, origin);
+    id = add.pred_id;
+    res.atoms_split += add.leaves_split;
+  }
+  // A survivor lies wholly inside the region that changed hands or wholly
+  // outside it, so its behavior moved only if its membership did: mark
+  // R(old) xor R(new), restricted to survivors.  Killed and born atoms are
+  // already in the delta.
+  static const FlatBitset kNone;
+  const FlatBitset& new_r = id != kNoPred ? reg_.atoms_of(id) : kNone;
+  const auto mark_if_moved = [&](const FlatBitset& from, const FlatBitset& other) {
+    from.for_each([&](std::size_t a) {
+      if (a < cap0 && uni_.is_alive(static_cast<AtomId>(a)) && !other.test(a))
+        delta_.dirty.push_back(static_cast<AtomId>(a));
+    });
+  };
+  mark_if_moved(old_r, new_r);
+  mark_if_moved(new_r, old_r);
+  ++res.predicates_changed;
+  return id;
 }
 
 ApClassifier::RuleUpdateResult ApClassifier::refresh_box_predicates(BoxId box) {
@@ -304,24 +340,19 @@ ApClassifier::RuleUpdateResult ApClassifier::refresh_box_predicates(BoxId box) {
       next.push_back(*old);  // unchanged: tree untouched (SS VI-A)
       continue;
     }
-    // Changed (or new) predicate: delete the old (merging its atoms back),
-    // add the new.
+    // Changed (or new) predicate.
     CompiledNetwork::PortEntry e;
     e.port = port;
     e.out_acl = old ? old->out_acl : kNoPred;
-    if (old) delete_predicate_internal(old->pred);
-    const auto add = add_predicate_internal(std::move(pred), PredicateKind::Forward,
-                                            PortId{box, port});
-    e.pred = add.pred_id;
-    res.atoms_split += add.leaves_split;
-    ++res.predicates_changed;
+    e.pred = replace_predicate(old ? old->pred : kNoPred, std::move(pred),
+                               PredicateKind::Forward, PortId{box, port}, res);
     next.push_back(e);
   }
   // Ports that lost every effective rule: predicate disappears.
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (consumed[i]) continue;
-    delete_predicate_internal(entries[i].pred);
-    ++res.predicates_changed;
+    replace_predicate(entries[i].pred, std::nullopt, PredicateKind::Forward,
+                      PortId{box, entries[i].port}, res);
   }
   entries = std::move(next);
   visit_counts_.grow(uni_.capacity());
@@ -402,8 +433,7 @@ ApClassifier::RuleUpdateResult ApClassifier::remove_fib_rule(BoxId box,
   Fib& fib = net_.fib(box);
   std::size_t idx = fib.rules.size();
   for (std::size_t i = 0; i < fib.rules.size(); ++i) {
-    if (fib.rules[i].dst == rule.dst && fib.rules[i].egress_port == rule.egress_port &&
-        fib.rules[i].effective_priority() == rule.effective_priority()) {
+    if (fib.rules[i].same_entry(rule)) {
       idx = i;
       break;
     }
@@ -450,35 +480,22 @@ ApClassifier::RuleUpdateResult ApClassifier::move_region_to_port(
       if ((old & region).is_false()) continue;  // unaffected port
       updated = old.minus(region);
     }
-    delete_predicate_internal(e.pred);
-    if (updated.is_false()) continue;  // entry pruned below via rebuild of list
-    const auto add = add_predicate_internal(std::move(updated),
-                                            PredicateKind::Forward, PortId{box, e.port});
-    e.pred = add.pred_id;
-    res.atoms_split += add.leaves_split;
-    ++res.predicates_changed;
+    std::optional<bdd::Bdd> next;
+    if (!updated.is_false()) next = std::move(updated);
+    e.pred = replace_predicate(e.pred, std::move(next), PredicateKind::Forward,
+                               PortId{box, e.port}, res);
   }
-  // Drop entries whose predicate got deleted and not replaced (went empty).
-  for (std::size_t i = 0; i < entries.size();) {
-    if (reg_.is_deleted(entries[i].pred)) {
-      entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
-      ++res.predicates_changed;
-    } else {
-      ++i;
-    }
-  }
+  // Drop entries whose predicate went empty.
+  std::erase_if(entries, [](const CompiledNetwork::PortEntry& e) { return e.pred == kNoPred; });
   if (!target_found) {
-    const auto add = add_predicate_internal(region, PredicateKind::Forward,
-                                            PortId{box, target_port});
     CompiledNetwork::PortEntry e;
     e.port = target_port;
-    e.pred = add.pred_id;
+    e.pred = replace_predicate(kNoPred, region, PredicateKind::Forward,
+                               PortId{box, target_port}, res);
     e.out_acl = kNoPred;
     const auto it = compiled_.output_acl_pred.find({box, target_port});
     if (it != compiled_.output_acl_pred.end()) e.out_acl = it->second;
     entries.push_back(e);
-    res.atoms_split += add.leaves_split;
-    ++res.predicates_changed;
   }
   visit_counts_.grow(uni_.capacity());
   return res;
@@ -498,16 +515,14 @@ ApClassifier::RuleUpdateResult ApClassifier::remove_region(BoxId box,
       continue;
     }
     bdd::Bdd updated = old.minus(region);
-    delete_predicate_internal(e.pred);
-    ++res.predicates_changed;
-    if (updated.is_false()) {
+    std::optional<bdd::Bdd> next;
+    if (!updated.is_false()) next = std::move(updated);
+    e.pred = replace_predicate(e.pred, std::move(next), PredicateKind::Forward,
+                               PortId{box, e.port}, res);
+    if (e.pred == kNoPred) {
       entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
-    const auto add = add_predicate_internal(std::move(updated),
-                                            PredicateKind::Forward, PortId{box, e.port});
-    e.pred = add.pred_id;
-    res.atoms_split += add.leaves_split;
     ++i;
   }
   visit_counts_.grow(uni_.capacity());
@@ -556,14 +571,10 @@ ApClassifier::RuleUpdateResult ApClassifier::set_input_acl(BoxId box,
   const PredId old = compiled_.in_acl_by_port[box][port];
   if (old != kNoPred && !reg_.is_deleted(old) && reg_.bdd_of(old) == pred) return res;
 
-  if (old != kNoPred) delete_predicate_internal(old);
-  const auto add = add_predicate_internal(std::move(pred), PredicateKind::AclInput,
-                                          PortId{box, port});
-  compiled_.in_acl_by_port[box][port] = add.pred_id;
-  compiled_.input_acl_pred[{box, port}] = add.pred_id;
-  res.atoms_split += add.leaves_split;
-  ++res.predicates_changed;
-  visit_counts_.grow(uni_.capacity());
+  const PredId id = replace_predicate(old, std::move(pred), PredicateKind::AclInput,
+                                      PortId{box, port}, res);
+  compiled_.in_acl_by_port[box][port] = id;
+  compiled_.input_acl_pred[{box, port}] = id;
   return res;
 }
 

@@ -39,7 +39,10 @@ struct AtomDelta {
   std::vector<AtomId> killed;  ///< tombstoned ids (split parents, merge operands)
   std::vector<AtomId> added;   ///< appended ids (split halves, merge results)
   /// Atoms that survived with identical BDDs but whose *behavior* may have
-  /// changed: members of an added or deleted Forward/ACL predicate's R-set.
+  /// changed.  A rule-level update replaces predicates and marks only the
+  /// survivors whose membership moved, R(old) xor R(new); the predicate-
+  /// level add_predicate/remove_predicate mark the whole R-set of a Forward
+  /// or ACL predicate.
   std::vector<AtomId> dirty;
 
   bool empty() const { return killed.empty() && added.empty() && dirty.empty(); }
@@ -250,12 +253,19 @@ class ApClassifier {
                                        std::uint32_t target_port);
   RuleUpdateResult remove_region(BoxId box, const bdd::Bdd& region);
   /// Shared add/delete kernels: run the tree update, patch dependent
-  /// structures (middlebox tables, visit counters), and fold the change
-  /// into the accumulated atom delta.  Every mutating path funnels through
-  /// these two so the delta can never miss an update.
+  /// structures (middlebox tables, visit counters), and fold the split or
+  /// merged atoms into the accumulated atom delta.  Every mutating path
+  /// funnels through these two so the delta can never miss an atom; the
+  /// callers mark the surviving atoms whose behavior may have changed.
   AddPredicateResult add_predicate_internal(bdd::Bdd p, PredicateKind kind,
                                             std::optional<PortId> origin);
   DeletePredicateResult delete_predicate_internal(PredId id);
+  /// Replaces predicate `old` (kNoPred: none yet) by `next` (nullopt: the
+  /// predicate vanishes) and marks dirty only the surviving atoms in
+  /// R(old) xor R(new).  Returns the new id, or kNoPred.  Every rule-level
+  /// update changes predicates through this.
+  PredId replace_predicate(PredId old, std::optional<bdd::Bdd> next, PredicateKind kind,
+                           PortId origin, RuleUpdateResult& res);
   void apply_atom_splits(const std::vector<AtomSplit>& splits);
   void apply_atom_merges(const std::vector<AtomMerge>& merges);
   bdd::Bdd multicast_space(BoxId box) const;

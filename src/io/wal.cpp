@@ -248,22 +248,33 @@ void Wal::do_fsync(const char* site) {
 }
 
 void Wal::append(std::string_view payload) {
+  append(std::span<const std::string_view>(&payload, 1));
+}
+
+void Wal::append(std::span<const std::string_view> payloads) {
   require(!poisoned_, ErrorCode::kFailedPrecondition,
           "Wal::append after fsync failure: durability unknown, reopen the log");
-  require(payload.size() <= kMaxRecordBytes, ErrorCode::kInvalidArgument,
-          "Wal::append: record too large");
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, util::crc32c_mask(util::crc32c(payload.data(), payload.size())));
-  frame.append(payload.data(), payload.size());
+  if (payloads.empty()) return;
+  std::size_t bytes = 0;
+  for (const std::string_view p : payloads) {
+    require(p.size() <= kMaxRecordBytes, ErrorCode::kInvalidArgument,
+            "Wal::append: record too large");
+    bytes += 8 + p.size();
+  }
+  std::string frames;
+  frames.reserve(bytes);
+  for (const std::string_view p : payloads) {
+    put_u32(frames, static_cast<std::uint32_t>(p.size()));
+    put_u32(frames, util::crc32c_mask(util::crc32c(p.data(), p.size())));
+    frames.append(p.data(), p.size());
+  }
   util::Backoff backoff(opts_.retry, std::hash<std::string>{}(path_) ^ offset_);
   for (;;) {
-    const int err = try_write(frame.data(), frame.size());
+    const int err = try_write(frames.data(), frames.size());
     if (err == 0) break;
-    // Roll back to the last clean record boundary so the failed (possibly
-    // torn) frame never pollutes the log — both between retry attempts and
-    // before surfacing the failure to the caller.
+    // Roll the whole group back to the last clean record boundary so no
+    // failed (possibly torn) frame pollutes the log — both between retry
+    // attempts and before surfacing the failure to the caller.
     if (::ftruncate(fd_, static_cast<off_t>(offset_)) == 0) {
       ::lseek(fd_, static_cast<off_t>(offset_), SEEK_SET);
     } else {
@@ -275,9 +286,9 @@ void Wal::append(std::string_view payload) {
     retries_.add(1);
     std::this_thread::sleep_for(backoff.next_delay());
   }
-  offset_ += frame.size();
-  records_appended_.add(1);
-  ++unsynced_records_;
+  offset_ += frames.size();
+  records_appended_.add(payloads.size());
+  unsynced_records_ += payloads.size();
   if (opts_.fsync_policy == FsyncPolicy::kEveryRecord ||
       (opts_.fsync_policy == FsyncPolicy::kInterval &&
        unsynced_records_ >= opts_.fsync_interval)) {

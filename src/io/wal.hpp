@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,7 @@ namespace apc::io {
 enum class FsyncPolicy : std::uint8_t {
   kNone,         ///< never fsync (fastest; crash loses OS-buffered tail)
   kInterval,     ///< fsync every WalOptions::fsync_interval records
-  kEveryRecord,  ///< fsync after every append (group-commit durability)
+  kEveryRecord,  ///< fsync after every append call (one per group)
 };
 
 const char* fsync_policy_name(FsyncPolicy p);
@@ -96,10 +97,15 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one record and applies the fsync policy.  Transient failures
-  /// retry in place under WalOptions::retry; on definitive failure the file
-  /// is rolled back to the previous record boundary and apc::Error(kIo) is
-  /// thrown; the log remains usable unless an fsync failed.
+  /// Appends a group of records with one write and applies the fsync policy
+  /// once: one fsync for the group under kEveryRecord, while kInterval
+  /// still counts records.  Transient failures retry in place under
+  /// WalOptions::retry; on definitive failure the file is rolled back to
+  /// the boundary before the group (no frame of it survives) and
+  /// apc::Error(kIo) is thrown; the log remains usable unless an fsync
+  /// failed.
+  void append(std::span<const std::string_view> payloads);
+  /// A group of one.
   void append(std::string_view payload);
 
   /// Explicit fsync (for FsyncPolicy::kNone users at checkpoint moments).

@@ -25,6 +25,12 @@ struct ForwardingRule {
   std::int32_t effective_priority() const {
     return priority >= 0 ? priority : static_cast<std::int32_t>(dst.len);
   }
+  /// True when `o` names this entry: same prefix, egress port and effective
+  /// priority (what a rule removal matches on).
+  bool same_entry(const ForwardingRule& o) const {
+    return dst == o.dst && egress_port == o.egress_port &&
+           effective_priority() == o.effective_priority();
+  }
 };
 
 /// Inclusive port range; {0, 65535} is a wildcard.

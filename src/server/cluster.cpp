@@ -60,6 +60,36 @@ void apply_record(ApClassifier& clf, bool add, const RuleSpec& spec) {
     clf.remove_fib_rule(spec.box, spec.rule);
 }
 
+/// Why `u` cannot apply to a network with topology `topo` and FIBs `fibs`
+/// once the updates in `earlier` (accepted before it, not yet in `fibs`)
+/// have; empty when it can.  The same check guards the live path and WAL
+/// recovery, so no record that would fail on a replica is ever journaled
+/// or replayed.
+std::string check_update(const Topology& topo, const std::vector<Fib>& fibs,
+                         const ShardedCluster::Update& u,
+                         std::span<const ShardedCluster::Update> earlier) {
+  const BoxId box = u.spec.box;
+  const ForwardingRule& rule = u.spec.rule;
+  if (box >= topo.box_count())
+    return "box " + std::to_string(box) + " out of range (" +
+           std::to_string(topo.box_count()) + " boxes)";
+  if (rule.egress_port >= topo.box(box).ports.size())
+    return "egress port " + std::to_string(rule.egress_port) + " out of range on box " +
+           std::to_string(box) + " (" + std::to_string(topo.box(box).ports.size()) +
+           " ports)";
+  if (u.add) return {};
+  // A remove pops one instance, so it needs a live copy: the FIB's plus
+  // the group's adds, minus the group's removes.
+  std::ptrdiff_t live = 0;
+  if (box < fibs.size())
+    live = std::count_if(fibs[box].rules.begin(), fibs[box].rules.end(),
+                         [&](const ForwardingRule& r) { return r.same_entry(rule); });
+  for (const ShardedCluster::Update& e : earlier)
+    if (e.spec.box == box && e.spec.rule.same_entry(rule)) live += e.add ? 1 : -1;
+  if (live > 0) return {};
+  return "no rule " + format_rule(false, u.spec).substr(2) + " to remove";
+}
+
 }  // namespace
 
 const char* shard_state_name(ShardState s) {
@@ -110,6 +140,26 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   std::sort(replay.begin(), replay.end(),
             [](const ReplayRecord& a, const ReplayRecord& b) { return a.seq < b.seq; });
   for (const ReplayRecord& r : replay) next_seq_ = std::max(next_seq_, r.seq + 1);
+  // Run the live path's update check over the merged history on a working
+  // copy of the FIBs: a record that fails it (journaled before the check
+  // existed) would fail on every replica, so it is skipped and counted.
+  std::vector<Fib> fibs = net_.fibs;
+  fibs.resize(std::max(fibs.size(), net_.topology.box_count()));
+  std::erase_if(replay, [&](const ReplayRecord& r) {
+    const Update u{r.add, r.spec};
+    if (!check_update(net_.topology, fibs, u, {}).empty()) {
+      ++wal_records_skipped_;
+      return true;
+    }
+    std::vector<ForwardingRule>& rules = fibs[r.spec.box].rules;
+    if (r.add)
+      rules.push_back(r.spec.rule);
+    else
+      rules.erase(std::find_if(rules.begin(), rules.end(), [&](const ForwardingRule& q) {
+        return q.same_entry(r.spec.rule);
+      }));
+    return false;
+  });
   update_log_.reserve(replay.size());
   for (const ReplayRecord& r : replay) update_log_.push_back({r.seq, r.add, r.spec});
 
@@ -461,71 +511,155 @@ void ShardedCluster::resync_once(std::size_t i) const {
   sh.state.store(ShardState::kHealthy, std::memory_order_release);
 }
 
-std::uint64_t ShardedCluster::apply_update(bool add, const RuleSpec& spec) {
+void ShardedCluster::apply_updates(std::span<const Update> group,
+                                   std::vector<UpdateOutcome>& outcomes) {
+  outcomes.resize(group.size());
+  for (UpdateOutcome& o : outcomes) {
+    o.epoch = 0;
+    o.message.clear();
+  }
+  if (group.empty()) return;
+  const auto refuse = [&](std::size_t i, ErrorCode code, std::string why) {
+    outcomes[i].error = code;
+    outcomes[i].message = std::move(why);
+  };
   std::lock_guard<std::mutex> lock(update_mu_);
-  const std::size_t owner = shard_of(spec.box);
-  Shard& osh = *shards_[owner];
-  if (osh.read_only.load(std::memory_order_acquire))
-    throw Error(ErrorCode::kUnavailable,
-                "cluster: shard " + std::to_string(owner) +
-                    " is read-only (WAL poisoned; resync pending), update refused");
-  const std::uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
-  // Journal before mutate (WAL discipline): the owner shard's log gets the
-  // record with the global sequence number, fsynced per WalOptions.  The
-  // sequence is consumed even when the append fails — a failed-but-
+  const auto t0 = std::chrono::steady_clock::now();
+
+  // 1-2. Check every record in line order against a replica in rotation
+  // plus the records accepted before it; then its owner shard's WAL.
+  std::shared_ptr<Replica> oracle;
+  for (std::size_t i = 0; i < shards_.size() && !oracle; ++i)
+    if (shards_[i]->state.load(std::memory_order_acquire) != ShardState::kQuarantined)
+      oracle = replica_ref(i);
+  std::vector<Update> accepted;  // in line order, for later records' checks
+  std::vector<std::size_t> accepted_ix;  // accepted[j] is group[accepted_ix[j]]
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (!oracle) {
+      refuse(i, ErrorCode::kUnavailable, "cluster: every shard is quarantined, update refused");
+      continue;
+    }
+    std::string why = check_update(net_.topology, oracle->clf->network().fibs, group[i],
+                                   accepted);
+    if (!why.empty()) {
+      refuse(i, ErrorCode::kInvalidArgument, "cluster: update refused: " + why);
+      continue;
+    }
+    const std::size_t owner = shard_of(group[i].spec.box);
+    if (shards_[owner]->read_only.load(std::memory_order_acquire)) {
+      refuse(i, ErrorCode::kUnavailable,
+             "cluster: shard " + std::to_string(owner) +
+                 " is read-only (WAL poisoned; resync pending), update refused");
+      continue;
+    }
+    accepted.push_back(group[i]);
+    accepted_ix.push_back(i);
+  }
+
+  // 3. Journal before mutate (WAL discipline).  Sequence numbers follow
+  // line order and are consumed even when an append fails — a failed-but-
   // possibly-durable frame must never share its number with a later,
   // different record (recovery would replay both); gaps are harmless.
-  const std::uint64_t seq = next_seq_++;
-  if (!opts_.wal_dir.empty() && osh.wal) {
-    try {
-      osh.wal->append(make_record(seq, add, spec));
-    } catch (const Error& e) {
-      if (osh.wal->poisoned()) {
+  const std::uint64_t first_seq = next_seq_;  // accepted[j] takes first_seq + j
+  next_seq_ += accepted.size();
+  std::vector<char> journaled(accepted.size(), 1);
+  if (!opts_.wal_dir.empty()) {
+    std::vector<std::string> records;
+    std::vector<std::string_view> views;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& sh = *shards_[s];
+      records.clear();
+      for (std::size_t j = 0; j < accepted.size(); ++j)
+        if (shard_of(accepted[j].spec.box) == s)
+          records.push_back(make_record(first_seq + j, accepted[j].add, accepted[j].spec));
+      if (records.empty() || !sh.wal) continue;
+      views.assign(records.begin(), records.end());
+      ErrorCode code = ErrorCode::kInternal;
+      std::string why;
+      try {
+        sh.wal->append(views);
+        continue;
+      } catch (const Error& e) {
+        code = e.code();
+        why = e.what();
+      }
+      if (sh.wal->poisoned()) {
         // Durability of this shard's acked records is now unknown: flip it
         // read-only (updates it owns get 503, queries keep serving) until
         // a resync rewrites the log from the in-memory history.
-        osh.read_only.store(true, std::memory_order_release);
+        sh.read_only.store(true, std::memory_order_release);
         wal_poisonings_.fetch_add(1, std::memory_order_relaxed);
-        throw Error(ErrorCode::kUnavailable,
-                    "cluster: WAL poisoned, shard " + std::to_string(owner) +
-                        " now read-only: " + e.what());
+        code = ErrorCode::kUnavailable;
+        why = "cluster: WAL poisoned, shard " + std::to_string(s) + " now read-only: " + why;
+      } else {
+        // Transient budget exhausted: refused, the caller may retry.
+        why = "cluster: WAL append failed on shard " + std::to_string(s) + ": " + why;
       }
-      throw;  // transient budget exhausted: update refused, caller may retry
+      for (std::size_t j = 0; j < accepted.size(); ++j)
+        if (shard_of(accepted[j].spec.box) == s) {
+          journaled[j] = 0;
+          refuse(accepted_ix[j], code, why);
+        }
     }
   }
-  update_log_.push_back({seq, add, spec});
-  // Tag then mutate, shard by shard.  A reader that lands mid-walk sees a
-  // mix of old-epoch and new-epoch shards; pin() resolves the OLD epoch
-  // until the last shard publishes and epoch_ advances below.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    if (sh.state.load(std::memory_order_acquire) == ShardState::kQuarantined)
-      continue;  // resync replays update_log_; don't touch a retiring replica
-    const std::shared_ptr<Replica> rep = replica_ref(i);
-    try {
-      rep->engine->set_next_publish_epoch(next);
-      if (add)
-        rep->engine->insert_fib_rule(spec.box, spec.rule);
-      else
-        rep->engine->remove_fib_rule(spec.box, spec.rule);
-    } catch (const std::exception&) {
-      // A replica that cannot apply an update is divergent — pull it from
-      // rotation now and let resync rebuild it from the log.  The update
-      // itself proceeds on the other replicas.
-      quarantine_shard(i);
-    }
+
+  // 4. Apply: epochs E+1..E+k in line order, one publish per replica.
+  const std::uint64_t base = epoch_.load(std::memory_order_relaxed);
+  std::uint64_t last = base;
+  std::vector<const Update*> batch;
+  for (std::size_t j = 0; j < accepted.size(); ++j) {
+    if (!journaled[j]) continue;
+    outcomes[accepted_ix[j]].epoch = ++last;
+    update_log_.push_back({first_seq + j, accepted[j].add, accepted[j].spec});
+    batch.push_back(&accepted[j]);
   }
-  epoch_.store(next, std::memory_order_release);
-  updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  return next;
+  if (!batch.empty()) {
+    // Tag then mutate, shard by shard.  A reader that lands mid-walk sees a
+    // mix of old-epoch and new-epoch shards; pin() resolves the OLD epoch
+    // until the last shard publishes and epoch_ advances below.
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      Shard& sh = *shards_[i];
+      if (sh.state.load(std::memory_order_acquire) == ShardState::kQuarantined)
+        continue;  // resync replays update_log_; don't touch a retiring replica
+      const std::shared_ptr<Replica> rep = replica_ref(i);
+      try {
+        rep->engine->set_next_publish_epoch(last);
+        rep->engine->update([&](ApClassifier& c) {
+          for (const Update* u : batch) apply_record(c, u->add, u->spec);
+        });
+      } catch (const std::exception&) {
+        // A replica that cannot apply an update is divergent — pull it from
+        // rotation now and let resync rebuild it from the log.  The updates
+        // themselves proceed on the other replicas.
+        quarantine_shard(i);
+      }
+    }
+    epoch_.store(last, std::memory_order_release);
+    updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
+  }
+  update_group_size_.record(group.size());
+  update_group_ns_.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
 }
 
+namespace {
+std::uint64_t apply_one(ShardedCluster& cluster, bool add, const RuleSpec& spec) {
+  const ShardedCluster::Update u{add, spec};
+  std::vector<ShardedCluster::UpdateOutcome> out;
+  cluster.apply_updates({&u, 1}, out);
+  if (!out[0].applied()) throw Error(out[0].error, out[0].message);
+  return out[0].epoch;
+}
+}  // namespace
+
 std::uint64_t ShardedCluster::add_rule(const RuleSpec& spec) {
-  return apply_update(true, spec);
+  return apply_one(*this, true, spec);
 }
 
 std::uint64_t ShardedCluster::remove_rule(const RuleSpec& spec) {
-  return apply_update(false, spec);
+  return apply_one(*this, false, spec);
 }
 
 obs::MetricsSnapshot ShardedCluster::stats() const {
@@ -566,12 +700,26 @@ obs::MetricsSnapshot ShardedCluster::stats() const {
                   [this] { return static_cast<double>(wal_poisonings_.load(
                                std::memory_order_relaxed)); },
                   "count");
+  reg.register_fn("cluster.wal_records_skipped",
+                  [this] { return static_cast<double>(wal_records_skipped_); }, "count");
   // Process-wide high-water mark (all shards share one process); the
   // per-shard owned/mapped split lives in the engine rows below.
   reg.register_fn("cluster.peak_rss_bytes",
                   [] { return static_cast<double>(util::peak_rss_bytes()); },
                   "bytes");
   obs::MetricsSnapshot out = reg.snapshot();
+  // Update groups: records per apply_updates call (an update sent alone,
+  // or through add_rule/remove_rule, is a group of one) and the time each
+  // group held the update lock.
+  out.rows.push_back({"cluster.update_group_size.count",
+                      static_cast<double>(update_group_size_.count()), "count"});
+  out.rows.push_back({"cluster.update_group_size.mean", update_group_size_.mean(), "count"});
+  out.rows.push_back({"cluster.update_group_size.max",
+                      static_cast<double>(update_group_size_.max()), "count"});
+  out.rows.push_back(
+      {"cluster.update_group_ms.p50", update_group_ns_.quantile(0.50) * 1e-6, "ms"});
+  out.rows.push_back(
+      {"cluster.update_group_ms.p99", update_group_ns_.quantile(0.99) * 1e-6, "ms"});
   double wal_retries = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "shard" + std::to_string(i);

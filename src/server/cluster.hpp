@@ -16,7 +16,10 @@
 // shard has published a snapshot tagged E.  An update picks E+1, tags every
 // shard's next publish with it (QueryEngine::set_next_publish_epoch),
 // applies the mutation shard by shard, and only after the LAST shard has
-// published does the cluster-level epoch_ advance.  Readers never consult
+// published does the cluster-level epoch_ advance.  A group of k updates
+// (apply_updates) takes E+1..E+k, one per update, but every shard publishes
+// once, tagged E+k: the epochs in between are never published, so no
+// reader can pin them.  Readers never consult
 // epoch_ directly to pick snapshots — pin() loops until it holds one
 // snapshot per healthy shard all tagged with the same epoch, so a batch
 // fanned across shards is answered from one network-wide frozen state even
@@ -48,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,10 +182,38 @@ class ShardedCluster {
   /// run_batch_into, with the answers formatted as lines in input order.
   BatchResult run_batch(const std::vector<BatchItem>& items) const;
 
-  /// Applies a FIB update to every replica under one cluster-wide epoch
-  /// bump, journaling it to the owner shard's WAL first.  Returns the new
-  /// cluster epoch.  Throws kUnavailable when the owner shard is read-only
-  /// (poisoned WAL) or the append definitively failed.
+  /// One A/R line of an update group.
+  struct Update {
+    bool add = false;
+    RuleSpec spec;
+  };
+  /// What became of one update of a group.
+  struct UpdateOutcome {
+    std::uint64_t epoch = 0;  ///< the update's own epoch; 0 = refused
+    ErrorCode error = ErrorCode::kInternal;  ///< why it was refused
+    std::string message;                     ///< ditto, for the reply
+    bool applied() const { return epoch != 0; }
+  };
+  /// Applies a group of FIB updates, in order, under one writer pass:
+  ///  1. each record is checked against a replica's FIB plus the records
+  ///     accepted before it in the group (box and egress port in range, a
+  ///     remove matches a rule); a bad one is refused kInvalidArgument and
+  ///     never journaled.  With no replica in rotation every record is
+  ///     refused kUnavailable;
+  ///  2. a record whose owner shard is read-only is refused kUnavailable;
+  ///  3. the rest take global sequence numbers in line order and each
+  ///     owner WAL gets one group append (one fsync under kEveryRecord).  A
+  ///     failed append refuses that WAL's records only; a poisoned WAL
+  ///     flips its shard read-only;
+  ///  4. the journaled records take consecutive epochs E+1..E+k in line
+  ///     order, and each replica applies all of them inside one
+  ///     QueryEngine::update, so it publishes once, tagged E+k.  Readers
+  ///     never pin E+1..E+k-1.
+  /// `outcomes` gets one entry per record, in order; its capacity is kept.
+  void apply_updates(std::span<const Update> group, std::vector<UpdateOutcome>& outcomes);
+
+  /// A group of one: returns the update's epoch or throws the refusal as
+  /// apc::Error (kInvalidArgument, kUnavailable, or the WAL's error).
   std::uint64_t add_rule(const RuleSpec& spec);
   std::uint64_t remove_rule(const RuleSpec& spec);
 
@@ -213,7 +245,9 @@ class ShardedCluster {
   std::uint64_t reroutes() const { return reroutes_.load(std::memory_order_relaxed); }
 
   /// Aggregated metric snapshot: cluster rows (epoch, shards,
-  /// updates_applied, shard_state, resyncs, wal.retries) plus every shard's
+  /// updates_applied, shard_state, resyncs, wal.retries, the update-group
+  /// size and time histograms, WAL records skipped at recovery) plus every
+  /// shard's
   /// health/WAL rows and engine inventory under "shard<i>.".  Materialized
   /// under the update lock so callback rows never race a mutation.  The
   /// shard<i>.batch_us.{p50,p99,count} rows come from a lifetime
@@ -259,7 +293,6 @@ class ShardedCluster {
     RuleSpec spec;
   };
 
-  std::uint64_t apply_update(bool add, const RuleSpec& spec);
   std::shared_ptr<Replica> replica_ref(std::size_t i) const;
   std::shared_ptr<const engine::QueryEngine> replica_engine(std::size_t i) const;
   /// Runs shard `slice`'s share of the batch on executing shard `exec`
@@ -287,6 +320,11 @@ class ShardedCluster {
   /// Full update history (replayed + applied), for resync (update_mu_).
   mutable std::vector<LogRecord> update_log_;
   std::atomic<std::uint64_t> updates_applied_{0};
+  /// Records per apply_updates call, and its time under update_mu_ (ns).
+  obs::LatencyHistogram update_group_size_;
+  obs::LatencyHistogram update_group_ns_;
+  /// WAL records that failed the update check at recovery and were skipped.
+  std::uint64_t wal_records_skipped_ = 0;
 
   // ---- resync machinery (mutable: quarantine is logically const) ----
   mutable std::mutex resync_mu_;

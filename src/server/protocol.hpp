@@ -15,16 +15,22 @@
 //
 // C/Q lines buffer into the connection's pending batch; GO executes the
 // whole batch against ONE pinned cluster epoch and streams the answers
-// back.  Responses lead with a numeric status line:
+// back.  A/R lines pipelined back to back form one update group, applied
+// together (one WAL fsync and one publish per replica) before the next
+// non-update line, at 64 lines, or once no further whole line has
+// arrived; each line still gets its own reply and its own epoch, in line
+// order.  Responses lead with a numeric status line:
 //
 //   201 <epoch> <n> [degraded=1]   batch executed; n answer lines follow, in
 //                     order.  degraded=1 flags answers served away from
 //                     their home shard (it was quarantined/failing): still
 //                     correct and epoch-consistent, but the routing
 //                     locality the client asked for was unavailable.
-//   200 <epoch>       update applied / EPOCH answer
+//   200 <epoch>       update applied (its own epoch) / EPOCH answer
 //   202 <n>           STATS; n "name value" lines follow
-//   400 <message>     parse error (this line only; the batch is kept)
+//   400 <message>     parse error (this line only; the batch is kept), or
+//                     a rejected update: box or egress port out of range,
+//                     or a remove with no matching rule (never journaled)
 //   408 <message>     idle/write deadline hit; the server closes the line
 //   503 <message>     admission shed / connection-cap shed / read-only
 //                     shard / draining; retry later

@@ -219,16 +219,61 @@ bool TcpServer::send_all(int fd, std::string_view data) {
   return true;
 }
 
-bool TcpServer::handle_line(int fd, std::string_view line, std::size_t lineno,
-                            Connection& conn) {
+bool TcpServer::flush_updates(int fd, Connection& conn) {
+  if (conn.updates.empty()) return true;
+  std::string& reply = conn.reply;
+  reply.clear();
+  try {
+    cluster_.apply_updates(conn.updates, conn.outcomes);
+    for (const ShardedCluster::UpdateOutcome& o : conn.outcomes) {
+      if (o.applied()) {
+        reply += "200 ";
+        append_uint(reply, o.epoch);
+      } else {
+        reply += o.error == ErrorCode::kInvalidArgument ? "400 ["
+                 : o.error == ErrorCode::kUnavailable   ? "503 ["
+                                                        : "500 [";
+        reply += error_code_name(o.error);
+        reply += "] ";
+        reply += o.message;
+      }
+      reply += '\n';
+    }
+  } catch (const std::exception& e) {
+    // The group could not be answered record by record (out of memory):
+    // every line of it gets the error.
+    reply.clear();
+    for (std::size_t i = 0; i < conn.updates.size(); ++i) {
+      reply += "500 ";
+      reply += e.what();
+      reply += '\n';
+    }
+  }
+  conn.updates.clear();  // keeps its capacity for the next group
+  return send_all(fd, reply);
+}
+
+bool TcpServer::parse_line(int fd, std::string_view line, std::size_t lineno,
+                           Connection& conn) {
   Request req;
   try {
     if (!parse_request(line, lineno, req)) return true;  // blank/comment
   } catch (const Error& e) {
     // A parse error is the CLIENT's problem on this line only: report it
-    // and keep both the connection and the pending batch intact.
-    return send_all(fd, std::string("400 ") + e.what() + "\n");
+    // (after the replies of the updates before it) and keep both the
+    // connection and the pending batch intact.
+    return flush_updates(fd, conn) && send_all(fd, std::string("400 ") + e.what() + "\n");
   }
+  if (req.kind == RequestKind::kAddRule || req.kind == RequestKind::kRemoveRule) {
+    // Pipelined updates group up; the group is flushed by the next other
+    // line, at the cap, or once the receive buffer holds no whole line.
+    conn.updates.push_back({req.kind == RequestKind::kAddRule, req.rule});
+    return conn.updates.size() < kMaxUpdateGroup || flush_updates(fd, conn);
+  }
+  return flush_updates(fd, conn) && dispatch(fd, req, conn);
+}
+
+bool TcpServer::dispatch(int fd, const Request& req, Connection& conn) {
   try {
     switch (req.kind) {
       case RequestKind::kClassify:
@@ -268,12 +313,8 @@ bool TcpServer::handle_line(int fd, std::string_view line, std::size_t lineno,
         return send_all(fd, reply);
       }
       case RequestKind::kAddRule:
-      case RequestKind::kRemoveRule: {
-        const std::uint64_t epoch = req.kind == RequestKind::kAddRule
-                                        ? cluster_.add_rule(req.rule)
-                                        : cluster_.remove_rule(req.rule);
-        return send_all(fd, "200 " + std::to_string(epoch) + "\n");
-      }
+      case RequestKind::kRemoveRule:
+        return true;  // grouped by parse_line, answered by flush_updates
       case RequestKind::kStats: {
         obs::MetricsSnapshot snap = cluster_.stats();
         snap.rows.push_back({"server.connections_accepted",
@@ -319,8 +360,9 @@ void TcpServer::serve_connection(int fd) {
   std::size_t tail = 0;
   std::size_t lineno = 0;
   const auto refuse_oversized = [&] {
-    send_all(fd, "400 line exceeds " + std::to_string(io::kMaxLineBytes) +
-                     " byte cap\n");
+    if (flush_updates(fd, conn))
+      send_all(fd, "400 line exceeds " + std::to_string(io::kMaxLineBytes) +
+                       " byte cap\n");
     ::shutdown(fd, SHUT_RDWR);
   };
   auto last_rx = steady_clock::now();
@@ -341,10 +383,16 @@ void TcpServer::serve_connection(int fd) {
         refuse_oversized();
         return;
       }
-      if (!handle_line(fd, line, lineno, conn)) {
+      if (!parse_line(fd, line, lineno, conn)) {
         ::shutdown(fd, SHUT_RDWR);
         return;
       }
+    }
+    // Every whole line is used up: answer the pending update group before
+    // waiting for more input, so a group never waits on the client.
+    if (!flush_updates(fd, conn)) {
+      ::shutdown(fd, SHUT_RDWR);
+      return;
     }
     // The partial-line cap applies to the UNTERMINATED tail too: a client
     // streaming an endless line must not grow the buffer unboundedly, and

@@ -7,9 +7,13 @@
 // its items across the shard engines' pools), so connection handling stays
 // deliberately simple and blocking.  A connection buffers C/Q lines until
 // GO, executes them against ONE pinned cluster epoch, and streams the
-// answers back in order.  Update (A/R) and introspection (STATS/EPOCH)
-// lines execute immediately, so one connection can interleave queries and
-// updates.
+// answers back in order.  Update (A/R) lines pipelined back to back form
+// one group (ShardedCluster::apply_updates): the group runs, and all of its
+// replies go out, before the next non-update line, at kMaxUpdateGroup lines,
+// or once the receive buffer holds no whole line — so replies stay in line
+// order, a connection always sees its own updates, and a group never waits
+// for more input.  Introspection (STATS/EPOCH) lines execute immediately,
+// so one connection can interleave queries and updates.
 //
 // Robustness contract (exercised by tests/server_test.cpp and
 // tests/server_robustness_test.cpp):
@@ -45,6 +49,11 @@ namespace apc::server {
 
 class TcpServer {
  public:
+  /// Most A/R lines applied as one group.  It bounds how long one group
+  /// holds the cluster's update lock, which stats() and other writers wait
+  /// on.
+  static constexpr std::size_t kMaxUpdateGroup = 64;
+
   struct Options {
     /// Listen port; 0 = ephemeral (read the bound one off port()).
     std::uint16_t listen_port = 0;
@@ -119,11 +128,14 @@ class TcpServer {
     std::atomic<bool> done{false};
   };
 
-  /// One connection's buffers.  Each keeps its capacity from one batch to
-  /// the next, so a steady stream of batches does no per-line heap work.
+  /// One connection's buffers.  Each keeps its capacity from one batch or
+  /// update group to the next, so a steady stream of them does no per-line
+  /// heap work.
   struct Connection {
     std::vector<ShardedCluster::BatchItem> batch;  ///< pending C/Q items
     ShardedCluster::BatchAnswers answers;
+    std::vector<ShardedCluster::Update> updates;   ///< pending A/R group
+    std::vector<ShardedCluster::UpdateOutcome> outcomes;
     std::string reply;
   };
 
@@ -131,9 +143,16 @@ class TcpServer {
   /// Joins and erases finished sessions; called with sessions_mu_ held.
   void reap_sessions_locked();
   void serve_connection(int fd);
-  /// Handles one complete line (a view into the receive buffer); returns
-  /// false when the connection must close (the reply could not be sent).
-  bool handle_line(int fd, std::string_view line, std::size_t lineno, Connection& conn);
+  /// Parses one complete line (a view into the receive buffer): an A/R
+  /// line joins the pending update group, any other request first flushes
+  /// the group and is then dispatched.  Returns false when the connection
+  /// must close (a reply could not be sent).
+  bool parse_line(int fd, std::string_view line, std::size_t lineno, Connection& conn);
+  /// Executes one parsed non-update request.
+  bool dispatch(int fd, const Request& req, Connection& conn);
+  /// Applies the pending update group, if any, and sends all of its
+  /// replies, in line order, with one send_all.
+  bool flush_updates(int fd, Connection& conn);
   /// Writes the whole reply under the write deadline; false = peer dead or
   /// deadline hit (the counter is ticked inside).
   bool send_all(int fd, std::string_view data);

@@ -126,6 +126,33 @@ TEST_F(FaultInjection, WalShortWriteRollsBackToRecordBoundary) {
   EXPECT_FALSE(report.torn_tail);  // nothing torn survived on disk
 }
 
+TEST_F(FaultInjection, WalGroupWriteFailureRollsBackEveryFrame) {
+  const std::string path = tmp_path("group-short");
+  io::Wal wal(path, io::WalOptions{});
+  wal.append("intact");
+  const std::uint64_t clean_size = wal.size_bytes();
+
+  // Tear the group's one write inside its third frame: the two whole
+  // frames before the tear must go with it.
+  const std::vector<std::string_view> group = {"first", "second", "third", "fourth"};
+  FaultPlan plan;
+  plan.kind = FaultPlan::Kind::kShortWrite;
+  plan.short_bytes = 2 * 8 + 5 + 6 + 3;
+  FaultInjector::instance().arm("wal.append.write", plan);
+  EXPECT_THROW(wal.append(group), Error);
+  EXPECT_EQ(wal.size_bytes(), clean_size);
+  EXPECT_EQ(wal.records_appended().value(), 1u);
+
+  wal.append(group);
+  std::vector<std::string> records;
+  io::WalRecoveryReport report;
+  io::Wal reopen(path, io::WalOptions{}, &records, &report);
+  ASSERT_EQ(records.size(), 5u);
+  EXPECT_EQ(records[0], "intact");
+  for (std::size_t i = 0; i < group.size(); ++i) EXPECT_EQ(records[1 + i], group[i]);
+  EXPECT_FALSE(report.torn_tail);
+}
+
 TEST_F(FaultInjection, FsyncFailurePoisonsTheLog) {
   const std::string path = tmp_path("fsyncgate");
   io::WalOptions opts;

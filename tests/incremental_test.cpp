@@ -17,6 +17,7 @@
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
 #include "engine/snapshot.hpp"
+#include "packet/ipv4.hpp"
 #include "util/rng.hpp"
 
 namespace apc {
@@ -169,8 +170,9 @@ struct EngineWorld {
   std::vector<PacketHeader> trace;
 
   explicit EngineWorld(std::uint64_t seed = 7)
-      : data(datasets::internet2_like(datasets::Scale::Tiny, seed)),
-        clf(data.net, mgr) {
+      : EngineWorld(datasets::internet2_like(datasets::Scale::Tiny, seed), seed) {}
+  EngineWorld(datasets::Dataset d, std::uint64_t seed)
+      : data(std::move(d)), clf(data.net, mgr) {
     Rng rng(seed * 31 + 1);
     const auto reps = datasets::atom_representatives(clf.atoms(), rng);
     trace = datasets::uniform_trace(reps, 200, rng);
@@ -227,11 +229,72 @@ TEST(IncrementalSnapshot, BuildDeltaEquivalentToFullBuild) {
   }
 }
 
+// The exact dirty rule: move a default route to another port, then diff
+// every surviving atom's behavior at every ingress by brute force.  Every
+// survivor whose behavior changed anywhere must be in the delta; on a
+// FIB-only network (where a port change always shows at the box itself)
+// every dirty survivor must also have changed somewhere.
+void expect_exact_dirty_set(const datasets::Dataset& data, bool fib_only) {
+  ApClassifier clf(data.net, datasets::Dataset::make_manager());
+  const Topology& topo = data.net.topology;
+  BoxId box = 0;
+  while (topo.box(box).ports.size() < 2 || data.net.fibs.at(box).rules.empty()) ++box;
+  const ForwardingRule on0{Ipv4Prefix{0, 0}, 0, -1};
+  const ForwardingRule on1{Ipv4Prefix{0, 0}, 1, -1};
+  clf.insert_fib_rule(box, on0);
+  clf.take_atom_delta();  // the delta below starts here
+
+  const auto behaviors = [&] {
+    std::vector<std::vector<Behavior>> out(clf.atoms().capacity());
+    for (const AtomId a : clf.atoms().alive_ids())
+      for (BoxId b = 0; b < topo.box_count(); ++b) out[a].push_back(clf.behavior_of(a, b));
+    return out;
+  };
+  const auto before = behaviors();
+  clf.remove_fib_rule(box, on0);
+  clf.insert_fib_rule(box, on1);
+  const AtomDelta delta = clf.take_atom_delta();
+  ASSERT_TRUE(delta.valid);
+  const auto after = behaviors();
+
+  std::vector<char> in_delta(after.size(), 0), dirty(after.size(), 0);
+  for (const auto* ids : {&delta.killed, &delta.added, &delta.dirty})
+    for (const AtomId a : *ids)
+      if (a < in_delta.size()) in_delta[a] = 1;
+  for (const AtomId a : delta.dirty)
+    if (a < dirty.size()) dirty[a] = 1;
+  std::size_t survivors = 0, changed = 0, dirty_survivors = 0;
+  for (const AtomId a : clf.atoms().alive_ids()) {
+    if (a >= before.size() || before[a].empty()) continue;  // born in the update
+    ++survivors;
+    const bool moved = before[a] != after[a];
+    changed += moved;
+    EXPECT_TRUE(!moved || in_delta[a]) << data.name << ": atom " << a
+                                       << " changed behavior but is not in the delta";
+    if (!dirty[a]) continue;
+    ++dirty_survivors;
+    if (fib_only) {
+      EXPECT_TRUE(moved) << data.name << ": atom " << a
+                         << " is dirty but behaves the same from every ingress";
+    }
+  }
+  EXPECT_GT(changed, 0u) << data.name << ": the default route moved nothing";
+  EXPECT_LT(dirty_survivors, survivors) << data.name;
+}
+
+TEST(IncrementalSnapshot, ExactDirtySetMatchesBruteForce) {
+  expect_exact_dirty_set(datasets::internet2_like(datasets::Scale::Tiny), true);
+  expect_exact_dirty_set(datasets::stanford_like(datasets::Scale::Tiny), false);
+}
+
 // Two engines fed identical update streams — one publishing deltas, one
-// always building cold — must stay bit-equivalent query for query.
-TEST(IncrementalEngine, DeltaPolicyMatchesFullRebuildUnderChurn) {
-  EngineWorld wa(7);
-  EngineWorld wb(7);
+// always building cold — must stay bit-equivalent for every item at every
+// ingress.  Rounds insert random rules, remove them, and re-announce a
+// dataset rule inside one update() together with another insert (the
+// shape of a server update group).
+void expect_delta_matches_full_under_churn(const datasets::Dataset& data) {
+  EngineWorld wa(data, 7);
+  EngineWorld wb(data, 7);
   QueryEngine::Options oa;
   oa.num_threads = 2;
   oa.snapshot_delta = SnapshotDeltaPolicy::kAlways;
@@ -239,6 +302,7 @@ TEST(IncrementalEngine, DeltaPolicyMatchesFullRebuildUnderChurn) {
   ob.snapshot_delta = SnapshotDeltaPolicy::kNever;
   QueryEngine ea(wa.clf, oa);
   QueryEngine eb(wb.clf, ob);
+  const std::size_t boxes = wa.data.net.topology.box_count();
 
   Rng rng(13);
   std::vector<std::pair<BoxId, ForwardingRule>> installed;
@@ -246,33 +310,52 @@ TEST(IncrementalEngine, DeltaPolicyMatchesFullRebuildUnderChurn) {
   for (int round = 0; round < 12; ++round) {
     // Warm A's cache so delta publishes have entries to carry.
     ea.classify_batch(wa.trace);
-    if (round % 3 != 2 || installed.empty()) {
-      const BoxId b =
-          static_cast<BoxId>(rng.uniform(wa.data.net.topology.box_count()));
+    const BoxId b = static_cast<BoxId>(rng.uniform(boxes));
+    if (round % 3 == 0) {
       const ForwardingRule r = wa.random_rule(b, rng);
       ea.insert_fib_rule(b, r);
       eb.insert_fib_rule(b, r);
       installed.emplace_back(b, r);
-    } else {
-      const auto [b, r] = installed.back();
+    } else if (round % 3 == 1 && !installed.empty()) {
+      const auto [ib, r] = installed.back();
       installed.pop_back();
-      ea.remove_fib_rule(b, r);
-      eb.remove_fib_rule(b, r);
+      ea.remove_fib_rule(ib, r);
+      eb.remove_fib_rule(ib, r);
+    } else {
+      const auto& rules = wa.data.net.fibs.at(b).rules;
+      const ForwardingRule old = rules[rng.uniform(rules.size())];
+      const ForwardingRule extra = wa.random_rule(b, rng);
+      const auto group = [&](ApClassifier& c) {
+        c.remove_fib_rule(b, old);
+        c.insert_fib_rule(b, extra);
+        c.insert_fib_rule(b, old);
+      };
+      ea.update(group);
+      eb.update(group);
+      installed.emplace_back(b, extra);
     }
     carried_rows = carried_rows || ea.snapshot()->behavior_rows_carried() > 0;
 
     const auto atoms_a = ea.classify_batch(wa.trace);
     const auto atoms_b = eb.classify_batch(wa.trace);
-    ASSERT_EQ(atoms_a, atoms_b) << "round " << round;
-    const auto beh_a = ea.query_batch(wa.trace, 0);
-    const auto beh_b = eb.query_batch(wa.trace, 0);
-    ASSERT_EQ(beh_a.size(), beh_b.size());
-    for (std::size_t i = 0; i < beh_a.size(); i += 17)
-      expect_same_behavior(beh_a[i], beh_b[i], "engine delta vs full");
+    ASSERT_EQ(atoms_a, atoms_b) << data.name << " round " << round;
+    for (BoxId ingress = 0; ingress < boxes; ++ingress) {
+      const auto beh_a = ea.query_batch(wa.trace, ingress);
+      const auto beh_b = eb.query_batch(wa.trace, ingress);
+      ASSERT_EQ(beh_a.size(), beh_b.size());
+      for (std::size_t i = 0; i < beh_a.size(); ++i)
+        ASSERT_TRUE(beh_a[i] == beh_b[i]) << data.name << " round " << round
+                                          << " ingress " << ingress << " item " << i;
+    }
   }
-  EXPECT_GT(ea.snapshot_delta_publishes().value(), 0u);
-  EXPECT_EQ(eb.snapshot_delta_publishes().value(), 0u);
-  EXPECT_TRUE(carried_rows);
+  EXPECT_GT(ea.snapshot_delta_publishes().value(), 0u) << data.name;
+  EXPECT_EQ(eb.snapshot_delta_publishes().value(), 0u) << data.name;
+  EXPECT_TRUE(carried_rows) << data.name;
+}
+
+TEST(IncrementalEngine, DeltaPolicyMatchesFullRebuildUnderChurn) {
+  expect_delta_matches_full_under_churn(datasets::internet2_like(datasets::Scale::Tiny, 7));
+  expect_delta_matches_full_under_churn(datasets::stanford_like(datasets::Scale::Tiny));
 }
 
 // Rule churn through the delta-publishing engine while reader threads

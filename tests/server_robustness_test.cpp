@@ -713,14 +713,49 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
       10000));
   EXPECT_EQ(cluster.add_rule(owned0), 2u);
 
+  // A group spanning both owner shards, with shard 0's fsync failing: its
+  // records get 503 and it goes read-only, while shard 1's records apply
+  // with consecutive epochs.
+  RuleSpec group0 = owned0;  // box 2 -> owner shard 0
+  group0.box = 2;
+  group0.rule.dst = parse_prefix("10.52.0.0/16");
+  RuleSpec group1 = owned1;  // box 3 -> owner shard 1
+  group1.box = 3;
+  group1.rule.dst = parse_prefix("10.53.0.0/16");
+  const std::vector<ShardedCluster::Update> group = {
+      {true, owned1}, {true, group0}, {true, group1}, {false, owned0}};
+  util::FaultInjector::instance().arm("wal.append.fsync", plan);
+  std::vector<ShardedCluster::UpdateOutcome> out;
+  cluster.apply_updates(group, out);
+  ASSERT_EQ(out.size(), group.size());
+  EXPECT_EQ(out[0].epoch, 3u) << out[0].message;
+  EXPECT_EQ(out[2].epoch, 4u) << out[2].message;
+  for (const std::size_t i : {1u, 3u}) {
+    EXPECT_FALSE(out[i].applied()) << "record " << i;
+    EXPECT_EQ(out[i].error, ErrorCode::kUnavailable) << out[i].message;
+    EXPECT_NE(out[i].message.find("read-only"), std::string::npos) << out[i].message;
+  }
+  EXPECT_TRUE(cluster.shard_read_only(0));
+  EXPECT_FALSE(cluster.shard_read_only(1));
+  EXPECT_EQ(cluster.epoch(), 4u);
+  cluster.quarantine_shard(0);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        return cluster.shard_state(0) == ShardState::kHealthy &&
+               !cluster.shard_read_only(0);
+      },
+      10000));
+
   // The rewritten per-shard WALs recover to exactly the applied updates.
   {
     ShardedCluster recovered(w.data.net, opts);
-    EXPECT_EQ(recovered.updates_applied(), 2u);
+    EXPECT_EQ(recovered.updates_applied(), 4u);
     EXPECT_EQ(recovered.epoch(), 0u);
     auto fork = w.reference.fork();
     fork->insert_fib_rule(owned1.box, owned1.rule);
     fork->insert_fib_rule(owned0.box, owned0.rule);
+    fork->insert_fib_rule(owned1.box, owned1.rule);
+    fork->insert_fib_rule(group1.box, group1.rule);
     std::vector<ShardedCluster::BatchItem> qs;
     std::vector<std::string> expected;
     for (std::size_t i = 0; i < 8; ++i) {
