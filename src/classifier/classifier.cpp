@@ -182,26 +182,8 @@ Behavior ApClassifier::query(const PacketHeader& h, BoxId ingress) const {
 
 AddPredicateResult ApClassifier::add_predicate(bdd::Bdd p, PredicateKind kind,
                                                std::optional<PortId> origin) {
-  auto res = add_predicate_internal(std::move(p), kind, origin);
-  // Forward/ACL predicates shape stage-2 behavior: every member atom's
-  // behavior may change even if the atom itself did not split.  External
-  // predicates never enter the compiled network, so they stay clean.
-  if (kind != PredicateKind::External) {
-    reg_.atoms_of(res.pred_id).for_each(
-        [this](std::size_t a) { delta_.dirty.push_back(static_cast<AtomId>(a)); });
-  }
-  return res;
-}
-
-AddPredicateResult ApClassifier::add_predicate_internal(bdd::Bdd p, PredicateKind kind,
-                                                        std::optional<PortId> origin) {
   auto res = apc::add_predicate(tree_, reg_, uni_, std::move(p), kind, origin);
   apply_atom_splits(res.splits);
-  for (const AtomSplit& s : res.splits) {
-    delta_.killed.push_back(s.old_atom);
-    delta_.added.push_back(s.in_atom);
-    delta_.added.push_back(s.out_atom);
-  }
   visit_counts_.grow(uni_.capacity());
   return res;
 }
@@ -258,27 +240,8 @@ void ApClassifier::apply_atom_merges(const std::vector<AtomMerge>& merges) {
 }
 
 DeletePredicateResult ApClassifier::remove_predicate(PredId id) {
-  std::vector<AtomId> old_r;
-  if (reg_.info(id).kind != PredicateKind::External) {
-    reg_.atoms_of(id).for_each(
-        [&old_r](std::size_t a) { old_r.push_back(static_cast<AtomId>(a)); });
-  }
-  auto res = delete_predicate_internal(id);
-  // The deleted predicate's former members may change behavior (a Forward/
-  // ACL entry vanished); merge operands in old_r land in `killed` too, and
-  // consumers treat killed ∪ added ∪ dirty uniformly.
-  for (const AtomId a : old_r) delta_.dirty.push_back(a);
-  return res;
-}
-
-DeletePredicateResult ApClassifier::delete_predicate_internal(PredId id) {
   auto res = apc::delete_predicate(tree_, reg_, uni_, id);
   apply_atom_merges(res.merges);
-  for (const AtomMerge& m : res.merges) {
-    delta_.killed.push_back(m.left_atom);
-    delta_.killed.push_back(m.right_atom);
-    delta_.added.push_back(m.merged);
-  }
   visit_counts_.grow(uni_.capacity());
   return res;
 }
@@ -286,34 +249,13 @@ DeletePredicateResult ApClassifier::delete_predicate_internal(PredId id) {
 PredId ApClassifier::replace_predicate(PredId old, std::optional<bdd::Bdd> next,
                                        PredicateKind kind, PortId origin,
                                        RuleUpdateResult& res) {
-  // Ids at or past cap0 are born in this call; below it, an atom still alive
-  // afterwards survived both the merge and the split.
-  const std::size_t cap0 = uni_.capacity();
-  FlatBitset old_r;
-  if (old != kNoPred) {
-    old_r = reg_.atoms_of(old);
-    delete_predicate_internal(old);
-  }
+  if (old != kNoPred) remove_predicate(old);
   PredId id = kNoPred;
   if (next) {
-    const auto add = add_predicate_internal(std::move(*next), kind, origin);
+    const auto add = add_predicate(std::move(*next), kind, origin);
     id = add.pred_id;
     res.atoms_split += add.leaves_split;
   }
-  // A survivor lies wholly inside the region that changed hands or wholly
-  // outside it, so its behavior moved only if its membership did: mark
-  // R(old) xor R(new), restricted to survivors.  Killed and born atoms are
-  // already in the delta.
-  static const FlatBitset kNone;
-  const FlatBitset& new_r = id != kNoPred ? reg_.atoms_of(id) : kNone;
-  const auto mark_if_moved = [&](const FlatBitset& from, const FlatBitset& other) {
-    from.for_each([&](std::size_t a) {
-      if (a < cap0 && uni_.is_alive(static_cast<AtomId>(a)) && !other.test(a))
-        delta_.dirty.push_back(static_cast<AtomId>(a));
-    });
-  };
-  mark_if_moved(old_r, new_r);
-  mark_if_moved(new_r, old_r);
   ++res.predicates_changed;
   return id;
 }
@@ -616,12 +558,6 @@ void ApClassifier::rebuild(std::optional<BuildMethod> method, bool distribution_
   tree_ = build_tree(reg_, uni_, bo);
   visit_counts_.reset(uni_.capacity());
   ++telemetry_.rebuilds;
-  // A full rebuild renumbers every atom: the accumulated delta no longer
-  // describes the new universe.  Mark it lost so snapshot republication
-  // falls back to a from-scratch build.  (rebuild_with_weights keeps the
-  // atoms — and therefore the delta — intact.)
-  delta_ = AtomDelta{};
-  delta_.valid = false;
 }
 
 void ApClassifier::rebuild_with_weights(const std::vector<double>& atom_weights,

@@ -28,26 +28,6 @@ struct ProbBehavior {
   Behavior behavior;
 };
 
-/// Net atom-universe change accumulated across incremental updates since the
-/// last take_atom_delta() call.  The snapshot engine consumes it to patch
-/// only the affected behavior-table rows and header-cache entries instead of
-/// rebuilding both wholesale.  `valid == false` means the delta was lost (a
-/// full rebuild renumbered every atom) and consumers must fall back to a
-/// from-scratch snapshot.
-struct AtomDelta {
-  bool valid = true;
-  std::vector<AtomId> killed;  ///< tombstoned ids (split parents, merge operands)
-  std::vector<AtomId> added;   ///< appended ids (split halves, merge results)
-  /// Atoms that survived with identical BDDs but whose *behavior* may have
-  /// changed.  A rule-level update replaces predicates and marks only the
-  /// survivors whose membership moved, R(old) xor R(new); the predicate-
-  /// level add_predicate/remove_predicate mark the whole R-set of a Forward
-  /// or ACL predicate.
-  std::vector<AtomId> dirty;
-
-  bool empty() const { return killed.empty() && added.empty() && dirty.empty(); }
-};
-
 /// Construction telemetry from the most recent build (initial or rebuild)
 /// plus lifetime rebuild counts.  Copyable so ApClassifier::fork() keeps
 /// working: the atomic fork counter is copied by value.
@@ -137,14 +117,6 @@ class ApClassifier {
   /// last distinguisher of and repairs only the dirty subtrees (the exact
   /// inverse of add_predicate).
   DeletePredicateResult remove_predicate(PredId id);
-
-  /// Returns and resets the atom delta accumulated since the last call.
-  /// The snapshot engine calls this under its writer lock at republication.
-  AtomDelta take_atom_delta() {
-    AtomDelta d = std::move(delta_);
-    delta_ = AtomDelta{};
-    return d;
-  }
 
   // ---- Rule-level updates ----
   // The paper converts a rule insertion/deletion into predicate changes
@@ -252,17 +224,9 @@ class ApClassifier {
   RuleUpdateResult move_region_to_port(BoxId box, const bdd::Bdd& region,
                                        std::uint32_t target_port);
   RuleUpdateResult remove_region(BoxId box, const bdd::Bdd& region);
-  /// Shared add/delete kernels: run the tree update, patch dependent
-  /// structures (middlebox tables, visit counters), and fold the split or
-  /// merged atoms into the accumulated atom delta.  Every mutating path
-  /// funnels through these two so the delta can never miss an atom; the
-  /// callers mark the surviving atoms whose behavior may have changed.
-  AddPredicateResult add_predicate_internal(bdd::Bdd p, PredicateKind kind,
-                                            std::optional<PortId> origin);
-  DeletePredicateResult delete_predicate_internal(PredId id);
   /// Replaces predicate `old` (kNoPred: none yet) by `next` (nullopt: the
-  /// predicate vanishes) and marks dirty only the surviving atoms in
-  /// R(old) xor R(new).  Returns the new id, or kNoPred.  Every rule-level
+  /// predicate vanishes): deletes the old one (merging its atoms back) and
+  /// adds the new one.  Returns the new id, or kNoPred.  Every rule-level
   /// update changes predicates through this.
   PredId replace_predicate(PredId old, std::optional<bdd::Bdd> next, PredicateKind kind,
                            PortId origin, RuleUpdateResult& res);
@@ -278,7 +242,6 @@ class ApClassifier {
   ApTree tree_;
   Options opts_;
   BuildTelemetry telemetry_;
-  AtomDelta delta_;
   std::vector<Middlebox> middleboxes_;
   // Atomic so that const classify() calls from several threads never race
   // (the resize-on-update, grow-only discipline lives in the non-const

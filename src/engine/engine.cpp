@@ -55,10 +55,6 @@ QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
   else
     snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_),
                 /*epoch=*/0, opts_.epoch_pin);
-  // Discard any delta accumulated before the engine existed: the delta
-  // consumed at the next republish must describe changes since THIS
-  // snapshot, not since some earlier classifier state.
-  clf_.take_atom_delta();
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);
   persist_current_locked();  // ctor: no readers yet, no lock needed
@@ -213,37 +209,13 @@ void QueryEngine::drain_visits_locked() {
 }
 
 void QueryEngine::republish_locked() {
-  // Consume the classifier's accumulated atom delta (always — even when the
-  // policy rejects the delta path, the next delta must start from THIS
-  // publish, not an earlier one).
-  const AtomDelta delta = clf_.take_atom_delta();
-  const std::shared_ptr<const FlatSnapshot> prev = snap_.load();
-  bool use_delta = false;
-  if (prev && delta.valid && opts_.snapshot_delta != SnapshotDeltaPolicy::kNever) {
-    if (opts_.snapshot_delta == SnapshotDeltaPolicy::kAlways) {
-      use_delta = true;
-    } else {
-      const double changed = static_cast<double>(
-          delta.killed.size() + delta.added.size() + delta.dirty.size());
-      const double live =
-          static_cast<double>(std::max<std::size_t>(clf_.atoms().alive_count(), 1));
-      use_delta = changed <= opts_.delta_max_dirty_fraction * live;
-    }
-  }
   // Epoch tag for this publish: a pending writer override (the cluster's
   // coordinated bump) or the previous epoch + 1.  Consumed exactly once.
   const std::uint64_t epoch =
       next_epoch_ ? *next_epoch_ : snap_.epoch() + 1;
   next_epoch_.reset();
-  if (use_delta) {
-    snap_.store(FlatSnapshot::build_delta(clf_, snapshot_options(opts_), &pool_,
-                                          *prev, delta),
-                epoch, opts_.epoch_pin);
-    snapshot_delta_publishes_.add();
-  } else {
-    snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_),
-                epoch, opts_.epoch_pin);
-  }
+  snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_), epoch,
+              opts_.epoch_pin);
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);
   persist_current_locked();
@@ -337,16 +309,6 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
     // 1 = scalar kernel, 2 = AVX2 kernel.
     return static_cast<double>(snapshot()->kernel_dispatch());
   });
-  reg.register_counter(prefix + ".snapshot_delta_publishes",
-                       &snapshot_delta_publishes_);
-  reg.register_fn(
-      prefix + ".snapshot.behavior_rows_carried",
-      [this] { return static_cast<double>(snapshot()->behavior_rows_carried()); },
-      "count");
-  reg.register_fn(
-      prefix + ".snapshot.header_entries_carried",
-      [this] { return static_cast<double>(snapshot()->header_entries_carried()); },
-      "count");
   reg.register_counter(prefix + ".snapshot_restores", &snapshot_restores_);
   reg.register_counter(prefix + ".snapshot_saves", &snapshot_saves_);
   reg.register_counter(prefix + ".snapshot_save_failures", &snapshot_save_failures_);

@@ -41,18 +41,6 @@
 
 namespace apc::engine {
 
-/// How republication builds the next snapshot from the classifier's
-/// accumulated atom delta (ApClassifier::take_atom_delta).
-enum class SnapshotDeltaPolicy : std::uint8_t {
-  /// Delta build when the dirty fraction is small enough
-  /// (Options::delta_max_dirty_fraction), full build otherwise.
-  kAuto,
-  /// Delta build whenever a valid delta and a previous snapshot exist.
-  kAlways,
-  /// Always build cold (the pre-delta behavior).
-  kNever,
-};
-
 class QueryEngine {
  public:
   struct Options {
@@ -99,16 +87,6 @@ class QueryEngine {
     /// WILLNEED): kHot = tree + match program, kAll = whole arena, kNone =
     /// pure demand paging.  Irrelevant for owned storage.
     PrefaultPolicy snapshot_prefault = PrefaultPolicy::kHot;
-    /// Republication strategy: seed each new snapshot's behavior table and
-    /// header cache from the retiring one (FlatSnapshot::build_delta) or
-    /// start cold.  Delta publication is bit-equivalent to a full build for
-    /// every query — only warm-up cost differs.
-    SnapshotDeltaPolicy snapshot_delta = SnapshotDeltaPolicy::kAuto;
-    /// kAuto threshold: use the delta path when the changed atoms
-    /// (killed + added + dirty) are at most this fraction of the live atom
-    /// count.  Above it most rows need recomputing anyway and the carry
-    /// pass is pure overhead.
-    double delta_max_dirty_fraction = 0.5;
     /// Admission cap: at most this many batch queries in flight at once.
     /// Excess classify_batch()/query_batch() calls fail fast with
     /// apc::Error(kUnavailable) (the try_* variants return nullopt instead)
@@ -241,10 +219,11 @@ class QueryEngine {
   std::uint64_t publish_count() const {
     return publish_count_.load(std::memory_order_relaxed);
   }
-  /// Publishes that went through FlatSnapshot::build_delta (subset of
-  /// publish_count; the rest were full cold builds).
+  /// Always 0: every publish is a cold FlatSnapshot::build.  Kept only for
+  /// the serving benchmark's `engine.delta_publish_ratio` row.
   const obs::Counter& snapshot_delta_publishes() const {
-    return snapshot_delta_publishes_;
+    static const obs::Counter kNone;
+    return kNone;
   }
 
   // ---- Observability (see src/obs/) ----
@@ -376,7 +355,6 @@ class QueryEngine {
   obs::Counter snapshot_save_failures_;
   mutable std::atomic<std::size_t> pending_batches_{0};
   mutable obs::Counter batches_rejected_;
-  obs::Counter snapshot_delta_publishes_;
 };
 
 }  // namespace apc::engine

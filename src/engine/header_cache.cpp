@@ -42,25 +42,20 @@ HeaderAtomCache::HeaderAtomCache(std::size_t capacity, std::size_t shards,
     shards_.push_back(std::make_unique<Slot[]>(slots_per_shard_));
 }
 
-std::uint64_t HeaderAtomCache::hash_words(const KeyWords& key) {
+std::uint64_t HeaderAtomCache::hash_canonical(
+    const PacketHeader& h,
+    std::array<std::uint64_t, PacketHeader::kWords>& key) const {
+  const auto& words = h.words();
   // splitmix64-style per-word mix: fast, and the masked canonical form means
   // headers differing only in untested bits share one slot (more hits).
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i) {
+    key[i] = words[i] & mask_[i];
     x ^= key[i] + 0x9e3779b97f4a7c15ull + (x << 6) + (x >> 2);
     x *= 0xff51afd7ed558ccdull;
     x ^= x >> 33;
   }
   return x;
-}
-
-std::uint64_t HeaderAtomCache::hash_canonical(
-    const PacketHeader& h,
-    std::array<std::uint64_t, PacketHeader::kWords>& key) const {
-  const auto& words = h.words();
-  for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
-    key[i] = words[i] & mask_[i];
-  return hash_words(key);
 }
 
 HeaderAtomCache::Slot& HeaderAtomCache::slot_for(std::uint64_t hash) const {
@@ -88,9 +83,9 @@ bool HeaderAtomCache::lookup(const PacketHeader& h, AtomId& atom) const {
   return true;
 }
 
-void HeaderAtomCache::publish(const KeyWords& key, std::uint64_t hash,
-                              AtomId atom) const {
-  Slot& s = slot_for(hash);
+void HeaderAtomCache::insert(const PacketHeader& h, AtomId atom) const {
+  std::array<std::uint64_t, PacketHeader::kWords> key;
+  Slot& s = slot_for(hash_canonical(h, key));
 
   std::uint32_t seq = s.seq.load(std::memory_order_relaxed);
   if (seq & 1u) return;  // another writer owns the slot; cache is lossy
@@ -101,34 +96,6 @@ void HeaderAtomCache::publish(const KeyWords& key, std::uint64_t hash,
     s.key[i].store(key[i], std::memory_order_relaxed);
   s.atom.store(static_cast<std::uint32_t>(atom), std::memory_order_relaxed);
   s.seq.store(seq + 2, std::memory_order_release);
-}
-
-void HeaderAtomCache::insert(const PacketHeader& h, AtomId atom) const {
-  std::array<std::uint64_t, PacketHeader::kWords> key;
-  const std::uint64_t hash = hash_canonical(h, key);
-  publish(key, hash, atom);
-}
-
-void HeaderAtomCache::insert_canonical(const KeyWords& key, AtomId atom) const {
-  publish(key, hash_words(key), atom);
-}
-
-void HeaderAtomCache::for_each_valid(
-    const std::function<void(const KeyWords&, AtomId)>& fn) const {
-  for (std::size_t shard = 0; shard < shard_count_; ++shard) {
-    for (std::size_t i = 0; i < slots_per_shard_; ++i) {
-      const Slot& s = shards_[shard][i];
-      const std::uint32_t seq1 = s.seq.load(std::memory_order_acquire);
-      if (seq1 == 0 || (seq1 & 1u)) continue;  // empty or mid-write
-      KeyWords key;
-      for (std::uint32_t w = 0; w < PacketHeader::kWords; ++w)
-        key[w] = s.key[w].load(std::memory_order_relaxed);
-      const std::uint32_t a = s.atom.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.seq.load(std::memory_order_relaxed) != seq1) continue;  // torn
-      fn(key, static_cast<AtomId>(a));
-    }
-  }
 }
 
 std::size_t HeaderAtomCache::memory_bytes() const {

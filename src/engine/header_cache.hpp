@@ -30,7 +30,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,8 +43,6 @@ class HeaderAtomCache {
   /// Bits of each header word that any tree predicate actually tests;
   /// headers equal under this mask are in the same atom by construction.
   using Mask = std::array<std::uint64_t, PacketHeader::kWords>;
-  /// A canonicalized (masked) header key as stored in a slot.
-  using KeyWords = std::array<std::uint64_t, PacketHeader::kWords>;
 
   /// Total-slot floor/ceiling of the sizing rule below.  kMaxSlots bounds
   /// the slot array at 2^20 entries (64 MiB of slots) so absurd capacity
@@ -80,21 +77,6 @@ class HeaderAtomCache {
   std::size_t shard_count() const { return shard_count_; }
   std::size_t memory_bytes() const;
 
-  /// The canonicalization mask this cache was built with.
-  const Mask& mask() const { return mask_; }
-
-  /// Visits every stably published (key, atom) entry.  Each slot is read
-  /// under the same seqlock validation as lookup(): entries mid-write or
-  /// torn by a concurrent writer are skipped, never observed torn.  Used at
-  /// publish time to carry a retiring snapshot's hot entries into its
-  /// successor.
-  void for_each_valid(
-      const std::function<void(const KeyWords&, AtomId)>& fn) const;
-
-  /// Publishes an already-canonicalized key (the caller guarantees
-  /// `key[i] == key[i] & mask()[i]`).  Same lossy slot protocol as insert().
-  void insert_canonical(const KeyWords& key, AtomId atom) const;
-
  private:
   /// One direct-mapped entry.  48 bytes of state, padded to one cache line
   /// so concurrent writers to neighboring slots never false-share.
@@ -105,12 +87,8 @@ class HeaderAtomCache {
   };
 
   Slot& slot_for(std::uint64_t hash) const;
-  static std::uint64_t hash_words(const KeyWords& key);
   std::uint64_t hash_canonical(const PacketHeader& h,
                                std::array<std::uint64_t, PacketHeader::kWords>& key) const;
-  /// Claims the slot for `hash` and publishes (key -> atom); skips when
-  /// another writer owns it.  Shared by insert()/insert_canonical().
-  void publish(const KeyWords& key, std::uint64_t hash, AtomId atom) const;
 
   Mask mask_{};
   std::size_t shard_count_ = 0;

@@ -45,9 +45,7 @@
 //     PCs; finished lanes retire their atom and admit the next header.
 //
 // A MatchProgram is immutable after compile() and holds no pointers into
-// the snapshot, so it is safe to share between snapshots (delta publishes
-// carry it when the frozen tree+BDD arrays are unchanged) and to read from
-// any number of threads.
+// the snapshot, so it is safe to read from any number of threads.
 #pragma once
 
 #include <cstdint>

@@ -221,20 +221,15 @@ FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
 }
 
 std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
-                                                      const Options& opts,
-                                                      const MatchProgram* carried) {
-  // The match program must be compiled (or carried) BEFORE arena assembly so
-  // its instructions land inside the single allocation — that is what lets
+                                                      const Options& opts) {
+  // The match program must be compiled BEFORE arena assembly so its
+  // instructions land inside the single allocation — that is what lets
   // save_snapshot write one contiguous image and a mapped load skip the
   // recompile entirely.
-  std::shared_ptr<const MatchProgram> compiled;
-  if (carried == nullptr) {
-    compiled = MatchProgram::compile(core.bdd_nodes.data(), core.bdd_nodes.size(),
-                                     core.tree.data(), core.tree.size(),
-                                     core.tree_root);
-    if (!compiled) throw_program_too_large();
-  }
-  const MatchProgram& prog = carried != nullptr ? *carried : *compiled;
+  const std::shared_ptr<const MatchProgram> compiled =
+      MatchProgram::compile(core.bdd_nodes.data(), core.bdd_nodes.size(),
+                            core.tree.data(), core.tree.size(), core.tree_root);
+  if (!compiled) throw_program_too_large();
 
   ArenaBuilder b;
   const ArenaRef bdd_ref = b.reserve<bdd::FlatBddNode>(core.bdd_nodes.size());
@@ -243,7 +238,7 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   const ArenaRef ports_ref = b.reserve<ArenaPortEntry>(core.ports.size());
   const ArenaRef acls_ref = b.reserve<ArenaInAcl>(core.in_acls.size());
   const ArenaRef words_ref = b.reserve<std::uint64_t>(core.words.size());
-  const ArenaRef prog_ref = b.reserve<MatchInsn>(prog.instruction_count());
+  const ArenaRef prog_ref = b.reserve<MatchInsn>(compiled->instruction_count());
   b.allocate();
 
   const auto copy = [&](auto& ref, const auto* src, std::size_t elem) {
@@ -256,7 +251,7 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   copy(ports_ref, core.ports.data(), sizeof(ArenaPortEntry));
   copy(acls_ref, core.in_acls.data(), sizeof(ArenaInAcl));
   copy(words_ref, core.words.data(), sizeof(std::uint64_t));
-  copy(prog_ref, prog.instructions(), sizeof(MatchInsn));
+  copy(prog_ref, compiled->instructions(), sizeof(MatchInsn));
 
   ArenaHeader& h = b.header();
   h.flags = (core.has_middleboxes ? ArenaHeader::kHasMiddleboxes : 0u) |
@@ -264,7 +259,7 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
             ArenaHeader::kHasProgram;
   h.atom_capacity = core.atom_capacity;
   h.tree_root = core.tree_root;
-  h.program_entry = prog.entry();
+  h.program_entry = compiled->entry();
   // The union of header bits any frozen BDD node tests — the header-cache
   // canonicalization mask, persisted so a mapped load never re-derives it.
   for (std::size_t i = 2; i < core.bdd_nodes.size(); ++i) {
@@ -280,22 +275,19 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   h.program = prog_ref;
 
   auto snap = std::shared_ptr<FlatSnapshot>(new FlatSnapshot());
-  snap->adopt_arena(b.finish(), opts,
-                    compiled ? compiled->compile_seconds() : 0.0,
-                    carried != nullptr);
+  snap->adopt_arena(b.finish(), opts, compiled->compile_seconds());
   return snap;
 }
 
 std::shared_ptr<FlatSnapshot> FlatSnapshot::from_arena(
     std::shared_ptr<const Arena> arena, const Options& opts) {
   auto snap = std::shared_ptr<FlatSnapshot>(new FlatSnapshot());
-  snap->adopt_arena(std::move(arena), opts, 0.0, false);
+  snap->adopt_arena(std::move(arena), opts, 0.0);
   return snap;
 }
 
 void FlatSnapshot::adopt_arena(std::shared_ptr<const Arena> arena,
-                               const Options& opts, double compile_seconds,
-                               bool carried) {
+                               const Options& opts, double compile_seconds) {
   arena_ = std::move(arena);
   const ArenaHeader& h = arena_->header();
   bdd_nodes_ = arena_->ptr<bdd::FlatBddNode>(h.bdd_nodes);
@@ -318,7 +310,6 @@ void FlatSnapshot::adopt_arena(std::shared_ptr<const Arena> arena,
     program_ = MatchProgram::adopt(arena_->ptr<MatchInsn>(h.program),
                                    static_cast<std::size_t>(h.program.count),
                                    h.program_entry, arena_, compile_seconds);
-    program_carried_ = carried;
   } else {
     // Only a loaded file can lack the section (older builds could skip or
     // cap compilation): compile now, off the validated frozen arrays.
@@ -349,11 +340,7 @@ void FlatSnapshot::maybe_precompute(const ApClassifier& clf, const Options& opts
     for (std::size_t k = first; k < last; ++k) {
       const AtomId atom = alive[k / boxes];
       const BoxId box = static_cast<BoxId>(k % boxes);
-      std::atomic<const Behavior*>& cell = table_[atom * boxes + box];
-      // Cells seeded by a delta carry-over are already correct — walking
-      // them again would only build a copy fill_cell throws away.
-      if (cell.load(std::memory_order_relaxed) == nullptr)
-        fill_cell(cell, atom, box);
+      fill_cell(table_[atom * boxes + box], atom, box);
     }
   };
   if (pool != nullptr)
@@ -367,122 +354,7 @@ void FlatSnapshot::maybe_precompute(const ApClassifier& clf, const Options& opts
 std::shared_ptr<const FlatSnapshot> FlatSnapshot::build(const ApClassifier& clf,
                                                         const Options& opts,
                                                         util::TaskPool* pool) {
-  auto snap = from_core(freeze_core(clf), opts, nullptr);
-  snap->maybe_precompute(clf, opts, pool);
-  return snap;
-}
-
-bool FlatSnapshot::same_stage2_shape(const FlatSnapshot& prev) const {
-  if (box_count_ != prev.box_count_) return false;
-  for (std::size_t b = 0; b < box_count_; ++b) {
-    const ArenaBox& nb = boxes_[b];
-    const ArenaBox& pb = prev.boxes_[b];
-    if (nb.port_count != pb.port_count) return false;
-    if (nb.acl_count != pb.acl_count) return false;
-    for (std::uint32_t i = 0; i < nb.port_count; ++i) {
-      const ArenaPortEntry& ne = ports_[nb.port_begin + i];
-      const ArenaPortEntry& pe = prev.ports_[pb.port_begin + i];
-      if (ne.port != pe.port || ne.peer_box != pe.peer_box ||
-          ne.peer_port != pe.peer_port || ne.has_out_acl != pe.has_out_acl)
-        return false;
-    }
-    for (std::uint32_t i = 0; i < nb.acl_count; ++i)
-      if (in_acls_[nb.acl_begin + i].present !=
-          prev.in_acls_[pb.acl_begin + i].present)
-        return false;
-  }
-  return true;
-}
-
-std::shared_ptr<const FlatSnapshot> FlatSnapshot::build_delta(
-    const ApClassifier& clf, const Options& opts, util::TaskPool* pool,
-    const FlatSnapshot& prev, const AtomDelta& delta) {
-  CoreData core = freeze_core(clf);
-
-  // Compiled program carry: the program is a pure function of the frozen
-  // (tree, bdd_nodes) arrays, so when both are bytewise identical the
-  // retiring snapshot's program is copied into the new arena instead of
-  // recompiled (the copy — a memcpy of the instruction bytes — keeps the
-  // new arena self-contained, so saving it still persists the program and
-  // the retiring snapshot's storage can be unmapped).
-  const MatchProgram* carried = nullptr;
-  if (core.tree.size() == prev.tree_count_ &&
-      core.bdd_nodes.size() == prev.bdd_count_ &&
-      std::memcmp(core.tree.data(), prev.tree_,
-                  core.tree.size() * sizeof(FlatTreeNode)) == 0 &&
-      std::memcmp(core.bdd_nodes.data(), prev.bdd_nodes_,
-                  core.bdd_nodes.size() * sizeof(bdd::FlatBddNode)) == 0) {
-    carried = prev.program_.get();
-  }
-  auto snap = from_core(std::move(core), opts, carried);
-
-  if (delta.valid) {
-    // Atoms whose behavior rows may have changed: killed atoms are gone,
-    // added atoms are new ids (>= prev capacity by construction), dirty
-    // atoms kept their id but changed predicate membership.  Everything
-    // else behaves identically, so its rows and cache entries carry over.
-    std::vector<char> row_dirty(prev.atom_capacity_, 0);
-    std::vector<char> killed(prev.atom_capacity_, 0);
-    const auto mark = [&](const std::vector<AtomId>& ids, std::vector<char>& set) {
-      for (const AtomId a : ids)
-        if (a < set.size()) set[a] = 1;
-    };
-    mark(delta.killed, row_dirty);
-    mark(delta.added, row_dirty);
-    mark(delta.dirty, row_dirty);
-    mark(delta.killed, killed);
-
-    // Behavior-table rows: deep-copy every published cell of a clean atom.
-    // Copies (not shared pointers) because the previous snapshot frees its
-    // cells on teardown.  Gated on identical stage-2 shape — a structural
-    // change (new port entry, ACL added/removed) invalidates rows the atom
-    // delta cannot see.
-    if (snap->table_mode_ != BehaviorTableMode::kDisabled &&
-        prev.table_mode_ != BehaviorTableMode::kDisabled &&
-        snap->has_middleboxes_ == prev.has_middleboxes_ &&
-        snap->same_stage2_shape(prev)) {
-      const std::size_t boxes = snap->box_count_;
-      for (const AtomId a : clf.atoms().alive_ids()) {
-        if (a >= prev.atom_capacity_ || row_dirty[a]) continue;
-        for (std::size_t b = 0; b < boxes; ++b) {
-          const Behavior* src =
-              prev.table_[a * boxes + b].load(std::memory_order_acquire);
-          if (src == nullptr) continue;
-          const Behavior* copy = new Behavior(*src);
-          snap->table_[a * boxes + b].store(copy, std::memory_order_relaxed);
-          snap->table_heap_bytes_.fetch_add(behavior_heap_bytes(*copy),
-                                            std::memory_order_relaxed);
-          ++snap->rows_carried_;
-        }
-      }
-    }
-
-    // Header-cache entries: a surviving atom's BDD is unchanged, so every
-    // (header -> atom) mapping whose atom was not killed is still correct.
-    // The old canonical key can be re-masked for the new cache only when
-    // the new tested-bits mask is a subset of the old one (true after
-    // deletes; adds usually widen the mask and start cold).
-    if (snap->cache_ && prev.cache_) {
-      const HeaderAtomCache::Mask& nm = snap->cache_->mask();
-      const HeaderAtomCache::Mask& om = prev.cache_->mask();
-      bool subset = true;
-      for (std::size_t i = 0; i < nm.size(); ++i)
-        subset = subset && (nm[i] & ~om[i]) == 0;
-      if (subset) {
-        prev.cache_->for_each_valid(
-            [&](const HeaderAtomCache::KeyWords& key, AtomId atom) {
-              if (atom >= snap->atom_capacity_) return;
-              if (atom < killed.size() && killed[atom]) return;
-              HeaderAtomCache::KeyWords remasked;
-              for (std::size_t i = 0; i < remasked.size(); ++i)
-                remasked[i] = key[i] & nm[i];
-              snap->cache_->insert_canonical(remasked, atom);
-              ++snap->cache_entries_carried_;
-            });
-      }
-    }
-  }
-
+  auto snap = from_core(freeze_core(clf), opts);
   snap->maybe_precompute(clf, opts, pool);
   return snap;
 }

@@ -120,26 +120,6 @@ class FlatSnapshot {
     return build(clf, Options{});
   }
 
-  /// Delta-assisted build: freezes the classifier like build(), then seeds
-  /// the new snapshot's accelerators from the retiring one instead of
-  /// starting them cold.  `delta` is the classifier's accumulated atom delta
-  /// since `prev` was published (ApClassifier::take_atom_delta):
-  ///   * Behavior-table rows of atoms untouched by the delta are deep-copied
-  ///     from `prev` (only rows owned by killed/added/dirty atoms are
-  ///     recomputed) — gated on identical stage-2 shape, so any structural
-  ///     network change falls back to recomputing everything.
-  ///   * Header-cache entries survive when the new tested-bits mask is a
-  ///     subset of the old one (re-masked; entries of killed atoms evicted).
-  /// Always safe: every carry condition is checked here, so a caller may
-  /// pass any prev/delta pair and only loses the acceleration.  Reading
-  /// `prev` concurrently with its own query traffic is safe (atomic cell
-  /// loads, seqlock-validated cache reads).
-  static std::shared_ptr<const FlatSnapshot> build_delta(const ApClassifier& clf,
-                                                         const Options& opts,
-                                                         util::TaskPool* pool,
-                                                         const FlatSnapshot& prev,
-                                                         const AtomDelta& delta);
-
   ~FlatSnapshot();
 
   // ---- Stage 1 (lock-free, const, thread-safe) ----
@@ -212,28 +192,25 @@ class FlatSnapshot {
   /// Cache traffic counters, folded in by classify()/classify_into().
   std::uint64_t header_cache_hits() const { return cache_hits_.value(); }
   std::uint64_t header_cache_misses() const { return cache_misses_.value(); }
-  /// Accelerator state inherited from the previous snapshot by
-  /// build_delta() (0 after a full build): behavior-table cells deep-copied
-  /// and header-cache entries re-inserted.
-  std::uint64_t behavior_rows_carried() const { return rows_carried_; }
-  std::uint64_t header_entries_carried() const { return cache_entries_carried_; }
+  /// Always 0: every snapshot is built cold, so no behavior-table cell or
+  /// header-cache entry is carried over from its predecessor.  Kept only
+  /// for the serving benchmark's `snapshot.rows_carried` and
+  /// `snapshot.cache_entries_carried` rows.
+  std::uint64_t behavior_rows_carried() const { return 0; }
+  std::uint64_t header_entries_carried() const { return 0; }
 
   // ---- Compiled match program (engine/program.hpp) ----
   /// Never null: every built or loaded snapshot carries its program.
   const MatchProgram* program() const { return program_.get(); }
   std::size_t program_instructions() const { return program_->instruction_count(); }
   std::size_t program_bytes() const { return program_->bytes(); }
-  /// Wall-clock seconds the compile took (0 when adopted or delta-carried).
+  /// Wall-clock seconds the compile took (0 when adopted from a file).
   double program_compile_seconds() const { return program_->compile_seconds(); }
   /// Kernel batch classification dispatches to: 1 = scalar, 2 = AVX2.
   /// Matches the obs `kernel_dispatch` row.
   int kernel_dispatch() const {
     return static_cast<int>(program_->dispatch_kernel());
   }
-  /// True when build_delta() reused the previous snapshot's program instead
-  /// of recompiling (frozen tree+BDD arrays were unchanged; the instruction
-  /// bytes are still copied into this snapshot's own arena).
-  bool program_carried() const { return program_carried_; }
 
  private:
   FlatSnapshot() = default;
@@ -262,18 +239,16 @@ class FlatSnapshot {
   };
 
   /// Freezes the classifier's tree, predicates, and stage-2 state into
-  /// CoreData (no accelerators) — shared by build() and build_delta().
+  /// CoreData (no accelerators).
   /// Only tree nodes reachable from the root are frozen; garbage left
   /// behind by incremental deletes (which may reference deleted predicates)
   /// is never consulted.
   static CoreData freeze_core(const ApClassifier& clf);
 
-  /// Assembles CoreData (plus an optional carried program) into one owned
-  /// arena, compiles the match program when not carried, and returns the
-  /// snapshot with accelerators initialized.
+  /// Assembles CoreData into one owned arena, compiles the match program,
+  /// and returns the snapshot with accelerators initialized.
   static std::shared_ptr<FlatSnapshot> from_core(CoreData&& core,
-                                                 const Options& opts,
-                                                 const MatchProgram* carried);
+                                                 const Options& opts);
 
   /// Wraps an existing (validated) arena — the mmap / owned-read load path.
   static std::shared_ptr<FlatSnapshot> from_arena(
@@ -283,7 +258,7 @@ class FlatSnapshot {
   /// program section (compiling one when the section is absent), and
   /// initializes the runtime accelerators — tail of both paths.
   void adopt_arena(std::shared_ptr<const Arena> arena, const Options& opts,
-                   double compile_seconds, bool carried);
+                   double compile_seconds);
 
   /// Builds the header cache and the behavior-table cell array from the
   /// frozen core arrays per `opts` (table mode becomes kLazy when the cell
@@ -292,14 +267,9 @@ class FlatSnapshot {
   void init_accelerators(const Options& opts);
 
   /// Upgrades a lazy table to an eager precompute when the estimated full
-  /// footprint fits the budget.  Cells already published (delta carry-over)
-  /// are kept, not recomputed.
+  /// footprint fits the budget.
   void maybe_precompute(const ApClassifier& clf, const Options& opts,
                         util::TaskPool* pool);
-
-  /// True when `prev` froze an identical stage-2 shape (same boxes, ports,
-  /// peers, ACL placement) — the carry-over precondition for behavior rows.
-  bool same_stage2_shape(const FlatSnapshot& prev) const;
 
   /// Runs `n` headers through the match program's batch kernel, bumping
   /// visit counters from the outputs; `which`, when non-null, selects the
@@ -344,11 +314,6 @@ class FlatSnapshot {
 
   // ---- Compiled match program (layer 3; immutable after build) ----
   std::shared_ptr<const MatchProgram> program_;
-  bool program_carried_ = false;
-
-  // ---- Delta carry-over accounting (build_delta only; immutable after) ----
-  std::uint64_t rows_carried_ = 0;
-  std::uint64_t cache_entries_carried_ = 0;
 };
 
 // ---- Durable snapshot persistence (snapshot_io.cpp) ----

@@ -295,8 +295,23 @@ bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
   return true;
 }
 
+std::string ShardedCluster::check_ingress(BoxId ingress) const {
+  const std::size_t boxes = net_.topology.box_count();
+  if (ingress < boxes) return {};
+  return "ingress " + std::to_string(ingress) + " out of range (" +
+         std::to_string(boxes) + " boxes)";
+}
+
 void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
                                     BatchAnswers& out) const {
+  // A bad item is the caller's error, not a shard's: refuse the batch
+  // before any slice runs, or every replica would fail it in turn.
+  for (const BatchItem& item : items) {
+    if (!item.is_query) continue;
+    const std::string why = check_ingress(item.ingress);
+    if (!why.empty())
+      throw Error(ErrorCode::kInvalidArgument, "cluster: query refused: " + why);
+  }
   const PinnedView view = pin();
   out.epoch = view.epoch;
   out.degraded = false;

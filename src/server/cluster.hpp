@@ -172,10 +172,16 @@ class ShardedCluster {
     std::vector<PacketHeader> headers_;
     std::vector<AtomId> atoms_;
   };
+  /// Why a Q item entering at `ingress` cannot be answered (the ingress
+  /// names no box of the network); empty when it can.  The server answers
+  /// such a line 400 and leaves it out of the batch.
+  std::string check_ingress(BoxId ingress) const;
   /// Executes a mixed batch against ONE pinned epoch into `out`: items are
   /// grouped by shard, fanned out via the engines' admitted batch paths,
   /// and each answer is summarized in place from its behavior-table cell.
-  /// A shard that sheds or throws trips its breaker and the batch is
+  /// A batch holding a Q item that check_ingress refuses throws
+  /// apc::Error(kInvalidArgument) before any shard runs it, so no breaker
+  /// moves.  A shard that sheds or throws trips its breaker and the batch is
   /// rerouted to a healthy replica (degraded=true); only when no healthy
   /// replica remains does the call throw apc::Error(kUnavailable).
   void run_batch_into(const std::vector<BatchItem>& items, BatchAnswers& out) const;

@@ -28,9 +28,10 @@
 //                     locality the client asked for was unavailable.
 //   200 <epoch>       update applied (its own epoch) / EPOCH answer
 //   202 <n>           STATS; n "name value" lines follow
-//   400 <message>     parse error (this line only; the batch is kept), or
-//                     a rejected update: box or egress port out of range,
-//                     or a remove with no matching rule (never journaled)
+//   400 <message>     parse error or a Q ingress out of range (this line
+//                     only; the batch is kept), or a rejected update: box
+//                     or egress port out of range, or a remove with no
+//                     matching rule (never journaled)
 //   408 <message>     idle/write deadline hit; the server closes the line
 //   503 <message>     admission shed / connection-cap shed / read-only
 //                     shard / draining; retry later

@@ -270,7 +270,16 @@ bool TcpServer::parse_line(int fd, std::string_view line, std::size_t lineno,
     conn.updates.push_back({req.kind == RequestKind::kAddRule, req.rule});
     return conn.updates.size() < kMaxUpdateGroup || flush_updates(fd, conn);
   }
-  return flush_updates(fd, conn) && dispatch(fd, req, conn);
+  if (!flush_updates(fd, conn)) return false;
+  if (req.kind == RequestKind::kQuery) {
+    // An ingress that names no box fails this line only, like a parse
+    // error: it never joins the batch, which would otherwise be refused.
+    const std::string why = cluster_.check_ingress(req.ingress);
+    if (!why.empty())
+      return send_all(fd, "400 [invalid_argument] line " + std::to_string(lineno) +
+                              ": " + why + "\n");
+  }
+  return dispatch(fd, req, conn);
 }
 
 bool TcpServer::dispatch(int fd, const Request& req, Connection& conn) {

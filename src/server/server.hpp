@@ -145,8 +145,9 @@ class TcpServer {
   void serve_connection(int fd);
   /// Parses one complete line (a view into the receive buffer): an A/R
   /// line joins the pending update group, any other request first flushes
-  /// the group and is then dispatched.  Returns false when the connection
-  /// must close (a reply could not be sent).
+  /// the group and is then dispatched, except a Q line whose ingress
+  /// ShardedCluster::check_ingress refuses, which is answered 400.  Returns
+  /// false when the connection must close (a reply could not be sent).
   bool parse_line(int fd, std::string_view line, std::size_t lineno, Connection& conn);
   /// Executes one parsed non-update request.
   bool dispatch(int fd, const Request& req, Connection& conn);

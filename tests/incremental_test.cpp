@@ -1,6 +1,6 @@
 // Incremental atom maintenance (paper SS VI-A extended to deletion):
 // add-then-delete identity, randomized incremental-vs-from-scratch
-// differentials, delta snapshot publication equivalence, and churn under
+// differentials, engine republication under rule churn, and churn under
 // concurrent batch queries.  Suite names contain "Incremental" on purpose —
 // CI runs them under TSan and the chaos job by that regex.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "datasets/datasets.hpp"
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
-#include "engine/snapshot.hpp"
 #include "packet/ipv4.hpp"
 #include "util/rng.hpp"
 
@@ -25,9 +24,7 @@ namespace {
 
 using bdd::Bdd;
 using bdd::BddManager;
-using engine::FlatSnapshot;
 using engine::QueryEngine;
-using engine::SnapshotDeltaPolicy;
 
 constexpr std::uint32_t kVars = 8;
 
@@ -161,7 +158,7 @@ TEST_P(IncrementalChurn, EveryStepMatchesFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalChurn, ::testing::Values(11, 42, 1234));
 
-// ---- Engine-level delta publication ----
+// ---- Engine republication under rule churn ----
 
 struct EngineWorld {
   datasets::Dataset data;
@@ -190,182 +187,75 @@ struct EngineWorld {
   }
 };
 
-void expect_same_behavior(const Behavior& a, const Behavior& b, const char* what) {
-  EXPECT_TRUE(a == b) << what;
-}
-
-// A delta-built snapshot must answer every query exactly like a cold full
-// build of the same classifier state — only warm-up differs.
-TEST(IncrementalSnapshot, BuildDeltaEquivalentToFullBuild) {
-  EngineWorld w;
-  const FlatSnapshot::Options opts;
-  auto prev = FlatSnapshot::build(w.clf, opts);
-  w.clf.take_atom_delta();  // baseline: delta now starts from `prev`
-
-  // Warm prev's header cache so there is something to carry.
-  for (const PacketHeader& h : w.trace) prev->classify(h);
-
-  // Churn: insert a rule, then remove it again (accumulates one delta).
-  Rng rng(5);
-  const ForwardingRule r = w.random_rule(0, rng);
-  w.clf.insert_fib_rule(0, r);
-  w.clf.remove_fib_rule(0, r);
-  const AtomDelta delta = w.clf.take_atom_delta();
-  ASSERT_TRUE(delta.valid);
-
-  const auto via_delta = FlatSnapshot::build_delta(w.clf, opts, nullptr, *prev, delta);
-  const auto via_full = FlatSnapshot::build(w.clf, opts);
-  EXPECT_GT(via_delta->behavior_rows_carried(), 0u);
-  EXPECT_GT(via_delta->header_entries_carried(), 0u);
-  EXPECT_EQ(via_full->behavior_rows_carried(), 0u);
-
-  for (const PacketHeader& h : w.trace)
-    ASSERT_EQ(via_delta->classify(h), via_full->classify(h));
-  for (const AtomId a : w.clf.atoms().alive_ids()) {
-    for (BoxId b = 0; b < w.data.net.topology.box_count(); ++b) {
-      expect_same_behavior(via_delta->behavior_of(a, b), via_full->behavior_of(a, b),
-                           "delta vs full");
-    }
-  }
-}
-
-// The exact dirty rule: move a default route to another port, then diff
-// every surviving atom's behavior at every ingress by brute force.  Every
-// survivor whose behavior changed anywhere must be in the delta; on a
-// FIB-only network (where a port change always shows at the box itself)
-// every dirty survivor must also have changed somewhere.
-void expect_exact_dirty_set(const datasets::Dataset& data, bool fib_only) {
-  ApClassifier clf(data.net, datasets::Dataset::make_manager());
-  const Topology& topo = data.net.topology;
-  BoxId box = 0;
-  while (topo.box(box).ports.size() < 2 || data.net.fibs.at(box).rules.empty()) ++box;
-  const ForwardingRule on0{Ipv4Prefix{0, 0}, 0, -1};
-  const ForwardingRule on1{Ipv4Prefix{0, 0}, 1, -1};
-  clf.insert_fib_rule(box, on0);
-  clf.take_atom_delta();  // the delta below starts here
-
-  const auto behaviors = [&] {
-    std::vector<std::vector<Behavior>> out(clf.atoms().capacity());
-    for (const AtomId a : clf.atoms().alive_ids())
-      for (BoxId b = 0; b < topo.box_count(); ++b) out[a].push_back(clf.behavior_of(a, b));
-    return out;
-  };
-  const auto before = behaviors();
-  clf.remove_fib_rule(box, on0);
-  clf.insert_fib_rule(box, on1);
-  const AtomDelta delta = clf.take_atom_delta();
-  ASSERT_TRUE(delta.valid);
-  const auto after = behaviors();
-
-  std::vector<char> in_delta(after.size(), 0), dirty(after.size(), 0);
-  for (const auto* ids : {&delta.killed, &delta.added, &delta.dirty})
-    for (const AtomId a : *ids)
-      if (a < in_delta.size()) in_delta[a] = 1;
-  for (const AtomId a : delta.dirty)
-    if (a < dirty.size()) dirty[a] = 1;
-  std::size_t survivors = 0, changed = 0, dirty_survivors = 0;
-  for (const AtomId a : clf.atoms().alive_ids()) {
-    if (a >= before.size() || before[a].empty()) continue;  // born in the update
-    ++survivors;
-    const bool moved = before[a] != after[a];
-    changed += moved;
-    EXPECT_TRUE(!moved || in_delta[a]) << data.name << ": atom " << a
-                                       << " changed behavior but is not in the delta";
-    if (!dirty[a]) continue;
-    ++dirty_survivors;
-    if (fib_only) {
-      EXPECT_TRUE(moved) << data.name << ": atom " << a
-                         << " is dirty but behaves the same from every ingress";
-    }
-  }
-  EXPECT_GT(changed, 0u) << data.name << ": the default route moved nothing";
-  EXPECT_LT(dirty_survivors, survivors) << data.name;
-}
-
-TEST(IncrementalSnapshot, ExactDirtySetMatchesBruteForce) {
-  expect_exact_dirty_set(datasets::internet2_like(datasets::Scale::Tiny), true);
-  expect_exact_dirty_set(datasets::stanford_like(datasets::Scale::Tiny), false);
-}
-
-// Two engines fed identical update streams — one publishing deltas, one
-// always building cold — must stay bit-equivalent for every item at every
-// ingress.  Rounds insert random rules, remove them, and re-announce a
-// dataset rule inside one update() together with another insert (the
-// shape of a server update group).
-void expect_delta_matches_full_under_churn(const datasets::Dataset& data) {
-  EngineWorld wa(data, 7);
-  EngineWorld wb(data, 7);
-  QueryEngine::Options oa;
-  oa.num_threads = 2;
-  oa.snapshot_delta = SnapshotDeltaPolicy::kAlways;
-  QueryEngine::Options ob = oa;
-  ob.snapshot_delta = SnapshotDeltaPolicy::kNever;
-  QueryEngine ea(wa.clf, oa);
-  QueryEngine eb(wb.clf, ob);
-  const std::size_t boxes = wa.data.net.topology.box_count();
+// An engine driven through rule churn must answer every item at every
+// ingress exactly like the classifier it republishes after each round.
+// Rounds insert random rules, remove them, and re-announce a dataset rule
+// inside one update() together with another insert (the shape of a server
+// update group).
+void expect_engine_matches_classifier_under_churn(const datasets::Dataset& data) {
+  EngineWorld w(data, 7);
+  QueryEngine::Options o;
+  o.num_threads = 2;
+  QueryEngine e(w.clf, o);
+  const std::size_t boxes = w.data.net.topology.box_count();
 
   Rng rng(13);
   std::vector<std::pair<BoxId, ForwardingRule>> installed;
-  bool carried_rows = false;
   for (int round = 0; round < 12; ++round) {
-    // Warm A's cache so delta publishes have entries to carry.
-    ea.classify_batch(wa.trace);
+    // Warm the header cache first: an entry that outlived the publish
+    // would show as a wrong atom below.
+    e.classify_batch(w.trace);
     const BoxId b = static_cast<BoxId>(rng.uniform(boxes));
     if (round % 3 == 0) {
-      const ForwardingRule r = wa.random_rule(b, rng);
-      ea.insert_fib_rule(b, r);
-      eb.insert_fib_rule(b, r);
+      const ForwardingRule r = w.random_rule(b, rng);
+      e.insert_fib_rule(b, r);
       installed.emplace_back(b, r);
     } else if (round % 3 == 1 && !installed.empty()) {
       const auto [ib, r] = installed.back();
       installed.pop_back();
-      ea.remove_fib_rule(ib, r);
-      eb.remove_fib_rule(ib, r);
+      e.remove_fib_rule(ib, r);
     } else {
-      const auto& rules = wa.data.net.fibs.at(b).rules;
+      const auto& rules = w.data.net.fibs.at(b).rules;
       const ForwardingRule old = rules[rng.uniform(rules.size())];
-      const ForwardingRule extra = wa.random_rule(b, rng);
-      const auto group = [&](ApClassifier& c) {
+      const ForwardingRule extra = w.random_rule(b, rng);
+      e.update([&](ApClassifier& c) {
         c.remove_fib_rule(b, old);
         c.insert_fib_rule(b, extra);
         c.insert_fib_rule(b, old);
-      };
-      ea.update(group);
-      eb.update(group);
+      });
       installed.emplace_back(b, extra);
     }
-    carried_rows = carried_rows || ea.snapshot()->behavior_rows_carried() > 0;
 
-    const auto atoms_a = ea.classify_batch(wa.trace);
-    const auto atoms_b = eb.classify_batch(wa.trace);
-    ASSERT_EQ(atoms_a, atoms_b) << data.name << " round " << round;
+    const auto atoms = e.classify_batch(w.trace);
+    ASSERT_EQ(atoms.size(), w.trace.size());
+    for (std::size_t i = 0; i < atoms.size(); ++i)
+      ASSERT_EQ(atoms[i], w.clf.classify(w.trace[i]))
+          << data.name << " round " << round << " item " << i;
     for (BoxId ingress = 0; ingress < boxes; ++ingress) {
-      const auto beh_a = ea.query_batch(wa.trace, ingress);
-      const auto beh_b = eb.query_batch(wa.trace, ingress);
-      ASSERT_EQ(beh_a.size(), beh_b.size());
-      for (std::size_t i = 0; i < beh_a.size(); ++i)
-        ASSERT_TRUE(beh_a[i] == beh_b[i]) << data.name << " round " << round
-                                          << " ingress " << ingress << " item " << i;
+      const auto beh = e.query_batch(w.trace, ingress);
+      ASSERT_EQ(beh.size(), w.trace.size());
+      for (std::size_t i = 0; i < beh.size(); ++i)
+        ASSERT_TRUE(beh[i] == w.clf.query(w.trace[i], ingress))
+            << data.name << " round " << round << " ingress " << ingress << " item " << i;
     }
   }
-  EXPECT_GT(ea.snapshot_delta_publishes().value(), 0u) << data.name;
-  EXPECT_EQ(eb.snapshot_delta_publishes().value(), 0u) << data.name;
-  EXPECT_TRUE(carried_rows) << data.name;
+  EXPECT_EQ(e.publish_count(), 13u) << data.name;
 }
 
-TEST(IncrementalEngine, DeltaPolicyMatchesFullRebuildUnderChurn) {
-  expect_delta_matches_full_under_churn(datasets::internet2_like(datasets::Scale::Tiny, 7));
-  expect_delta_matches_full_under_churn(datasets::stanford_like(datasets::Scale::Tiny));
+TEST(IncrementalEngine, PublishesMatchLiveClassifierUnderChurn) {
+  expect_engine_matches_classifier_under_churn(
+      datasets::internet2_like(datasets::Scale::Tiny, 7));
+  expect_engine_matches_classifier_under_churn(
+      datasets::stanford_like(datasets::Scale::Tiny));
 }
 
-// Rule churn through the delta-publishing engine while reader threads
-// hammer batch queries: exercises the carry-over reads against the retiring
-// snapshot's concurrently-written cache (run under TSan in CI).
-TEST(IncrementalConcurrency, DeltaPublishesUnderConcurrentBatches) {
+// Rule churn through the engine while reader threads hammer batch queries:
+// every republish swaps the snapshot under readers still using the
+// retiring one (run under TSan in CI).
+TEST(IncrementalConcurrency, RepublishesUnderConcurrentBatches) {
   EngineWorld w(3);
   QueryEngine::Options o;
   o.num_threads = 2;
-  o.snapshot_delta = SnapshotDeltaPolicy::kAlways;
   QueryEngine e(w.clf, o);
 
   std::atomic<bool> stop{false};

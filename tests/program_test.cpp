@@ -2,12 +2,11 @@
 // carries one, the scalar and AVX2 kernels must be bit-identical to the
 // interpreted walk (FlatSnapshot::classify_walk, the stage-1 oracle) on
 // every header — exhaustively across atoms, on random and adversarial
-// headers, and across delta-published snapshots — and the coalescer must
+// headers, and across republished snapshots — and the coalescer must
 // collapse same-word BDD chains to single instructions.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <thread>
 
 #include "classifier/classifier.hpp"
@@ -121,7 +120,7 @@ TEST(MatchProgram, DifferentialExhaustiveAcrossAtoms) {
 }
 
 TEST(MatchProgram, EverySnapshotHasAnAccountedProgram) {
-  // Built (with and without accelerators), delta-published, and loaded
+  // Built (with and without accelerators), republished, and loaded
   // (mapped and owned) snapshots all carry a program: it is the only
   // stage-1 executor behind the header cache.
   Dataset d = datasets::internet2_like(Scale::Tiny, 3);
@@ -137,7 +136,6 @@ TEST(MatchProgram, EverySnapshotHasAnAccountedProgram) {
   snaps.push_back(engine::load_snapshot(path, owned));
   QueryEngine::Options eopts;
   eopts.num_threads = 1;
-  eopts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
   QueryEngine eng(clf, eopts);
   eng.add_predicate(mgr->equals(HeaderLayout::kDstPort, 16, 8080));
   snaps.push_back(eng.snapshot());
@@ -238,48 +236,6 @@ TEST(MatchProgram, VisitTotalsExactThroughKernelPath) {
   EXPECT_EQ(total, hs.size());
 }
 
-TEST(MatchProgram, DeltaPublishesCarryOrRecompileCorrectly) {
-  // Delta-published snapshots must (a) share the retiring program when the
-  // frozen arrays are unchanged, (b) recompile when atoms changed, and (c)
-  // stay bit-identical to the interpreted walk either way.
-  Dataset d = datasets::internet2_like(Scale::Tiny, 31);
-  auto mgr = Dataset::make_manager();
-  ApClassifier clf(d.net, mgr);
-  QueryEngine::Options opts;
-  opts.num_threads = 1;
-  opts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
-  opts.header_cache_capacity = 0;
-  QueryEngine eng(clf, opts);
-  ASSERT_NE(eng.snapshot()->program(), nullptr);
-
-  // (a) No-op update: identical frozen arrays — the program is carried (no
-  // recompile, instruction bytes copied into the new snapshot's own arena so
-  // the retiring snapshot's storage stays independently reclaimable).
-  const auto first = eng.snapshot();  // keep alive: `before` is dereferenced
-  const MatchProgram* before = first->program();
-  eng.update([](ApClassifier&) {});
-  const auto carried = eng.snapshot();
-  EXPECT_TRUE(carried->program_carried());
-  ASSERT_NE(carried->program(), nullptr);
-  ASSERT_EQ(carried->program()->instruction_count(), before->instruction_count());
-  EXPECT_EQ(carried->program()->entry(), before->entry());
-  EXPECT_EQ(std::memcmp(carried->program()->instructions(), before->instructions(),
-                        before->bytes()),
-            0);
-  EXPECT_EQ(carried->program()->compile_seconds(), 0.0);
-
-  // (b) A predicate add changes the tree: fresh program, still correct.
-  eng.add_predicate(mgr->equals(HeaderLayout::kDstPort, 16, 8080));
-  const auto recompiled = eng.snapshot();
-  ASSERT_GE(eng.snapshot_delta_publishes().value(), 2u);
-  EXPECT_FALSE(recompiled->program_carried());
-  ASSERT_NE(recompiled->program(), nullptr);
-  EXPECT_NE(recompiled->program(), before);
-
-  // (c) Differential over the new atom universe, all kernels.
-  expect_kernels_match(*recompiled, differential_headers(clf, 37));
-}
-
 TEST(MatchProgram, SurvivesSnapshotPersistRoundTrip) {
   // A warm-restored snapshot adopts the saved program and classifies
   // identically.
@@ -296,16 +252,15 @@ TEST(MatchProgram, SurvivesSnapshotPersistRoundTrip) {
 }
 
 TEST(MatchProgram, ChurnKernelQueriesAgainstConcurrentRepublish) {
-  // TSan-targeted: kernel-path batch queries racing delta republishes (which
-  // carry or recompile the program) must stay data-race-free and correct —
-  // every answer must be valid for SOME published snapshot, checked against
-  // the snapshot actually used.
+  // TSan-targeted: kernel-path batch queries racing republishes (each
+  // compiles a fresh program) must stay data-race-free and correct — every
+  // answer must be valid for SOME published snapshot, checked against the
+  // snapshot actually used.
   Dataset d = datasets::internet2_like(Scale::Tiny, 51);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(d.net, mgr);
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.snapshot_delta = engine::SnapshotDeltaPolicy::kAlways;
   QueryEngine eng(clf, opts);
 
   Rng rng(52);
@@ -323,9 +278,9 @@ TEST(MatchProgram, ChurnKernelQueriesAgainstConcurrentRepublish) {
     }
   });
   for (int i = 0; i < 6; ++i) {
-    eng.update([](ApClassifier&) {});  // carry path
+    eng.update([](ApClassifier&) {});  // same tree, fresh program
     eng.add_predicate(
-        mgr->equals(HeaderLayout::kSrcPort, 16, 1000 + i));  // recompile path
+        mgr->equals(HeaderLayout::kSrcPort, 16, 1000 + i));  // new tree
   }
   stop.store(true, std::memory_order_release);
   querier.join();

@@ -498,6 +498,53 @@ TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
     EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
 }
 
+// A Q item whose ingress names no box is the caller's error, not a shard's:
+// the batch is refused kInvalidArgument before any shard runs it, so no
+// breaker moves however often it comes, and the next valid batch is
+// answered by every shard as usual.
+TEST(ShardedCluster, OutOfRangeIngressIsRefusedWithoutTrippingBreakers) {
+  ClusterWorld w;
+  const ShardedCluster::Options opts = w.cluster_options(4);
+  ShardedCluster cluster(w.data.net, opts);
+  const BoxId boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+
+  std::vector<ShardedCluster::BatchItem> bad(2);
+  bad[0].header = w.trace[0];
+  bad[1].is_query = true;
+  bad[1].header = w.trace[1];
+  bad[1].ingress = boxes + 3;
+  const std::string why = "ingress " + std::to_string(boxes + 3) + " out of range (" +
+                          std::to_string(boxes) + " boxes)";
+  for (std::size_t k = 0; k < 2 * opts.breaker_quarantine_after; ++k) {
+    try {
+      cluster.run_batch(bad);
+      ADD_FAILURE() << "batch " << k << " was answered";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << "batch " << k << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+  }
+  for (std::size_t i = 0; i < cluster.shard_count(); ++i)
+    EXPECT_EQ(cluster.shard_state(i), ShardState::kHealthy) << "shard " << i;
+  EXPECT_EQ(cluster.reroutes(), 0u);
+
+  std::vector<ShardedCluster::BatchItem> good;
+  std::vector<std::string> expected;
+  for (BoxId ingress = 0; ingress < boxes; ++ingress) {
+    ShardedCluster::BatchItem q;
+    q.is_query = true;
+    q.header = w.trace[ingress];
+    q.ingress = ingress;
+    good.push_back(q);
+    expected.push_back(format_behavior_summary(w.reference.query(q.header, ingress)));
+  }
+  const auto res = cluster.run_batch(good);
+  EXPECT_FALSE(res.degraded);
+  ASSERT_EQ(res.lines.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+}
+
 TEST(ShardedCluster, EpochAdvancesOnceEveryShardPublishes) {
   ClusterWorld w;
   ShardedCluster cluster(w.data.net, w.cluster_options(2));
@@ -894,6 +941,26 @@ TEST(TcpServer, MalformedLineKeepsConnectionAndBatch) {
   client.send("GO\n");
   EXPECT_EQ(client.read_line(), "201 0 1");
   EXPECT_EQ(client.read_line(), "A " + std::to_string(w.reference.classify(h)));
+}
+
+TEST(TcpServer, OutOfRangeIngressGets400AndKeepsTheBatch) {
+  ServerWorld w;
+  LineClient client(w.server.port());
+  ASSERT_TRUE(client.ok());
+
+  const BoxId boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+  const PacketHeader h = w.trace[0];
+  client.send(format_classify(h) + "\n" + format_query(boxes + 3, h) + "\n" +
+              format_query(0, h) + "\nGO\n");
+  EXPECT_EQ(client.read_line(), "400 [invalid_argument] line 2: ingress " +
+                                    std::to_string(boxes + 3) + " out of range (" +
+                                    std::to_string(boxes) + " boxes)");
+  // The C and the valid Q before and after the bad line stay batched.
+  EXPECT_EQ(client.read_line(), "201 0 2");
+  EXPECT_EQ(client.read_line(), "A " + std::to_string(w.reference.classify(h)));
+  EXPECT_EQ(client.read_line(), format_behavior_summary(w.reference.query(h, 0)));
+  for (std::size_t i = 0; i < w.cluster.shard_count(); ++i)
+    EXPECT_EQ(w.cluster.shard_state(i), ShardState::kHealthy) << "shard " << i;
 }
 
 TEST(TcpServer, OversizedLineGets400AndClose) {
