@@ -1,7 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "util/stats.hpp"
@@ -78,16 +76,6 @@ void QueryEngine::release_batch() const {
     pending_batches_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-struct QueryEngine::BatchTicket {
-  const QueryEngine& e;
-  const bool admitted;
-  explicit BatchTicket(const QueryEngine& eng) : e(eng), admitted(eng.admit_batch()) {}
-  ~BatchTicket() {
-    if (admitted) e.release_batch();
-  }
-  explicit operator bool() const { return admitted; }
-};
-
 std::vector<AtomId> QueryEngine::classify_batch(
     const std::vector<PacketHeader>& hs) const {
   auto out = try_classify_batch(hs);
@@ -116,87 +104,30 @@ std::optional<std::vector<Behavior>> QueryEngine::try_query_batch(
   return try_query_batch_on(*s, hs.data(), hs.size(), ingress);
 }
 
-void QueryEngine::classify_admitted(const FlatSnapshot& s, const PacketHeader* hs,
-                                    std::size_t n, AtomId* out) const {
-  obs::ScopedTimer timer(classify_batch_hist_);
-  batch_size_hist_.record(n);
-  pool_.parallel_for(n, opts_.batch_grain,
-                     [&](std::size_t first, std::size_t last) {
-                       s.classify_into(hs + first, last - first, out + first);
-                     });
-  queries_answered_.add(n);
-}
-
-// The admission permit is an RAII ticket: it is released when `ticket`
-// leaves scope on EVERY path out of the try_*_batch_on forms — normal
-// return, the middlebox require() in query_admitted, or a worker-task
-// exception rethrown by the pool's Group::wait().  A leaked permit would
-// permanently shrink the admission window (pending_batches_ never drains
-// back to zero), so the fault-injection suite pins this down
-// (AdmissionPermitRecovery).  The result vectors are allocated only once
-// admitted, so a shed batch costs no allocation.
-
-bool QueryEngine::try_classify_batch_on(const FlatSnapshot& s,
-                                        const PacketHeader* hs, std::size_t n,
-                                        AtomId* out) const {
-  BatchTicket ticket(*this);
-  if (!ticket) return false;
-  classify_admitted(s, hs, n, out);
-  return true;
-}
+// The vector-returning forms allocate their ingress list and result before
+// taking the admission ticket inside try_answer_batch_on, so a shed batch
+// costs those allocations; the served path never calls them.
 
 std::optional<std::vector<AtomId>> QueryEngine::try_classify_batch_on(
     const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const {
-  BatchTicket ticket(*this);
-  if (!ticket) return std::nullopt;
+  const std::vector<BoxId> ingress(n, kNoIngress);
   std::vector<AtomId> out(n);
-  classify_admitted(s, hs, n, out.data());
+  if (!try_answer_batch_on(s, hs, ingress.data(), n, out.data(),
+                           [](std::size_t, const Behavior&) {}))
+    return std::nullopt;
   return out;
-}
-
-void QueryEngine::query_admitted(const FlatSnapshot& s, const PacketHeader* hs,
-                                 std::size_t n, BoxId ingress,
-                                 const BehaviorSink& sink) const {
-  obs::ScopedTimer timer(query_batch_hist_);
-  batch_size_hist_.record(n);
-  require(!s.has_middleboxes(),
-          "QueryEngine::query_batch: middlebox networks need live tree "
-          "re-search; use ApClassifier::query/query_probabilistic");
-  pool_.parallel_for(n, opts_.batch_grain,
-                     [&](std::size_t first, std::size_t last) {
-                       // Batched stage 1 (cache probe + program kernel), then
-                       // the in-place table read of stage 2 per header.
-                       std::array<AtomId, 64> atoms;
-                       Behavior scratch;  // used only when the table is off
-                       std::size_t i = first;
-                       while (i < last) {
-                         const std::size_t m = std::min<std::size_t>(last - i, atoms.size());
-                         s.classify_into(hs + i, m, atoms.data());
-                         for (std::size_t k = 0; k < m; ++k)
-                           sink(i + k, s.behavior_ref(atoms[k], ingress, scratch));
-                         i += m;
-                       }
-                     });
-  queries_answered_.add(n);
-}
-
-bool QueryEngine::try_query_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
-                                     std::size_t n, BoxId ingress,
-                                     const BehaviorSink& sink) const {
-  BatchTicket ticket(*this);
-  if (!ticket) return false;
-  query_admitted(s, hs, n, ingress, sink);
-  return true;
 }
 
 std::optional<std::vector<Behavior>> QueryEngine::try_query_batch_on(
     const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
     BoxId ingress) const {
-  BatchTicket ticket(*this);
-  if (!ticket) return std::nullopt;
+  require(ingress != kNoIngress, "QueryEngine::query_batch: bad ingress");
+  const std::vector<BoxId> ingresses(n, ingress);
+  std::vector<AtomId> atoms(n);
   std::vector<Behavior> out(n);
-  query_admitted(s, hs, n, ingress,
-                 [&out](std::size_t k, const Behavior& b) { out[k] = b; });
+  if (!try_answer_batch_on(s, hs, ingresses.data(), n, atoms.data(),
+                           [&out](std::size_t k, const Behavior& b) { out[k] = b; }))
+    return std::nullopt;
   return out;
 }
 

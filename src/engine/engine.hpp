@@ -26,11 +26,12 @@
 //
 // classify_batch()/query_batch() fan a vector of headers across a small
 // worker pool; every item in one batch is answered from one snapshot, so a
-// batch is atomic with respect to updates.
+// batch is atomic with respect to updates.  Every batch call, the
+// cluster's mixed C/Q slices included, runs one body: try_answer_batch_on.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -93,9 +94,11 @@ class QueryEngine {
     /// rather than piling onto the pool.  0 = unbounded.
     std::size_t max_pending_batches = 0;
     /// Epoch pinning (see server/cluster.hpp): when set, each publish keeps
-    /// the retiring snapshot alive alongside the new one, so an epoch-pinned
-    /// reader (snapshot_at) can still acquire the previous epoch while a
-    /// multi-shard publication is in flight.  Off by default — a standalone
+    /// the retiring snapshot resolvable by its epoch (snapshot_at) until
+    /// release_retired_snapshot() drops it or the next publish replaces it,
+    /// so an epoch-pinned reader can still acquire the previous epoch while
+    /// a multi-shard publication is in flight.  The cluster releases it as
+    /// soon as every shard has published.  Off by default — a standalone
     /// engine should release retiring snapshots as soon as readers drop
     /// them, not hold a second copy of every frozen state.
     bool epoch_pin = false;
@@ -137,28 +140,34 @@ class QueryEngine {
   // ---- Epoch-pinned read side (the sharded cluster's entry points) ----
   // A cross-shard batch must never mix snapshot versions, so the cluster
   // pins one epoch, resolves it to a concrete snapshot per shard
-  // (snapshot_at), and fans the shard's slice of the batch out against that
-  // exact snapshot.  These run the same admission (RAII permit — released
-  // on every path, including a worker-task throw), pool fan-out, and batch
-  // observability as the unpinned variants.
-  /// Fan `hs[0..n)` across the pool against caller-pinned snapshot `s`
-  /// (which the caller must keep alive), writing the atoms to `out[0..n)`.
-  /// False when saturated.
-  bool try_classify_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
-                             std::size_t n, AtomId* out) const;
-  /// try_classify_batch_on into a fresh vector; nullopt when saturated.
+  // (snapshot_at), and answers the shard's slice of the batch against that
+  // exact snapshot.
+  /// The ingress of a classify-only (C) item in try_answer_batch_on.
+  static constexpr BoxId kNoIngress = ~BoxId{0};
+  /// The batch body every batch call runs.  Answers items hs[0..n) against
+  /// caller-pinned snapshot `s` (which the caller keeps alive): writes each
+  /// item's atom to atoms[k] — one FlatSnapshot::classify_into per pool
+  /// chunk, so every header is probed in the cache and the misses share
+  /// kernel calls — then calls sink(k, b) for each Q item (ingress[k] !=
+  /// kNoIngress) with b = FlatSnapshot::behavior_ref(atoms[k], ingress[k]),
+  /// the table cell itself (no copy).  The sink runs on pool threads,
+  /// concurrently for distinct k.  Q items need a middlebox-free snapshot.
+  /// One admission ticket (an RAII permit, released on every path out,
+  /// including a worker-task throw) and one timer per call: the call lands
+  /// in `<prefix>.query_batch_seconds` when it holds a Q item, in
+  /// `<prefix>.classify_batch_seconds` otherwise.  A call of at most
+  /// Options::batch_grain items runs inline on the caller with no heap work
+  /// (as long as the behavior table is precomputed).  False when saturated.
+  template <typename Sink>
+  bool try_answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                           const BoxId* ingress, std::size_t n, AtomId* atoms,
+                           Sink&& sink) const;
+  /// try_answer_batch_on over C items only, into a fresh vector; nullopt
+  /// when saturated.
   std::optional<std::vector<AtomId>> try_classify_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const;
-  /// Receives answer k of a query batch; called on pool threads,
-  /// concurrently for distinct k.
-  using BehaviorSink = std::function<void(std::size_t k, const Behavior& b)>;
-  /// Two-stage variant; requires a middlebox-free snapshot.  Each answer is
-  /// handed to `sink` in place (FlatSnapshot::behavior_ref: the table cell
-  /// itself), so no Behavior is copied.  False when saturated.
-  bool try_query_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
-                          std::size_t n, BoxId ingress,
-                          const BehaviorSink& sink) const;
-  /// try_query_batch_on copied into a fresh vector; nullopt when saturated.
+  /// try_answer_batch_on over Q items at one ingress, each Behavior copied
+  /// into a fresh vector; nullopt when saturated.
   std::optional<std::vector<Behavior>> try_query_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
       BoxId ingress) const;
@@ -174,6 +183,11 @@ class QueryEngine {
   std::shared_ptr<const FlatSnapshot> snapshot_at(std::uint64_t epoch) const {
     return snap_.at(epoch);
   }
+  /// Drops the snapshot Options::epoch_pin retained at the last publish:
+  /// snapshot_at(its epoch) returns nullptr from here on, and it is freed
+  /// once no reader holds it.  The cluster calls this when every shard has
+  /// published, so no new pin can want the previous epoch.
+  void release_retired_snapshot() { snap_.release_prev(); }
   /// Writer-side epoch hook: the next publish (only) is tagged `e` instead
   /// of auto-incrementing.  The cluster calls this under its own update
   /// serialization right before the mutation it forwards to update().
@@ -269,16 +283,23 @@ class QueryEngine {
   /// (or is the constructor).
   void persist_current_locked();
 
-  /// RAII admission ticket for one in-flight batch (see
-  /// Options::max_pending_batches).
-  struct BatchTicket;
   bool admit_batch() const;
   void release_batch() const;
-  /// The batch bodies the try_*_batch_on forms share, run once admitted.
-  void classify_admitted(const FlatSnapshot& s, const PacketHeader* hs,
-                         std::size_t n, AtomId* out) const;
-  void query_admitted(const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
-                      BoxId ingress, const BehaviorSink& sink) const;
+  /// RAII admission ticket for one in-flight batch (see
+  /// Options::max_pending_batches).  A leaked permit would shrink the
+  /// admission window for good, so the fault-injection suite pins down its
+  /// release on the throwing paths (AdmissionPermitRecovery).
+  struct BatchTicket {
+    const QueryEngine& e;
+    const bool admitted;
+    explicit BatchTicket(const QueryEngine& eng) : e(eng), admitted(eng.admit_batch()) {}
+    ~BatchTicket() {
+      if (admitted) e.release_batch();
+    }
+    BatchTicket(const BatchTicket&) = delete;
+    BatchTicket& operator=(const BatchTicket&) = delete;
+    explicit operator bool() const { return admitted; }
+  };
 
   /// Mutex-guarded publication slot (see the class comment for why this is
   /// not std::atomic<std::shared_ptr>).  load() copies the pointer under
@@ -303,6 +324,11 @@ class QueryEngine {
       if (ptr_ && epoch == epoch_) return ptr_;
       if (prev_ && epoch == prev_epoch_) return prev_;
       return nullptr;
+    }
+    void release_prev() {
+      std::shared_ptr<const FlatSnapshot> old_prev;
+      std::lock_guard<std::mutex> lock(mu_);
+      old_prev.swap(prev_);
     }
     void store(std::shared_ptr<const FlatSnapshot> next, std::uint64_t epoch,
                bool retain_prev) {
@@ -356,5 +382,28 @@ class QueryEngine {
   mutable std::atomic<std::size_t> pending_batches_{0};
   mutable obs::Counter batches_rejected_;
 };
+
+template <typename Sink>
+bool QueryEngine::try_answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                                      const BoxId* ingress, std::size_t n,
+                                      AtomId* atoms, Sink&& sink) const {
+  const BatchTicket ticket(*this);
+  if (!ticket) return false;
+  const bool queries =
+      std::any_of(ingress, ingress + n, [](BoxId b) { return b != kNoIngress; });
+  obs::ScopedTimer timer(queries ? query_batch_hist_ : classify_batch_hist_);
+  batch_size_hist_.record(n);
+  require(!queries || !s.has_middleboxes(),
+          "QueryEngine: middlebox networks need live tree re-search; use "
+          "ApClassifier::query/query_probabilistic");
+  pool_.parallel_for(n, opts_.batch_grain, [&](std::size_t first, std::size_t last) {
+    s.classify_into(hs + first, last - first, atoms + first);
+    Behavior scratch;  // used only when the table is off
+    for (std::size_t k = first; k < last; ++k)
+      if (ingress[k] != kNoIngress) sink(k, s.behavior_ref(atoms[k], ingress[k], scratch));
+  });
+  queries_answered_.add(n);
+  return true;
+}
 
 }  // namespace apc::engine

@@ -452,27 +452,32 @@ void FlatSnapshot::classify_into(const PacketHeader* hs, std::size_t n,
     classify_batch(hs, nullptr, n, out);
     return;
   }
-  // Probe pass, then one kernel pass over the misses.  Hit/miss
-  // counts are folded into the shared counters once per batch, not per
-  // packet.
-  std::vector<std::size_t> misses;
-  std::size_t hits = 0;
+  // Probe pass; the misses collect in a list on the stack, and each full
+  // list (and the last one) goes to the kernel in one call — 64 walks
+  // keep the AVX2 kernel's 16 lanes busy.  Hit/miss counts are folded into
+  // the shared counters once per batch, not per packet.
+  std::array<std::size_t, 64> misses;
+  std::size_t pending = 0;
+  std::size_t missed = 0;
+  const auto flush = [&] {
+    classify_batch(hs, misses.data(), pending, out);
+    for (std::size_t k = 0; k < pending; ++k) cache_->insert(hs[misses[k]], out[misses[k]]);
+    missed += pending;
+    pending = 0;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     AtomId atom;
     if (cache_->lookup(hs[i], atom)) {
       out[i] = atom;
       visits_.bump(atom);
-      ++hits;
     } else {
-      misses.push_back(i);
+      misses[pending++] = i;
+      if (pending == misses.size()) flush();
     }
   }
-  if (!misses.empty()) {
-    classify_batch(hs, misses.data(), misses.size(), out);
-    for (const std::size_t i : misses) cache_->insert(hs[i], out[i]);
-    cache_misses_.add(misses.size());
-  }
-  if (hits > 0) cache_hits_.add(hits);
+  if (pending > 0) flush();
+  if (missed > 0) cache_misses_.add(missed);
+  if (missed < n) cache_hits_.add(n - missed);
 }
 
 const Behavior* FlatSnapshot::fill_cell(std::atomic<const Behavior*>& cell,

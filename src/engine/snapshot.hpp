@@ -132,7 +132,8 @@ class FlatSnapshot {
   /// depth).  Bypasses the cache so the count is always the tree's.
   AtomId classify_counted(const PacketHeader& h, std::size_t& evals) const;
   /// Batch classification into `out[0..n)`: probes the cache for every
-  /// header, then runs all misses through the match program's batch kernel.
+  /// header, then runs the misses through the match program's batch kernel,
+  /// up to 64 per call, from a list on the stack (no heap work).
   /// Equivalent to classify() per element.
   void classify_into(const PacketHeader* hs, std::size_t n, AtomId* out) const;
 

@@ -37,11 +37,16 @@ ReplayRecord parse_record(std::string_view rec, std::size_t recno) {
   const std::string_view seq_tok = rec.substr(0, sp);
   // Sequence numbers are 64-bit; parse_uint is 32-bit-bounded, so parse by
   // hand with the same strictness (digits only, no overflow past 2^63).
+  // A wrapped sequence would tie with a real one in the replay sort.
+  constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << 63;
   if (seq_tok.empty()) io::parse_fail(recno, "empty sequence");
   for (const char c : seq_tok) {
     if (c < '0' || c > '9')
       io::parse_fail(recno, "bad sequence '" + std::string(seq_tok) + "'");
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (seq > (kMaxSeq - digit) / 10)
+      io::parse_fail(recno, "sequence '" + std::string(seq_tok) + "' past 2^63");
+    seq = seq * 10 + digit;
   }
   out.seq = seq;
   Request req;
@@ -221,12 +226,18 @@ std::shared_ptr<const engine::QueryEngine> ShardedCluster::replica_engine(
 }
 
 ShardedCluster::PinnedView ShardedCluster::pin() const {
+  PinnedView view;
+  pin_into(view);
+  return view;
+}
+
+void ShardedCluster::pin_into(PinnedView& view) const {
   // Loop until one epoch is resolvable on every non-quarantined shard.  At
   // any instant those shards hold epochs {E, E+1} for the cluster epoch E,
-  // and epoch_pin keeps a shard's E snapshot alive after it publishes E+1 —
-  // so the only way a round fails is a full publication completing
-  // mid-scan, which just means the next round pins the newer epoch.
-  PinnedView view;
+  // and epoch_pin keeps a shard's E snapshot alive after it publishes E+1
+  // until epoch_ reads E+1 — so the only way a round fails is a full
+  // publication completing mid-scan, which just means the next round pins
+  // the newer epoch.
   for (;;) {
     view.epoch = epoch();
     view.snaps.assign(shards_.size(), nullptr);
@@ -245,53 +256,36 @@ ShardedCluster::PinnedView ShardedCluster::pin() const {
       view.snaps[i] = std::move(s);
       view.engines[i] = std::move(eng);
     }
-    if (ok) return view;  // possibly with zero shards: every one quarantined
+    if (ok) return;  // possibly with zero shards: every one quarantined
     std::this_thread::yield();
   }
 }
 
-bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
-                                   std::size_t slice,
+bool ShardedCluster::execute_slice(std::size_t exec, std::size_t slice,
                                    const std::vector<BatchItem>& items,
                                    BatchAnswers& out) const {
-  const engine::QueryEngine& eng = *view.engines[exec];
-  const engine::FlatSnapshot& snap = *view.snaps[exec];
-  const std::vector<std::size_t>& classify_ix = out.classify_ix_[slice];
-  const std::vector<std::size_t>& query_ix = out.query_ix_[slice];
-  std::vector<PacketHeader>& hs = out.headers_;
+  const std::vector<std::size_t>& ix = out.slice_ix_[slice];
+  out.headers_.clear();
+  out.ingress_.clear();
+  for (const std::size_t i : ix) {
+    out.headers_.push_back(items[i].header);
+    out.ingress_.push_back(items[i].is_query ? items[i].ingress
+                                             : engine::QueryEngine::kNoIngress);
+  }
+  out.atoms_.resize(ix.size());
   try {
-    if (!classify_ix.empty()) {
-      hs.clear();
-      for (const std::size_t i : classify_ix) hs.push_back(items[i].header);
-      out.atoms_.resize(hs.size());
-      if (!eng.try_classify_batch_on(snap, hs.data(), hs.size(), out.atoms_.data()))
-        return false;  // shed
-      for (std::size_t k = 0; k < classify_ix.size(); ++k)
-        out.answers_[classify_ix[k]].atom = out.atoms_[k];
-    }
-    // Queries, one engine call per distinct ingress (query_ix arrives
-    // sorted by ingress from run_batch_into).  Each answer is summarized
-    // straight from the behavior-table cell.
-    std::size_t start = 0;
-    while (start < query_ix.size()) {
-      std::size_t end = start;
-      const BoxId ingress = items[query_ix[start]].ingress;
-      while (end < query_ix.size() && items[query_ix[end]].ingress == ingress)
-        ++end;
-      hs.clear();
-      for (std::size_t k = start; k < end; ++k)
-        hs.push_back(items[query_ix[k]].header);
-      const std::size_t* ix = query_ix.data() + start;
-      if (!eng.try_query_batch_on(snap, hs.data(), hs.size(), ingress,
-                                  [&out, ix](std::size_t k, const Behavior& b) {
-                                    out.answers_[ix[k]].summary = BehaviorSummary::of(b);
-                                  }))
-        return false;  // shed
-      start = end;
-    }
+    // One engine call for the whole slice; each Q answer is summarized
+    // straight from its behavior-table cell.
+    if (!out.view_.engines[exec]->try_answer_batch_on(
+            *out.view_.snaps[exec], out.headers_.data(), out.ingress_.data(), ix.size(),
+            out.atoms_.data(), [&out, &ix](std::size_t k, const Behavior& b) {
+              out.answers_[ix[k]].summary = BehaviorSummary::of(b);
+            }))
+      return false;  // shed
   } catch (const std::exception&) {
     return false;  // breaker input; the caller reroutes or throws
   }
+  for (std::size_t k = 0; k < ix.size(); ++k) out.answers_[ix[k]].atom = out.atoms_[k];
   return true;
 }
 
@@ -312,7 +306,18 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
     if (!why.empty())
       throw Error(ErrorCode::kInvalidArgument, "cluster: query refused: " + why);
   }
-  const PinnedView view = pin();
+  PinnedView& view = out.view_;
+  // Unpinned on every way out, keeping the vectors' capacity: a pinned view
+  // left behind would keep its snapshots (and a resynced-away replica)
+  // alive until the connection's next GO.
+  struct Unpin {
+    PinnedView& v;
+    ~Unpin() {
+      v.snaps.clear();
+      v.engines.clear();
+    }
+  } const unpin{view};
+  pin_into(view);
   out.epoch = view.epoch;
   out.degraded = false;
   out.answers_.resize(items.size());
@@ -328,36 +333,29 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
   // healthy shards, queries to their home shard — or a deterministic
   // healthy stand-in (full replication makes any shard an oracle) when the
   // home is quarantined, which degrades the reply.
-  out.classify_ix_.resize(shards_.size());
-  out.query_ix_.resize(shards_.size());
-  for (auto& ix : out.classify_ix_) ix.clear();
-  for (auto& ix : out.query_ix_) ix.clear();
+  out.slice_ix_.resize(shards_.size());
+  for (auto& ix : out.slice_ix_) ix.clear();
   std::size_t rr = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     out.answers_[i].is_query = items[i].is_query;
+    std::size_t exec = 0;
     if (!items[i].is_query) {
-      out.classify_ix_[healthy[rr++ % healthy.size()]].push_back(i);
-      continue;
+      exec = healthy[rr++ % healthy.size()];
+    } else {
+      exec = shard_of(items[i].ingress);
+      if (!view.snaps[exec]) {
+        exec = healthy[exec % healthy.size()];
+        out.degraded = true;
+      }
     }
-    std::size_t exec = shard_of(items[i].ingress);
-    if (!view.snaps[exec]) {
-      exec = healthy[exec % healthy.size()];
-      out.degraded = true;
-    }
-    out.query_ix_[exec].push_back(i);
+    out.slice_ix_[exec].push_back(i);
   }
-  for (auto& qix : out.query_ix_)
-    std::sort(qix.begin(), qix.end(), [&](std::size_t a, std::size_t b) {
-      return items[a].ingress != items[b].ingress
-                 ? items[a].ingress < items[b].ingress
-                 : a < b;
-    });
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (out.classify_ix_[s].empty() && out.query_ix_[s].empty()) continue;
+    if (out.slice_ix_[s].empty()) continue;
     const auto t0 = std::chrono::steady_clock::now();
     const bool injected = util::fault_fires("cluster.shard.batch");
-    if (!injected && execute_slice(view, s, s, items, out)) {
+    if (!injected && execute_slice(s, s, items, out)) {
       note_shard_success(s);
       shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -373,7 +371,7 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
     for (std::size_t off = 1; off < shards_.size() && !rerouted; ++off) {
       const std::size_t t = (s + off) % shards_.size();
       if (!view.snaps[t] || t == s) continue;
-      if (execute_slice(view, t, s, items, out)) {
+      if (execute_slice(t, s, items, out)) {
         note_shard_success(t);
         rerouted = true;
       } else {
@@ -517,10 +515,14 @@ void ShardedCluster::resync_once(std::size_t i) const {
   // immediately on re-admission (the engine's initial publish is epoch 0).
   rep->engine->set_next_publish_epoch(epoch_.load(std::memory_order_relaxed));
   rep->engine->update([](ApClassifier&) {});
+  engine::QueryEngine& eng = *rep->engine;
   {
     std::lock_guard<std::mutex> swap_lock(swap_mu_);
     sh.replica = std::move(rep);
   }
+  // The replaced replica's snapshots go with it once its readers finish;
+  // the new one's initial epoch-0 snapshot is never pinned.
+  eng.release_retired_snapshot();
   sh.read_only.store(false, std::memory_order_release);
   sh.failures.store(0, std::memory_order_relaxed);
   sh.state.store(ShardState::kHealthy, std::memory_order_release);
@@ -650,6 +652,12 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
       }
     }
     epoch_.store(last, std::memory_order_release);
+    // Every replica in rotation now serves `last`, and pin() reads epoch_
+    // first, so the retired epoch is needed only by a pin that read epoch_
+    // before the store — which misses here and re-pins at `last`.
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+      if (shards_[i]->state.load(std::memory_order_acquire) != ShardState::kQuarantined)
+        replica_ref(i)->engine->release_retired_snapshot();
     updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
   update_group_size_.record(group.size());

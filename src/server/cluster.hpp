@@ -4,10 +4,10 @@
 //
 // Sharding model.  Every shard holds a FULL replica of the classifier
 // (BddManager + ApClassifier + QueryEngine); queries are routed to
-// shard_of(ingress) = ingress % shards, so each shard's snapshot caches,
-// behavior-table rows, and visit counters specialize to its share of the
-// ingress boxes while correctness never depends on the routing (any shard
-// could answer any query).  Rule updates apply to every replica; the WAL is
+// shard_of(ingress) = ingress % shards, so each shard's header cache and
+// visit counters specialize to its share of the ingress boxes while
+// correctness never depends on the routing (any shard could answer any
+// query).  Rule updates apply to every replica; the WAL is
 // partitioned by the rule's OWNER shard (shard_of(box)) with a global
 // sequence number in each record, so recovery merge-sorts the per-shard
 // files back into the original update order.
@@ -24,7 +24,11 @@
 // snapshot per healthy shard all tagged with the same epoch, so a batch
 // fanned across shards is answered from one network-wide frozen state even
 // while a publication is mid-flight (the per-engine epoch_pin option keeps
-// the E snapshot alive on shards that already published E+1).
+// the E snapshot alive on shards that already published E+1).  Once epoch_
+// advances, every replica drops its retained E snapshot
+// (QueryEngine::release_retired_snapshot): a pin that still asks for E
+// misses and re-pins at E+k, so each replica holds one snapshot between
+// publications, not two.
 //
 // Fault containment.  Each shard carries a health state driven by a
 // consecutive-failure circuit breaker over its batch/update path:
@@ -144,10 +148,11 @@ class ShardedCluster {
     bool degraded = false;
   };
   /// A batch's answers in compact form — an atom per C item, a
-  /// BehaviorSummary per Q item — plus run_batch_into's per-shard grouping
-  /// scratch.  Everything keeps its capacity from one batch to the next, so
-  /// a connection that reuses one BatchAnswers answers a steady stream of
-  /// batches with no per-line heap work.
+  /// BehaviorSummary per Q item — plus run_batch_into's scratch: the pinned
+  /// view and the per-shard slices.  Everything keeps its capacity from one
+  /// batch to the next, so a connection that reuses one BatchAnswers
+  /// answers a steady stream of batches with no heap work
+  /// (SteadyStateBatchDoesNotAllocate).
   class BatchAnswers {
    public:
     std::uint64_t epoch = 0;  ///< the pinned epoch
@@ -166,10 +171,14 @@ class ShardedCluster {
       BehaviorSummary summary;  ///< Q items
     };
     std::vector<Answer> answers_;  ///< one per item, in input order
+    /// The batch's pinned epoch; emptied (capacity kept) when it ends, so an
+    /// idle connection holds no snapshot or replica alive.
+    PinnedView view_;
     std::vector<std::size_t> healthy_;
-    std::vector<std::vector<std::size_t>> classify_ix_;  ///< per executing shard
-    std::vector<std::vector<std::size_t>> query_ix_;     ///< per executing shard
+    std::vector<std::vector<std::size_t>> slice_ix_;  ///< item indices per shard
+    // One slice's engine inputs and atoms.
     std::vector<PacketHeader> headers_;
+    std::vector<BoxId> ingress_;  ///< QueryEngine::kNoIngress for C items
     std::vector<AtomId> atoms_;
   };
   /// Why a Q item entering at `ingress` cannot be answered (the ingress
@@ -177,8 +186,9 @@ class ShardedCluster {
   /// such a line 400 and leaves it out of the batch.
   std::string check_ingress(BoxId ingress) const;
   /// Executes a mixed batch against ONE pinned epoch into `out`: items are
-  /// grouped by shard, fanned out via the engines' admitted batch paths,
-  /// and each answer is summarized in place from its behavior-table cell.
+  /// grouped by shard (C items round-robin, Q items by shard_of(ingress)),
+  /// each shard's slice is one QueryEngine::try_answer_batch_on call, and
+  /// each Q answer is summarized in place from its behavior-table cell.
   /// A batch holding a Q item that check_ingress refuses throws
   /// apc::Error(kInvalidArgument) before any shard runs it, so no breaker
   /// moves.  A shard that sheds or throws trips its breaker and the batch is
@@ -301,9 +311,12 @@ class ShardedCluster {
 
   std::shared_ptr<Replica> replica_ref(std::size_t i) const;
   std::shared_ptr<const engine::QueryEngine> replica_engine(std::size_t i) const;
+  /// pin() into `view`, reusing its vectors' capacity.
+  void pin_into(PinnedView& view) const;
   /// Runs shard `slice`'s share of the batch on executing shard `exec`
-  /// (same pinned snapshot epoch).  Returns false on shed/exception.
-  bool execute_slice(const PinnedView& view, std::size_t exec, std::size_t slice,
+  /// (same pinned snapshot epoch, out.view_).  Returns false on
+  /// shed/exception.
+  bool execute_slice(std::size_t exec, std::size_t slice,
                      const std::vector<BatchItem>& items, BatchAnswers& out) const;
   void note_shard_success(std::size_t i) const;
   void note_shard_failure(std::size_t i) const;

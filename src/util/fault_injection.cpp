@@ -26,7 +26,7 @@ void FaultInjector::disarm_all() {
 
 bool FaultInjector::hit(const char* site, FaultPlan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sites_.find(site);
+  const auto it = sites_.find(std::string_view(site));
   if (it == sites_.end()) return false;
   Armed& a = it->second;
   ++a.hits;

@@ -22,8 +22,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -74,8 +76,16 @@ class FaultInjector {
     std::uint64_t hits = 0;
     std::uint64_t fired = 0;
   };
+  /// Looks sites up by std::string_view, so a hit on a fault point builds
+  /// no std::string: an unarmed site costs no heap work.
+  struct SiteHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Armed> sites_;
+  std::unordered_map<std::string, Armed, SiteHash, std::equal_to<>> sites_;
   obs::Counter injected_;
 };
 

@@ -119,15 +119,8 @@ void TaskPool::Group::wait() {
   if (err) std::rethrow_exception(err);
 }
 
-void TaskPool::parallel_for(std::size_t total, std::size_t grain,
-                            const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (total == 0) return;
-  require(grain > 0, "TaskPool::parallel_for: zero grain");
-  if (workers_.empty() || total <= grain) {
-    fn(0, total);
-    return;
-  }
-
+void TaskPool::fan_out(std::size_t total, std::size_t grain,
+                       const std::function<void(std::size_t, std::size_t)>& fn) {
   struct Cursor {
     std::atomic<std::size_t> next{0};
     std::size_t chunk_count = 0;

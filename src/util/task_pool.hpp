@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 
 namespace apc::util {
 
@@ -79,9 +80,20 @@ class TaskPool {
   /// Invokes fn(first, last) over disjoint chunks covering [0, total).
   /// Blocks until every chunk has completed; the calling thread
   /// participates.  Safe to call concurrently from several threads (each
-  /// call is its own Group); `fn` must be safe to invoke concurrently.
-  void parallel_for(std::size_t total, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+  /// call is its own Group); `fn` must be safe to invoke concurrently.  A
+  /// range of at most `grain` items, or any range on a pool with no
+  /// workers, runs as one fn(0, total) on the caller, with no heap work:
+  /// only a real fan-out wraps `fn` in a std::function.
+  template <typename Fn>
+  void parallel_for(std::size_t total, std::size_t grain, Fn&& fn) {
+    if (total == 0) return;
+    require(grain > 0, "TaskPool::parallel_for: zero grain");
+    if (workers_.empty() || total <= grain) {
+      fn(std::size_t{0}, total);
+      return;
+    }
+    fan_out(total, grain, fn);
+  }
 
   // ---- Observability (see src/obs/) ----
   /// Tasks run to completion (by workers and helping joiners alike).
@@ -99,6 +111,9 @@ class TaskPool {
     Group* group = nullptr;
   };
 
+  /// parallel_for's chunk-claiming loop over a range larger than `grain`.
+  void fan_out(std::size_t total, std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& fn);
   void worker_loop();
   /// Runs one task popped under `lock` (released while executing).
   void execute(std::unique_lock<std::mutex>& lock, Task task);

@@ -129,6 +129,150 @@ TEST(QueryEngine, BatchMatchesSingleQueries) {
   EXPECT_TRUE(eng.classify_batch({}).empty());
 }
 
+// The mixed form against the stage-1 and stage-2 oracles: slices of C items
+// and Q items at every ingress, answered by one try_answer_batch_on each,
+// must give classify_walk's atom for every item and behavior_walk's
+// behavior for every Q item (and no sink call for a C item) — with the
+// header cache on and off and the behavior table precomputed and off, on a
+// FIB-dominated and an ACL-heavy input.  Slice lengths below and above
+// batch_grain cover the inline path and the pool fan-out, and each slice
+// runs twice, so the cache answers cold and warm.
+TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
+  for (int input = 0; input < 2; ++input) {
+    const Dataset data = input == 0 ? datasets::internet2_like(Scale::Tiny, 7)
+                                    : datasets::stanford_like(Scale::Tiny, 11);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(data.net, mgr);
+    Rng rng(41 + input);
+    const auto reps = datasets::atom_representatives(clf.atoms(), rng);
+    const std::vector<PacketHeader> trace = datasets::uniform_trace(reps, 300, rng);
+    const auto boxes = static_cast<BoxId>(data.net.topology.box_count());
+    // Every third item is a C item; the rest are Q items cycling through
+    // every ingress.
+    std::vector<BoxId> ingress(trace.size());
+    for (std::size_t k = 0; k < trace.size(); ++k)
+      ingress[k] = k % 3 == 0 ? QueryEngine::kNoIngress : static_cast<BoxId>(k % boxes);
+    for (const bool cache : {true, false}) {
+      for (const bool table : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "input " << input << " cache " << cache
+                                          << " table " << table);
+        QueryEngine::Options opts;
+        opts.num_threads = 2;
+        opts.batch_grain = 16;
+        if (!cache) opts.header_cache_capacity = 0;
+        if (!table) opts.behavior_table_budget = 0;
+        QueryEngine eng(clf, opts);
+        const auto snap = eng.snapshot();
+        ASSERT_EQ(snap->header_cache() != nullptr, cache);
+        ASSERT_EQ(snap->behavior_table_mode(),
+                  table ? FlatSnapshot::BehaviorTableMode::kPrecomputed
+                        : FlatSnapshot::BehaviorTableMode::kDisabled);
+        for (const std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{64},
+                                    trace.size()}) {
+          for (int pass = 0; pass < 2; ++pass) {
+            std::vector<AtomId> atoms(n, ~AtomId{0});
+            std::vector<Behavior> got(n);
+            std::vector<int> calls(n, 0);
+            ASSERT_TRUE(eng.try_answer_batch_on(
+                *snap, trace.data(), ingress.data(), n, atoms.data(),
+                [&](std::size_t k, const Behavior& b) {
+                  got[k] = b;
+                  ++calls[k];
+                }));
+            for (std::size_t k = 0; k < n; ++k) {
+              ASSERT_EQ(atoms[k], snap->classify_walk(trace[k])) << "item " << k;
+              if (ingress[k] == QueryEngine::kNoIngress) {
+                EXPECT_EQ(calls[k], 0) << "C item " << k;
+              } else {
+                ASSERT_EQ(calls[k], 1) << "Q item " << k;
+                expect_same_behavior(snap->behavior_walk(atoms[k], ingress[k]), got[k],
+                                     "mixed");
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A call with a Q item lands in query_batch_seconds, one with only C items
+// in classify_batch_seconds: one timer per call, whatever its mix.
+TEST(QueryEngine, MixedBatchLandsInOneHistogram) {
+  World w;
+  QueryEngine eng(w.clf);
+  const auto snap = eng.snapshot();
+  std::vector<BoxId> ingress(8, QueryEngine::kNoIngress);
+  std::vector<AtomId> atoms(ingress.size());
+  const auto none = [](std::size_t, const Behavior&) {};
+  ASSERT_TRUE(eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
+                                      ingress.size(), atoms.data(), none));
+  auto rows = eng.stats();
+  EXPECT_EQ(rows.find("engine.classify_batch_seconds.count")->value, 1.0);
+  EXPECT_EQ(rows.find("engine.query_batch_seconds.count")->value, 0.0);
+  ingress[5] = 0;
+  ASSERT_TRUE(eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
+                                      ingress.size(), atoms.data(), none));
+  rows = eng.stats();
+  EXPECT_EQ(rows.find("engine.classify_batch_seconds.count")->value, 1.0);
+  EXPECT_EQ(rows.find("engine.query_batch_seconds.count")->value, 1.0);
+  EXPECT_EQ(rows.find("engine.queries_answered")->value, 16.0);
+}
+
+// Readers of the mixed form race republishes: each pins the current
+// snapshot, answers a mixed batch from it, and checks every answer against
+// that snapshot's own walks, while the writer inserts and removes a rule.
+TEST(QueryEngine, MixedBatchReadersRaceRepublishes) {
+  World w;
+  QueryEngine::Options opts;
+  opts.num_threads = 2;
+  opts.batch_grain = 32;
+  QueryEngine eng(w.clf, opts);
+  const auto boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+  std::vector<BoxId> ingress(w.trace.size());
+  for (std::size_t k = 0; k < ingress.size(); ++k)
+    ingress[k] = k % 2 == 0 ? QueryEngine::kNoIngress : static_cast<BoxId>(k % boxes);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> batches{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::vector<AtomId> atoms(w.trace.size());
+      std::vector<Behavior> got(w.trace.size());
+      while (!stop.load(std::memory_order_acquire)) {
+        const auto snap = eng.snapshot();
+        if (!eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
+                                     w.trace.size(), atoms.data(),
+                                     [&](std::size_t k, const Behavior& b) { got[k] = b; }))
+          continue;
+        for (std::size_t k = 0; k < w.trace.size(); ++k) {
+          if (atoms[k] != snap->classify_walk(w.trace[k])) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          } else if (ingress[k] != QueryEngine::kNoIngress &&
+                     !(got[k] == snap->behavior_walk(atoms[k], ingress[k]))) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        batches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  ForwardingRule rule;
+  rule.dst = parse_prefix("10.77.0.0/16");
+  rule.egress_port = 0;
+  for (int round = 0; round < 8; ++round) {
+    eng.insert_fib_rule(0, rule);
+    eng.remove_fib_rule(0, rule);
+  }
+  while (batches.load(std::memory_order_relaxed) < 4) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(eng.publish_count(), 17u);
+}
+
 TEST(QueryEngine, UpdatesRepublishAndStayConsistent) {
   World w;
   QueryEngine::Options opts;

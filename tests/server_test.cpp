@@ -469,33 +469,40 @@ struct ClusterWorld {
   }
 };
 
+// Inputs: 3 shards with the default engine, and 4 shards with the header
+// cache off, so every header of a slice reaches the kernel.
 TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
   ClusterWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(3));
-  ASSERT_EQ(cluster.shard_count(), 3u);
-  EXPECT_EQ(cluster.epoch(), 0u);
+  for (const std::size_t shards : {3u, 4u}) {
+    SCOPED_TRACE(shards);
+    ShardedCluster::Options opts = w.cluster_options(shards);
+    if (shards == 4) opts.engine.header_cache_capacity = 0;
+    ShardedCluster cluster(w.data.net, opts);
+    ASSERT_EQ(cluster.shard_count(), shards);
+    EXPECT_EQ(cluster.epoch(), 0u);
 
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  const BoxId boxes = static_cast<BoxId>(w.data.net.topology.box_count());
-  for (std::size_t i = 0; i < w.trace.size(); ++i) {
-    const PacketHeader& h = w.trace[i];
-    ShardedCluster::BatchItem c;
-    c.header = h;
-    items.push_back(c);
-    expected.push_back("A " + std::to_string(w.reference.classify(h)));
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = h;
-    q.ingress = static_cast<BoxId>(i % boxes);
-    items.push_back(q);
-    expected.push_back(format_behavior_summary(w.reference.query(h, q.ingress)));
+    std::vector<ShardedCluster::BatchItem> items;
+    std::vector<std::string> expected;
+    const BoxId boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+    for (std::size_t i = 0; i < w.trace.size(); ++i) {
+      const PacketHeader& h = w.trace[i];
+      ShardedCluster::BatchItem c;
+      c.header = h;
+      items.push_back(c);
+      expected.push_back("A " + std::to_string(w.reference.classify(h)));
+      ShardedCluster::BatchItem q;
+      q.is_query = true;
+      q.header = h;
+      q.ingress = static_cast<BoxId>(i % boxes);
+      items.push_back(q);
+      expected.push_back(format_behavior_summary(w.reference.query(h, q.ingress)));
+    }
+    const auto res = cluster.run_batch(items);
+    EXPECT_EQ(res.epoch, 0u);
+    ASSERT_EQ(res.lines.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
   }
-  const auto res = cluster.run_batch(items);
-  EXPECT_EQ(res.epoch, 0u);
-  ASSERT_EQ(res.lines.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
 }
 
 // A Q item whose ingress names no box is the caller's error, not a shard's:
@@ -566,6 +573,32 @@ TEST(ShardedCluster, EpochAdvancesOnceEveryShardPublishes) {
   EXPECT_EQ(view.epoch, 2u);
   ASSERT_EQ(view.snaps.size(), 2u);
   for (const auto& s : view.snaps) ASSERT_NE(s, nullptr);
+}
+
+// Once every shard has published an update's epoch, no new pin can want
+// the previous one, so each replica frees that snapshot at once instead of
+// holding two full snapshots until its next publish.
+TEST(ShardedCluster, RetiredEpochIsReleasedOncePublished) {
+  ClusterWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(4));
+  const std::weak_ptr<const engine::FlatSnapshot> first = cluster.shard(0)->snapshot_at(0);
+  ASSERT_FALSE(first.expired());
+  RuleSpec spec;
+  spec.box = 0;
+  spec.rule.dst = parse_prefix("10.77.0.0/16");
+  spec.rule.egress_port = 0;
+  spec.rule.priority = 90;
+  ASSERT_EQ(cluster.add_rule(spec), 1u);
+  for (std::size_t i = 0; i < cluster.shard_count(); ++i) {
+    EXPECT_TRUE(cluster.shard(i)->snapshot_at(0) == nullptr) << "shard " << i;
+    EXPECT_TRUE(cluster.shard(i)->snapshot_at(1) != nullptr) << "shard " << i;
+  }
+  EXPECT_TRUE(first.expired());
+  std::vector<ShardedCluster::BatchItem> items(2);
+  items[0].header = w.trace[0];
+  items[1].is_query = true;
+  items[1].header = w.trace[1];
+  EXPECT_EQ(cluster.run_batch(items).epoch, 1u);
 }
 
 // The epoch-consistency differential: while one thread toggles a rule that
@@ -726,6 +759,31 @@ TEST(ShardedCluster, WalRecoveryRestoresUpdatesAcrossShards) {
   const auto res = recovered.run_batch(items);
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+  std::filesystem::remove_all(dir);
+}
+
+// A CRC-valid record whose sequence number does not fit in 64 bits must
+// not wrap (here to 1, where it would tie with a real record 1 in the
+// replay sort): recovery refuses it as a parse error naming the sequence.
+TEST(ShardedCluster, WalSequenceOverflowIsRejected) {
+  ClusterWorld w;
+  const std::string dir = ::testing::TempDir() + "apc_cluster_wal_overflow";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string seq = "18446744073709551617";
+  {
+    io::Wal wal(dir + "/shard0.wal", io::WalOptions{});
+    wal.append(seq + " A fib 0 10.50.0.0/16 0 16");
+  }
+  auto opts = w.cluster_options(2);
+  opts.wal_dir = dir;
+  try {
+    ShardedCluster cluster(w.data.net, opts);
+    ADD_FAILURE() << "recovery accepted sequence " << seq;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse) << e.what();
+    EXPECT_NE(std::string(e.what()).find(seq), std::string::npos) << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 
