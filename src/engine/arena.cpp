@@ -78,13 +78,6 @@ void Arena::prefault(const ArenaRef& r, std::size_t elem_size) const {
 #endif
 }
 
-void Arena::prefault_all() const {
-#if APC_HAVE_MMAP
-  if (storage_ != Storage::kMapped) return;
-  ::madvise(map_addr_, map_len_, MADV_WILLNEED);
-#endif
-}
-
 ArenaBuilder::~ArenaBuilder() { std::free(buf_); }
 
 void ArenaBuilder::allocate() {

@@ -169,7 +169,6 @@ class Arena {
   /// WILLNEED).  No-op for owned storage or when mmap support is compiled
   /// out.  Never fails: prefaulting is purely advisory.
   void prefault(const ArenaRef& r, std::size_t elem_size) const;
-  void prefault_all() const;
 
   /// Wraps a buffer produced by ArenaBuilder (64-byte-aligned, allocated
   /// with std::aligned_alloc; ownership transfers).

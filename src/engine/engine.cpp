@@ -26,9 +26,6 @@ FlatSnapshot::Options snapshot_options(const QueryEngine::Options& o) {
   FlatSnapshot::Options so;
   so.behavior_table_budget = o.behavior_table_budget;
   so.header_cache_capacity = o.header_cache_capacity;
-  so.header_cache_shards = o.header_cache_shards;
-  so.mmap_load = o.snapshot_mmap;
-  so.prefault = o.snapshot_prefault;
   return so;
 }
 }  // namespace
@@ -36,7 +33,6 @@ FlatSnapshot::Options snapshot_options(const QueryEngine::Options& o) {
 QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
     : clf_(clf), opts_(std::move(opts)), pool_(default_threads(opts_.num_threads)) {
   require(opts_.batch_grain > 0, "QueryEngine: zero batch grain");
-  if (opts_.build_threads > 0) clf_.set_build_threads(opts_.build_threads);
   // Warm restore: a valid durable snapshot serves immediately, skipping the
   // freeze + eager-precompute cost.  Anything wrong with the file (absent,
   // torn, corrupt) falls back to a normal build — never a crash.
@@ -49,10 +45,9 @@ QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
     }
   }
   if (restored)
-    snap_.store(std::move(restored), /*epoch=*/0, opts_.epoch_pin);
+    snap_.store(std::move(restored));
   else
-    snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_),
-                /*epoch=*/0, opts_.epoch_pin);
+    snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_));
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);
   persist_current_locked();  // ctor: no readers yet, no lock needed
@@ -140,13 +135,7 @@ void QueryEngine::drain_visits_locked() {
 }
 
 void QueryEngine::republish_locked() {
-  // Epoch tag for this publish: a pending writer override (the cluster's
-  // coordinated bump) or the previous epoch + 1.  Consumed exactly once.
-  const std::uint64_t epoch =
-      next_epoch_ ? *next_epoch_ : snap_.epoch() + 1;
-  next_epoch_.reset();
-  snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_), epoch,
-              opts_.epoch_pin);
+  snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_));
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);
   persist_current_locked();
@@ -178,9 +167,6 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_counter(prefix + ".queries_answered", &queries_answered_);
   reg.register_fn(prefix + ".publish_count",
                   [this] { return static_cast<double>(publish_count()); }, "count");
-  reg.register_fn(prefix + ".snapshot_epoch",
-                  [this] { return static_cast<double>(snapshot_epoch()); },
-                  "count");
   reg.register_fn(prefix + ".snapshot_age_seconds",
                   [this] { return snapshot_age_seconds(); }, "seconds");
   reg.register_fn(prefix + ".worker_threads",

@@ -15,14 +15,9 @@
 // Readers acquire the current snapshot pointer and keep the shared_ptr
 // alive for the duration of their batch, so a snapshot retires only after
 // its last reader drops it.  Updates therefore never block in-flight
-// queries and queries never observe intermediate tree states.
-//
-// The publication slot is a mutex-guarded shared_ptr rather than
-// std::atomic<std::shared_ptr>: libstdc++'s lock-bit implementation
-// releases its load() lock with a relaxed RMW, which leaves no provable
-// happens-before edge to the next store()'s pointer swap (TSan flags it).
-// The guarded slot's critical section is a single refcount bump — queries
-// themselves never hold the lock.
+// queries and queries never observe intermediate tree states.  The
+// publication slot is a util::SharedSlot (see there for why it is not
+// std::atomic<std::shared_ptr>).
 //
 // classify_batch()/query_batch() fan a vector of headers across a small
 // worker pool; every item in one batch is answered from one snapshot, so a
@@ -38,6 +33,7 @@
 
 #include "classifier/classifier.hpp"
 #include "engine/snapshot.hpp"
+#include "util/shared_slot.hpp"
 #include "util/task_pool.hpp"
 
 namespace apc::engine {
@@ -52,12 +48,6 @@ class QueryEngine {
     std::size_t num_threads = 0;
     /// Headers per work chunk when fanning out a batch.
     std::size_t batch_grain = 256;
-    /// Construction threads used by every mutation that goes through
-    /// update() — atom recomputation and tree rebuilds fan out on this many
-    /// threads (see docs/architecture.md, "Parallel construction
-    /// pipeline").  0 = keep the classifier's own setting (whose default is
-    /// hardware_concurrency).
-    std::size_t build_threads = 0;
     /// Memory budget for each snapshot's (atom x ingress) behavior table:
     /// below it the table is precomputed at publish time, above it cells
     /// fill lazily, 0 turns the table off (behavior_of() walks the
@@ -67,9 +57,6 @@ class QueryEngine {
     /// Per-snapshot header -> atom cache capacity in slots (~64 bytes per
     /// slot; rounded up to a power of two).  0 disables the cache.
     std::size_t header_cache_capacity = 1u << 15;
-    /// Header-cache shard count (power of two); 0 = auto-size from
-    /// capacity.
-    std::size_t header_cache_shards = 0;
     /// Durable snapshot file (empty = off).  At construction a valid file
     /// here is warm-restored — the engine serves queries from it without
     /// paying the freeze/precompute cost — and every publish (including the
@@ -78,29 +65,15 @@ class QueryEngine {
     /// and tolerated (serving continues).  See snapshot.hpp and
     /// docs/architecture.md, "Fault tolerance & durability".
     std::string snapshot_path;
-    /// Warm restore via mmap (README knob `snapshot_mmap`): map the
-    /// snapshot file read-only instead of parsing it into the heap, so
-    /// restore cost is page faults, not bytes, and the frozen arena is
-    /// shared page cache across processes.  Falls back to an owned read
-    /// when mmap is compiled out (APC_FORCE_NO_MMAP).
-    bool snapshot_mmap = true;
-    /// How much of a mapped snapshot the restore prefaults (madvise
-    /// WILLNEED): kHot = tree + match program, kAll = whole arena, kNone =
-    /// pure demand paging.  Irrelevant for owned storage.
-    PrefaultPolicy snapshot_prefault = PrefaultPolicy::kHot;
     /// Admission cap: at most this many batch queries in flight at once.
     /// Excess classify_batch()/query_batch() calls fail fast with
     /// apc::Error(kUnavailable) (the try_* variants return nullopt instead)
     /// rather than piling onto the pool.  0 = unbounded.
     std::size_t max_pending_batches = 0;
-    /// Epoch pinning (see server/cluster.hpp): when set, each publish keeps
-    /// the retiring snapshot resolvable by its epoch (snapshot_at) until
-    /// release_retired_snapshot() drops it or the next publish replaces it,
-    /// so an epoch-pinned reader can still acquire the previous epoch while
-    /// a multi-shard publication is in flight.  The cluster releases it as
-    /// soon as every shard has published.  Off by default — a standalone
-    /// engine should release retiring snapshots as soon as readers drop
-    /// them, not hold a second copy of every frozen state.
+    /// Ignored: an engine keeps no snapshot but its current one, and the
+    /// cluster holds each epoch's snapshots in its own published view
+    /// (server/cluster.hpp).  Kept only because the serving benchmark sets
+    /// it.
     bool epoch_pin = false;
   };
 
@@ -137,11 +110,10 @@ class QueryEngine {
   std::optional<std::vector<Behavior>> try_query_batch(
       const std::vector<PacketHeader>& hs, BoxId ingress) const;
 
-  // ---- Epoch-pinned read side (the sharded cluster's entry points) ----
+  // ---- Caller-pinned read side (the sharded cluster's entry points) ----
   // A cross-shard batch must never mix snapshot versions, so the cluster
-  // pins one epoch, resolves it to a concrete snapshot per shard
-  // (snapshot_at), and answers the shard's slice of the batch against that
-  // exact snapshot.
+  // pins one view (a snapshot per shard, all of one epoch) and answers each
+  // shard's slice of the batch against that exact snapshot.
   /// The ingress of a classify-only (C) item in try_answer_batch_on.
   static constexpr BoxId kNoIngress = ~BoxId{0};
   /// The batch body every batch call runs.  Answers items hs[0..n) against
@@ -171,30 +143,6 @@ class QueryEngine {
   std::optional<std::vector<Behavior>> try_query_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
       BoxId ingress) const;
-
-  /// Epoch of the currently published snapshot.  Publishes tag the snapshot
-  /// with set_next_publish_epoch()'s value when one is pending, otherwise
-  /// the previous epoch + 1 — monotonic either way.  The initial snapshot
-  /// is epoch 0.
-  std::uint64_t snapshot_epoch() const { return snap_.epoch(); }
-  /// The published snapshot tagged `epoch`: the current one, or — with
-  /// Options::epoch_pin — the retained previous one.  nullptr when that
-  /// epoch is no longer (or not yet) published; the caller re-pins.
-  std::shared_ptr<const FlatSnapshot> snapshot_at(std::uint64_t epoch) const {
-    return snap_.at(epoch);
-  }
-  /// Drops the snapshot Options::epoch_pin retained at the last publish:
-  /// snapshot_at(its epoch) returns nullptr from here on, and it is freed
-  /// once no reader holds it.  The cluster calls this when every shard has
-  /// published, so no new pin can want the previous epoch.
-  void release_retired_snapshot() { snap_.release_prev(); }
-  /// Writer-side epoch hook: the next publish (only) is tagged `e` instead
-  /// of auto-incrementing.  The cluster calls this under its own update
-  /// serialization right before the mutation it forwards to update().
-  void set_next_publish_epoch(std::uint64_t e) {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    next_epoch_ = e;
-  }
 
   // ---- Write side (serialized; rebuild-and-swap publication) ----
   AddPredicateResult add_predicate(bdd::Bdd p,
@@ -301,70 +249,12 @@ class QueryEngine {
     explicit operator bool() const { return admitted; }
   };
 
-  /// Mutex-guarded publication slot (see the class comment for why this is
-  /// not std::atomic<std::shared_ptr>).  load() copies the pointer under
-  /// the lock; store() swaps it and drops the old snapshot outside the
-  /// lock, so a snapshot's (potentially large) teardown never blocks
-  /// readers acquiring the new one.  Each published snapshot carries an
-  /// epoch tag; with retain_prev the retiring snapshot stays resolvable by
-  /// its epoch (at()) until the publish after next — the window an
-  /// epoch-pinned cluster reader needs.
-  class SnapshotSlot {
-   public:
-    std::shared_ptr<const FlatSnapshot> load() const {
-      std::lock_guard<std::mutex> lock(mu_);
-      return ptr_;
-    }
-    std::uint64_t epoch() const {
-      std::lock_guard<std::mutex> lock(mu_);
-      return epoch_;
-    }
-    std::shared_ptr<const FlatSnapshot> at(std::uint64_t epoch) const {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (ptr_ && epoch == epoch_) return ptr_;
-      if (prev_ && epoch == prev_epoch_) return prev_;
-      return nullptr;
-    }
-    void release_prev() {
-      std::shared_ptr<const FlatSnapshot> old_prev;
-      std::lock_guard<std::mutex> lock(mu_);
-      old_prev.swap(prev_);
-    }
-    void store(std::shared_ptr<const FlatSnapshot> next, std::uint64_t epoch,
-               bool retain_prev) {
-      std::shared_ptr<const FlatSnapshot> old_prev, old_cur;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        old_prev.swap(prev_);
-        if (retain_prev) {
-          prev_ = std::move(ptr_);
-          prev_epoch_ = epoch_;
-        } else {
-          old_cur.swap(ptr_);
-        }
-        ptr_ = std::move(next);
-        epoch_ = epoch;
-      }
-    }
-
-   private:
-    mutable std::mutex mu_;
-    std::shared_ptr<const FlatSnapshot> ptr_;
-    std::uint64_t epoch_ = 0;
-    std::shared_ptr<const FlatSnapshot> prev_;
-    std::uint64_t prev_epoch_ = 0;
-  };
-
   ApClassifier& clf_;
   Options opts_;
   mutable util::TaskPool pool_;
   mutable std::mutex writer_mu_;
-  SnapshotSlot snap_;
+  util::SharedSlot<const FlatSnapshot> snap_;
   std::atomic<std::uint64_t> publish_count_{0};
-  /// One-shot epoch override for the next publish (see
-  /// set_next_publish_epoch); nullopt = auto-increment.  Guarded by
-  /// writer_mu_.
-  std::optional<std::uint64_t> next_epoch_;
 
   // Batch-granular probes only: one timer + two histogram records per
   // *batch*, never per packet, so the per-query hot path stays untouched.

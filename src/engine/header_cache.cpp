@@ -17,30 +17,11 @@ std::size_t round_up_pow2_clamped(std::size_t v, std::size_t hi) {
 
 }  // namespace
 
-HeaderAtomCache::HeaderAtomCache(std::size_t capacity, std::size_t shards,
-                                 const Mask& tested_bits)
-    : mask_(tested_bits) {
-  // Deterministic sizing (see the constructor comment in the header):
-  //   slots  = clamp(pow2_round_up(capacity), kMinSlots, kMaxSlots)
-  //   shards = clamp(pow2_round_up(requested or auto), 1, slots / kMinSlots)
-  // Both results are powers of two and slots_per_shard >= kMinSlots always
-  // holds, so the low/high hash-bit split in slot_for() stays exact.
-  const std::size_t slots = round_up_pow2_clamped(
-      capacity < kMinSlots ? kMinSlots : capacity, kMaxSlots);
-  if (shards == 0) {
-    shards = slots / 256 ? slots / 256 : 1;  // auto: one shard per 256 slots
-    if (shards > 64) shards = 64;
-  }
-  // An explicit request is honored after power-of-two rounding, up to the
-  // invariant ceiling of slots / kMinSlots — never silently above it, and
-  // never a spin/overflow for absurd requests.
-  shards = round_up_pow2_clamped(shards, slots / kMinSlots);
-  shard_count_ = shards;
-  slots_per_shard_ = slots / shards;
-  shards_.reserve(shard_count_);
-  for (std::size_t i = 0; i < shard_count_; ++i)
-    shards_.push_back(std::make_unique<Slot[]>(slots_per_shard_));
-}
+HeaderAtomCache::HeaderAtomCache(std::size_t capacity, const Mask& tested_bits)
+    : mask_(tested_bits),
+      slot_count_(round_up_pow2_clamped(capacity < kMinSlots ? kMinSlots : capacity,
+                                        kMaxSlots)),
+      slots_(std::make_unique<Slot[]>(slot_count_)) {}
 
 std::uint64_t HeaderAtomCache::hash_canonical(
     const PacketHeader& h,
@@ -59,9 +40,7 @@ std::uint64_t HeaderAtomCache::hash_canonical(
 }
 
 HeaderAtomCache::Slot& HeaderAtomCache::slot_for(std::uint64_t hash) const {
-  const std::size_t shard = (hash >> 48) & (shard_count_ - 1);
-  const std::size_t slot = hash & (slots_per_shard_ - 1);
-  return shards_[shard][slot];
+  return slots_[hash & (slot_count_ - 1)];
 }
 
 bool HeaderAtomCache::lookup(const PacketHeader& h, AtomId& atom) const {
@@ -96,11 +75,6 @@ void HeaderAtomCache::insert(const PacketHeader& h, AtomId atom) const {
     s.key[i].store(key[i], std::memory_order_relaxed);
   s.atom.store(static_cast<std::uint32_t>(atom), std::memory_order_relaxed);
   s.seq.store(seq + 2, std::memory_order_release);
-}
-
-std::size_t HeaderAtomCache::memory_bytes() const {
-  return shard_count_ * slots_per_shard_ * sizeof(Slot) +
-         shards_.capacity() * sizeof(shards_[0]);
 }
 
 }  // namespace apc::engine

@@ -1,4 +1,4 @@
-// HeaderAtomCache — a fixed-capacity, sharded, lock-free header -> atom
+// HeaderAtomCache — a fixed-capacity, lock-free header -> atom
 // cache consulted in front of the AP Tree walk.
 //
 // The paper's packet-distribution experiments (SS VII, Fig. 15) show real
@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "ap/atoms.hpp"
 #include "packet/header.hpp"
@@ -52,15 +51,10 @@ class HeaderAtomCache {
   static constexpr std::size_t kMinSlots = 64;
   static constexpr std::size_t kMaxSlots = std::size_t{1} << 20;
 
-  /// Sizing invariant (deterministic for every input):
-  ///   slots  = pow2_round_up(capacity) clamped to [kMinSlots, kMaxSlots];
-  ///   shards = pow2_round_up(shards)   clamped to [1, slots / kMinSlots]
-  ///            (0 = auto: one shard per 256 slots, at most 64).
-  /// Every shard therefore keeps >= kMinSlots slots, both counts are powers
-  /// of two, and an explicit `shards` request above the ceiling is clamped
-  /// — check shard_count() when the exact value matters.  The shard is
-  /// chosen by the high hash bits, the slot by the low bits.
-  HeaderAtomCache(std::size_t capacity, std::size_t shards, const Mask& tested_bits);
+  /// Sizing (deterministic for every input): slots = pow2_round_up(capacity)
+  /// clamped to [kMinSlots, kMaxSlots].  The slot is chosen by the low hash
+  /// bits.
+  HeaderAtomCache(std::size_t capacity, const Mask& tested_bits);
 
   HeaderAtomCache(const HeaderAtomCache&) = delete;
   HeaderAtomCache& operator=(const HeaderAtomCache&) = delete;
@@ -73,9 +67,8 @@ class HeaderAtomCache {
   /// insert when another writer holds the slot.  Safe from any thread.
   void insert(const PacketHeader& h, AtomId atom) const;
 
-  std::size_t capacity() const { return shard_count_ * slots_per_shard_; }
-  std::size_t shard_count() const { return shard_count_; }
-  std::size_t memory_bytes() const;
+  std::size_t capacity() const { return slot_count_; }
+  std::size_t memory_bytes() const { return slot_count_ * sizeof(Slot); }
 
  private:
   /// One direct-mapped entry.  48 bytes of state, padded to one cache line
@@ -91,9 +84,8 @@ class HeaderAtomCache {
                                std::array<std::uint64_t, PacketHeader::kWords>& key) const;
 
   Mask mask_{};
-  std::size_t shard_count_ = 0;
-  std::size_t slots_per_shard_ = 0;
-  std::vector<std::unique_ptr<Slot[]>> shards_;
+  std::size_t slot_count_ = 0;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace apc::engine

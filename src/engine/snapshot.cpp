@@ -367,8 +367,7 @@ void FlatSnapshot::init_accelerators(const Options& opts) {
     HeaderAtomCache::Mask mask{};
     const ArenaHeader& h = arena_->header();
     std::copy(std::begin(h.tested_bits), std::end(h.tested_bits), mask.begin());
-    cache_ = std::make_unique<HeaderAtomCache>(opts.header_cache_capacity,
-                                               opts.header_cache_shards, mask);
+    cache_ = std::make_unique<HeaderAtomCache>(opts.header_cache_capacity, mask);
   }
 
   // Behavior table (layer 1): the cell-pointer array must fit the budget or

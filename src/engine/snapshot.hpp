@@ -18,7 +18,7 @@
 //      lazily filled per cell (CAS pointer publish) above it; behavior_of()
 //      is then a table read.  The topology walk survives as behavior_walk()
 //      — the table filler and the differential-test oracle.
-//   2. Header -> atom cache.  A sharded, lock-free HeaderAtomCache keyed on
+//   2. Header -> atom cache.  A lock-free HeaderAtomCache keyed on
 //      the canonicalized header bits the predicates actually test sits in
 //      front of the tree walk; hot flows (real traffic is Zipfian, SS VII)
 //      skip the tree entirely.  The cache lives inside the snapshot, so a
@@ -68,14 +68,6 @@
 
 namespace apc::engine {
 
-/// How much of a mapped snapshot load_snapshot() asks the kernel to fault
-/// in ahead of first use (madvise WILLNEED).  Irrelevant for owned storage.
-enum class PrefaultPolicy : std::uint8_t {
-  kNone,  ///< demand paging only
-  kHot,   ///< tree + match program (the per-query hot sections)
-  kAll,   ///< the whole arena
-};
-
 class FlatSnapshot {
  public:
   /// Query-path acceleration knobs (see the class comment; README "Query
@@ -89,16 +81,11 @@ class FlatSnapshot {
     /// Header -> atom cache capacity in slots (rounded up to a power of
     /// two; ~64 bytes per slot).  0 disables the cache.
     std::size_t header_cache_capacity = 1u << 15;
-    /// Cache shard count (power of two).  0 = auto (one shard per 256
-    /// slots, at most 64).
-    std::size_t header_cache_shards = 0;
     /// load_snapshot() only: mmap the snapshot file instead of reading it
-    /// into an owned buffer (README knob `snapshot_mmap`).  Ignored — with
-    /// an automatic owned-read fallback — when mmap support is compiled out
-    /// (APC_FORCE_NO_MMAP).
+    /// into an owned buffer, and prefault the tree and match program
+    /// (madvise WILLNEED).  Ignored — with an automatic owned-read fallback
+    /// — when mmap support is compiled out (APC_FORCE_NO_MMAP).
     bool mmap_load = true;
-    /// load_snapshot() only: prefault policy for mapped arenas.
-    PrefaultPolicy prefault = PrefaultPolicy::kHot;
   };
 
   enum class BehaviorTableMode : std::uint8_t { kDisabled, kLazy, kPrecomputed };

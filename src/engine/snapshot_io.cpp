@@ -395,21 +395,11 @@ std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,
     }
   }
   if (arena != nullptr) {
-    // Ask for readahead before the CRC touches every page in order, and
-    // (kHot) keep the per-query-hot sections warm explicitly.
-    switch (opts.prefault) {
-      case PrefaultPolicy::kNone:
-        break;
-      case PrefaultPolicy::kAll:
-        arena->prefault_all();
-        break;
-      case PrefaultPolicy::kHot:
-        if (arena->size() >= sizeof(ArenaHeader)) {
-          const ArenaHeader& h = arena->header();
-          arena->prefault(h.tree, sizeof(FlatTreeNode));
-          arena->prefault(h.program, sizeof(MatchInsn));
-        }
-        break;
+    // Prefault the sections every query touches: the tree and the program.
+    if (arena->size() >= sizeof(ArenaHeader)) {
+      const ArenaHeader& h = arena->header();
+      arena->prefault(h.tree, sizeof(FlatTreeNode));
+      arena->prefault(h.program, sizeof(MatchInsn));
     }
   } else {
     // Owned fallback: same bytes, same validation, heap storage.

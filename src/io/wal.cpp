@@ -1,6 +1,7 @@
 #include "io/wal.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <thread>
@@ -69,10 +70,10 @@ std::string read_file(int fd, const std::string& path) {
 /// Fsyncs the directory containing `path`.  O_CREAT makes the file durable
 /// only once its directory entry is — a log created, fsynced, and lost to a
 /// power cut before the directory block hits disk silently vanishes, taking
-/// every acked record with it.  Called once, at fresh-log creation (an
-/// existing log's entry is already durable).  Filesystems that refuse
-/// directory fsync (EINVAL on some network mounts) are tolerated; real
-/// write-back errors propagate.
+/// every acked record with it.  Called at fresh-log creation and after
+/// replace()'s rename (an existing log's entry is already durable).
+/// Filesystems that refuse directory fsync (EINVAL on some network mounts)
+/// are tolerated; real write-back errors propagate.
 void fsync_parent_dir(const std::string& path) {
   if (const int err = util::fault_errno("wal.create.dirsync"))
     fail_io("wal: fsync parent dir of " + path, err);
@@ -205,6 +206,20 @@ Wal::Wal(const std::string& path, WalOptions opts, std::vector<std::string>* rec
 
 Wal::~Wal() {
   if (fd_ >= 0) ::close(fd_);
+}
+
+std::unique_ptr<Wal> Wal::replace(const std::string& path, WalOptions opts,
+                                  std::span<const std::string_view> payloads) {
+  const std::string tmp = path + ".tmp";
+  if (::unlink(tmp.c_str()) != 0 && errno != ENOENT) fail_io("wal: remove " + tmp, errno);
+  auto wal = std::make_unique<Wal>(tmp, opts);
+  wal->append(payloads);
+  // The rename must not make durable a file whose records are not.
+  if (wal->unsynced_records_ > 0) wal->do_fsync("wal.append.fsync");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail_io("wal: rename " + tmp, errno);
+  wal->path_ = path;
+  fsync_parent_dir(path);
+  return wal;
 }
 
 int Wal::try_write(const char* p, std::size_t n) {

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -96,6 +97,14 @@ class Wal {
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
+
+  /// Replaces the log at `path` with a fresh one holding `payloads`, in
+  /// order: removes a stale `<path>.tmp`, writes the records there with one
+  /// group append, fsyncs it, renames it over `path` and fsyncs the
+  /// directory.  Returns the new log, open for appends at `path`.  A throw
+  /// before the rename leaves `path` untouched.
+  static std::unique_ptr<Wal> replace(const std::string& path, WalOptions opts,
+                                      std::span<const std::string_view> payloads);
 
   /// Appends a group of records with one write and applies the fsync policy
   /// once: one fsync for the group under kEveryRecord, while kInterval

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "io/line_parse.hpp"
@@ -120,9 +119,6 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   require(opts_.breaker_degrade_after > 0 &&
               opts_.breaker_quarantine_after >= opts_.breaker_degrade_after,
           "ShardedCluster: breaker thresholds must satisfy 0 < degrade <= quarantine");
-  // The consistency protocol depends on retiring snapshots staying
-  // resolvable by epoch while a publication walks the shards.
-  opts_.engine.epoch_pin = true;
   opts_.engine.snapshot_path.clear();  // see Options::engine
   shards_.resize(opts_.shards);
 
@@ -193,6 +189,15 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
   updates_applied_.store(replay.size(), std::memory_order_relaxed);
+
+  // Epoch 0: every replica's initial snapshot.
+  auto view = std::make_shared<PinnedView>();
+  for (const auto& sh : shards_) {
+    const std::shared_ptr<Replica>& rep = sh->replica;
+    view->snaps.push_back(rep->engine->snapshot());
+    view->engines.emplace_back(rep, rep->engine.get());
+  }
+  view_.store(std::move(view));
 }
 
 ShardedCluster::~ShardedCluster() {
@@ -211,58 +216,15 @@ ShardedCluster::~ShardedCluster() {
     if (t.joinable()) t.join();
 }
 
-std::shared_ptr<ShardedCluster::Replica> ShardedCluster::replica_ref(
-    std::size_t i) const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return shards_[i]->replica;
-}
-
-std::shared_ptr<const engine::QueryEngine> ShardedCluster::replica_engine(
-    std::size_t i) const {
-  std::shared_ptr<Replica> rep = replica_ref(i);
-  // Aliasing ctor: the engine pointer rides on the replica's lifetime, so a
-  // concurrent resync swap cannot free it under the caller.
-  return std::shared_ptr<const engine::QueryEngine>(rep, rep->engine.get());
-}
-
 ShardedCluster::PinnedView ShardedCluster::pin() const {
-  PinnedView view;
-  pin_into(view);
+  PinnedView view = *view_.load();
+  for (std::size_t i = 0; i < view.snaps.size(); ++i)
+    if (shard_state(i) == ShardState::kQuarantined) view.snaps[i] = nullptr;
   return view;
 }
 
-void ShardedCluster::pin_into(PinnedView& view) const {
-  // Loop until one epoch is resolvable on every non-quarantined shard.  At
-  // any instant those shards hold epochs {E, E+1} for the cluster epoch E,
-  // and epoch_pin keeps a shard's E snapshot alive after it publishes E+1
-  // until epoch_ reads E+1 — so the only way a round fails is a full
-  // publication completing mid-scan, which just means the next round pins
-  // the newer epoch.
-  for (;;) {
-    view.epoch = epoch();
-    view.snaps.assign(shards_.size(), nullptr);
-    view.engines.assign(shards_.size(), nullptr);
-    bool ok = true;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->state.load(std::memory_order_acquire) ==
-          ShardState::kQuarantined)
-        continue;  // out of rotation; run_batch reroutes its traffic
-      auto eng = replica_engine(i);
-      auto s = eng->snapshot_at(view.epoch);
-      if (!s) {
-        ok = false;
-        break;
-      }
-      view.snaps[i] = std::move(s);
-      view.engines[i] = std::move(eng);
-    }
-    if (ok) return;  // possibly with zero shards: every one quarantined
-    std::this_thread::yield();
-  }
-}
-
-bool ShardedCluster::execute_slice(std::size_t exec, std::size_t slice,
-                                   const std::vector<BatchItem>& items,
+bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
+                                   std::size_t slice, const std::vector<BatchItem>& items,
                                    BatchAnswers& out) const {
   const std::vector<std::size_t>& ix = out.slice_ix_[slice];
   out.headers_.clear();
@@ -276,8 +238,8 @@ bool ShardedCluster::execute_slice(std::size_t exec, std::size_t slice,
   try {
     // One engine call for the whole slice; each Q answer is summarized
     // straight from its behavior-table cell.
-    if (!out.view_.engines[exec]->try_answer_batch_on(
-            *out.view_.snaps[exec], out.headers_.data(), out.ingress_.data(), ix.size(),
+    if (!view.engines[exec]->try_answer_batch_on(
+            *view.snaps[exec], out.headers_.data(), out.ingress_.data(), ix.size(),
             out.atoms_.data(), [&out, &ix](std::size_t k, const Behavior& b) {
               out.answers_[ix[k]].summary = BehaviorSummary::of(b);
             }))
@@ -306,28 +268,25 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
     if (!why.empty())
       throw Error(ErrorCode::kInvalidArgument, "cluster: query refused: " + why);
   }
-  PinnedView& view = out.view_;
-  // Unpinned on every way out, keeping the vectors' capacity: a pinned view
-  // left behind would keep its snapshots (and a resynced-away replica)
-  // alive until the connection's next GO.
-  struct Unpin {
-    PinnedView& v;
-    ~Unpin() {
-      v.snaps.clear();
-      v.engines.clear();
-    }
-  } const unpin{view};
-  pin_into(view);
+  // The one lock of the batch.  Held only in this frame, so the view is
+  // dropped on every way out and an idle connection pins nothing.
+  const std::shared_ptr<const PinnedView> pinned = view_.load();
+  const PinnedView& view = *pinned;
   out.epoch = view.epoch;
   out.degraded = false;
   out.answers_.resize(items.size());
 
-  std::vector<std::size_t>& healthy = out.healthy_;  // shards with a pinned snapshot
+  // Routable: the shard's snapshot is in the view and it is not
+  // quarantined (a view outlives quarantines until the next publish).
+  std::vector<std::size_t>& healthy = out.healthy_;
   healthy.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i)
-    if (view.snaps[i]) healthy.push_back(i);
+    if (view.snaps[i] && shard_state(i) != ShardState::kQuarantined) healthy.push_back(i);
   if (healthy.empty())
     throw Error(ErrorCode::kUnavailable, "cluster: every shard is quarantined");
+  const auto routable = [&healthy](std::size_t i) {
+    return std::binary_search(healthy.begin(), healthy.end(), i);
+  };
 
   // Group item indices by executing shard: classifies round-robin over the
   // healthy shards, queries to their home shard — or a deterministic
@@ -343,7 +302,7 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
       exec = healthy[rr++ % healthy.size()];
     } else {
       exec = shard_of(items[i].ingress);
-      if (!view.snaps[exec]) {
+      if (!routable(exec)) {
         exec = healthy[exec % healthy.size()];
         out.degraded = true;
       }
@@ -355,7 +314,7 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
     if (out.slice_ix_[s].empty()) continue;
     const auto t0 = std::chrono::steady_clock::now();
     const bool injected = util::fault_fires("cluster.shard.batch");
-    if (!injected && execute_slice(s, s, items, out)) {
+    if (!injected && execute_slice(view, s, s, items, out)) {
       note_shard_success(s);
       shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -370,8 +329,8 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
     bool rerouted = false;
     for (std::size_t off = 1; off < shards_.size() && !rerouted; ++off) {
       const std::size_t t = (s + off) % shards_.size();
-      if (!view.snaps[t] || t == s) continue;
-      if (execute_slice(t, s, items, out)) {
+      if (!routable(t)) continue;
+      if (execute_slice(view, t, s, items, out)) {
         note_shard_success(t);
         rerouted = true;
       } else {
@@ -492,37 +451,33 @@ void ShardedCluster::resync_once(std::size_t i) const {
   for (const LogRecord& r : prefix) apply_record(*rep->clf, r.add, r.spec);
 
   // Phase 2 — under the update lock: replay the suffix that landed during
-  // phase 1, rewrite this shard's WAL from the authoritative in-memory log
-  // (dropping any unacknowledged frame a poisoned append left on disk),
-  // publish at the current cluster epoch, and swap the replica in.
+  // phase 1, replace this shard's WAL with one written from the
+  // authoritative in-memory log (dropping any unacknowledged frame a
+  // poisoned append left on disk), build the engine, whose first snapshot
+  // is at the current epoch, and republish the current view with it.
   std::lock_guard<std::mutex> lock(update_mu_);
   for (std::size_t k = prefix.size(); k < update_log_.size(); ++k)
     apply_record(*rep->clf, update_log_[k].add, update_log_[k].spec);
   if (!opts_.wal_dir.empty()) {
-    const std::string path = opts_.wal_dir + "/shard" + std::to_string(i) + ".wal";
     // Updates this shard owns stay refused until the fresh log is in
-    // place — a throw mid-rewrite must not leave an append-able gap.
+    // place: after a throw past the rename, the old log's descriptor no
+    // longer names the file recovery reads.
     sh.read_only.store(true, std::memory_order_release);
-    sh.wal.reset();
-    std::remove(path.c_str());
-    auto wal = std::make_unique<io::Wal>(path, opts_.wal);
+    std::vector<std::string> records;
     for (const LogRecord& r : update_log_)
-      if (shard_of(r.spec.box) == i) wal->append(make_record(r.seq, r.add, r.spec));
-    sh.wal = std::move(wal);
+      if (shard_of(r.spec.box) == i) records.push_back(make_record(r.seq, r.add, r.spec));
+    const std::vector<std::string_view> views(records.begin(), records.end());
+    sh.wal = io::Wal::replace(opts_.wal_dir + "/shard" + std::to_string(i) + ".wal",
+                              opts_.wal, views);
   }
   rep->engine = std::make_unique<engine::QueryEngine>(*rep->clf, opts_.engine);
-  // Tag the republish with the cluster epoch so pin() resolves this shard
-  // immediately on re-admission (the engine's initial publish is epoch 0).
-  rep->engine->set_next_publish_epoch(epoch_.load(std::memory_order_relaxed));
-  rep->engine->update([](ApClassifier&) {});
-  engine::QueryEngine& eng = *rep->engine;
-  {
-    std::lock_guard<std::mutex> swap_lock(swap_mu_);
-    sh.replica = std::move(rep);
-  }
-  // The replaced replica's snapshots go with it once its readers finish;
-  // the new one's initial epoch-0 snapshot is never pinned.
-  eng.release_retired_snapshot();
+  auto view = std::make_shared<PinnedView>(*view_.load());
+  view->snaps[i] = rep->engine->snapshot();
+  view->engines[i] = std::shared_ptr<const engine::QueryEngine>(rep, rep->engine.get());
+  sh.replica = std::move(rep);
+  // The replaced replica goes once the last reader of an older view drops
+  // it.
+  view_.store(std::move(view));
   sh.read_only.store(false, std::memory_order_release);
   sh.failures.store(0, std::memory_order_relaxed);
   sh.state.store(ShardState::kHealthy, std::memory_order_release);
@@ -545,10 +500,10 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
 
   // 1-2. Check every record in line order against a replica in rotation
   // plus the records accepted before it; then its owner shard's WAL.
-  std::shared_ptr<Replica> oracle;
+  const Replica* oracle = nullptr;
   for (std::size_t i = 0; i < shards_.size() && !oracle; ++i)
     if (shards_[i]->state.load(std::memory_order_acquire) != ShardState::kQuarantined)
-      oracle = replica_ref(i);
+      oracle = shards_[i]->replica.get();
   std::vector<Update> accepted;  // in line order, for later records' checks
   std::vector<std::size_t> accepted_ix;  // accepted[j] is group[accepted_ix[j]]
   for (std::size_t i = 0; i < group.size(); ++i) {
@@ -620,9 +575,10 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
     }
   }
 
-  // 4. Apply: epochs E+1..E+k in line order, one publish per replica.
-  const std::uint64_t base = epoch_.load(std::memory_order_relaxed);
-  std::uint64_t last = base;
+  // 4. Apply: epochs E+1..E+k in line order, one publish per replica, one
+  // view for the group.
+  const std::shared_ptr<const PinnedView> current = view_.load();
+  std::uint64_t last = current->epoch;
   std::vector<const Update*> batch;
   for (std::size_t j = 0; j < accepted.size(); ++j) {
     if (!journaled[j]) continue;
@@ -631,19 +587,22 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
     batch.push_back(&accepted[j]);
   }
   if (!batch.empty()) {
-    // Tag then mutate, shard by shard.  A reader that lands mid-walk sees a
-    // mix of old-epoch and new-epoch shards; pin() resolves the OLD epoch
-    // until the last shard publishes and epoch_ advances below.
+    // Readers keep pinning the current view until the store below, however
+    // many replicas have published by then.  The engines carry over: only
+    // a resync swaps a replica, and it republishes under this same lock.
+    auto view = std::make_shared<PinnedView>();
+    view->epoch = last;
+    view->snaps.resize(shards_.size());
+    view->engines = current->engines;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& sh = *shards_[i];
       if (sh.state.load(std::memory_order_acquire) == ShardState::kQuarantined)
         continue;  // resync replays update_log_; don't touch a retiring replica
-      const std::shared_ptr<Replica> rep = replica_ref(i);
       try {
-        rep->engine->set_next_publish_epoch(last);
-        rep->engine->update([&](ApClassifier& c) {
+        sh.replica->engine->update([&](ApClassifier& c) {
           for (const Update* u : batch) apply_record(c, u->add, u->spec);
         });
+        view->snaps[i] = sh.replica->engine->snapshot();
       } catch (const std::exception&) {
         // A replica that cannot apply an update is divergent — pull it from
         // rotation now and let resync rebuild it from the log.  The updates
@@ -651,13 +610,9 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
         quarantine_shard(i);
       }
     }
-    epoch_.store(last, std::memory_order_release);
-    // Every replica in rotation now serves `last`, and pin() reads epoch_
-    // first, so the retired epoch is needed only by a pin that read epoch_
-    // before the store — which misses here and re-pins at `last`.
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-      if (shards_[i]->state.load(std::memory_order_acquire) != ShardState::kQuarantined)
-        replica_ref(i)->engine->release_retired_snapshot();
+    // The epoch advance.  The retired view, and with it every snapshot of
+    // the old epoch, is freed once its last reader drops it.
+    view_.store(std::move(view));
     updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
   update_group_size_.record(group.size());
@@ -773,7 +728,7 @@ obs::MetricsSnapshot ShardedCluster::stats() const {
       wal_retries += r;
     }
     obs::MetricsRegistry shard_reg;
-    replica_ref(i)->engine->register_metrics(shard_reg, prefix + ".engine");
+    shards_[i]->replica->engine->register_metrics(shard_reg, prefix + ".engine");
     const obs::MetricsSnapshot shard_rows = shard_reg.snapshot();
     out.rows.insert(out.rows.end(), shard_rows.rows.begin(), shard_rows.rows.end());
   }

@@ -12,23 +12,19 @@
 // sequence number in each record, so recovery merge-sorts the per-shard
 // files back into the original update order.
 //
-// Epoch-consistent publication.  The cluster epoch E means: every healthy
-// shard has published a snapshot tagged E.  An update picks E+1, tags every
-// shard's next publish with it (QueryEngine::set_next_publish_epoch),
-// applies the mutation shard by shard, and only after the LAST shard has
-// published does the cluster-level epoch_ advance.  A group of k updates
-// (apply_updates) takes E+1..E+k, one per update, but every shard publishes
-// once, tagged E+k: the epochs in between are never published, so no
-// reader can pin them.  Readers never consult
-// epoch_ directly to pick snapshots — pin() loops until it holds one
-// snapshot per healthy shard all tagged with the same epoch, so a batch
-// fanned across shards is answered from one network-wide frozen state even
-// while a publication is mid-flight (the per-engine epoch_pin option keeps
-// the E snapshot alive on shards that already published E+1).  Once epoch_
-// advances, every replica drops its retained E snapshot
-// (QueryEngine::release_retired_snapshot): a pin that still asks for E
-// misses and re-pins at E+k, so each replica holds one snapshot between
-// publications, not two.
+// Epoch-consistent publication.  The cluster publishes one immutable
+// PinnedView per epoch through one util::SharedSlot: the epoch, plus one
+// snapshot and one engine keep-alive per shard.  An update group applies
+// its records to every replica in rotation — each publishes once inside
+// one QueryEngine::update — and then swaps in the view built from their
+// fresh snapshots; that swap IS the epoch advance.  A group of k updates
+// takes epochs E+1..E+k, one per update, but its view carries E+k only:
+// the epochs in between are never published, so no reader can pin them.
+// Readers (run_batch_into, pin(), shard(i)) take the view with one lock and
+// one refcount, so a batch fanned across shards is answered from one
+// network-wide frozen state even while a group is being applied, and a
+// retired epoch's snapshots are freed as soon as its last reader drops the
+// view.
 //
 // Fault containment.  Each shard carries a health state driven by a
 // consecutive-failure circuit breaker over its batch/update path:
@@ -42,12 +38,13 @@
 // (full replication makes every shard an oracle) with
 // BatchResult::degraded flagged so clients see the service quality drop.
 // A background resync thread rebuilds the replica offline from the network
-// model + the in-memory update log, rewrites the shard's WAL (dropping any
-// unacknowledged record a poisoned append left behind), republishes at the
-// current cluster epoch, and re-admits the shard — retrying the whole
-// attempt under Options::resync_backoff.  A poisoned WAL additionally
-// flips the owner shard read-only: updates owned by it are refused with
-// kUnavailable (503) while queries keep serving; resync clears the flag.
+// model + the in-memory update log, replaces the shard's WAL (dropping any
+// unacknowledged record a poisoned append left behind), republishes the
+// current view with the new replica's first snapshot, and re-admits the
+// shard — retrying the whole attempt under Options::resync_backoff.  A
+// poisoned WAL additionally flips the owner shard read-only: updates owned
+// by it are refused with kUnavailable (503) while queries keep serving;
+// resync clears the flag.
 #pragma once
 
 #include <atomic>
@@ -66,6 +63,7 @@
 #include "obs/metrics.hpp"
 #include "server/protocol.hpp"
 #include "util/backoff.hpp"
+#include "util/shared_slot.hpp"
 
 namespace apc::server {
 
@@ -84,8 +82,7 @@ class ShardedCluster {
   struct Options {
     /// Replica count; queries route by ingress % shards.
     std::size_t shards = 4;
-    /// Per-shard engine knobs.  epoch_pin is forced on (the consistency
-    /// protocol requires it) and snapshot_path is cleared — the WAL is the
+    /// Per-shard engine knobs.  snapshot_path is cleared — the WAL is the
     /// cluster's durability story; a warm-restored snapshot could predate
     /// the replayed log and serve stale answers.
     engine::QueryEngine::Options engine;
@@ -118,20 +115,20 @@ class ShardedCluster {
 
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t shard_of(BoxId ingress) const { return ingress % shards_.size(); }
-  /// The highest epoch every shard has published (never decreases).
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  /// The epoch of the published view (never decreases).
+  std::uint64_t epoch() const { return view_.load()->epoch; }
 
-  /// One snapshot per shard, all tagged with the same epoch.  Quarantined
-  /// shards contribute a null snapshot; `engines` keeps the backing replica
-  /// alive for the batch even if a concurrent resync swaps it out.
+  /// One snapshot per shard, all of one epoch: what the cluster publishes.
+  /// snaps[i] is null for a shard that was quarantined, or threw, while the
+  /// view was built; engines[i] keeps shard i's replica alive for as long
+  /// as the view is held, even if a resync swaps it out.
   struct PinnedView {
     std::uint64_t epoch = 0;
     std::vector<std::shared_ptr<const engine::FlatSnapshot>> snaps;
     std::vector<std::shared_ptr<const engine::QueryEngine>> engines;
   };
-  /// Acquires an epoch-consistent view over the non-quarantined shards:
-  /// retries until every one of them yields a snapshot tagged with one
-  /// common epoch.  Never blocks updates.
+  /// A copy of the published view, with the snapshot of every shard that
+  /// is quarantined now nulled.  Never blocks updates.
   PinnedView pin() const;
 
   /// One buffered C/Q line awaiting GO.
@@ -148,11 +145,12 @@ class ShardedCluster {
     bool degraded = false;
   };
   /// A batch's answers in compact form — an atom per C item, a
-  /// BehaviorSummary per Q item — plus run_batch_into's scratch: the pinned
-  /// view and the per-shard slices.  Everything keeps its capacity from one
-  /// batch to the next, so a connection that reuses one BatchAnswers
-  /// answers a steady stream of batches with no heap work
-  /// (SteadyStateBatchDoesNotAllocate).
+  /// BehaviorSummary per Q item — plus run_batch_into's scratch: the
+  /// per-shard slices.  Everything keeps its capacity from one batch to the
+  /// next, so a connection that reuses one BatchAnswers answers a steady
+  /// stream of batches with no heap work (SteadyStateBatchDoesNotAllocate).
+  /// It holds no view between batches, so an idle connection keeps no
+  /// snapshot or replica alive.
   class BatchAnswers {
    public:
     std::uint64_t epoch = 0;  ///< the pinned epoch
@@ -171,10 +169,7 @@ class ShardedCluster {
       BehaviorSummary summary;  ///< Q items
     };
     std::vector<Answer> answers_;  ///< one per item, in input order
-    /// The batch's pinned epoch; emptied (capacity kept) when it ends, so an
-    /// idle connection holds no snapshot or replica alive.
-    PinnedView view_;
-    std::vector<std::size_t> healthy_;
+    std::vector<std::size_t> healthy_;  ///< routable shards, ascending
     std::vector<std::vector<std::size_t>> slice_ix_;  ///< item indices per shard
     // One slice's engine inputs and atoms.
     std::vector<PacketHeader> headers_;
@@ -185,8 +180,9 @@ class ShardedCluster {
   /// names no box of the network); empty when it can.  The server answers
   /// such a line 400 and leaves it out of the batch.
   std::string check_ingress(BoxId ingress) const;
-  /// Executes a mixed batch against ONE pinned epoch into `out`: items are
-  /// grouped by shard (C items round-robin, Q items by shard_of(ingress)),
+  /// Executes a mixed batch against ONE published view into `out`: items
+  /// are grouped by the shards whose snapshot is in the view and that are
+  /// not quarantined (C items round-robin, Q items by shard_of(ingress)),
   /// each shard's slice is one QueryEngine::try_answer_batch_on call, and
   /// each Q answer is summarized in place from its behavior-table cell.
   /// A batch holding a Q item that check_ingress refuses throws
@@ -222,9 +218,10 @@ class ShardedCluster {
   ///     failed append refuses that WAL's records only; a poisoned WAL
   ///     flips its shard read-only;
   ///  4. the journaled records take consecutive epochs E+1..E+k in line
-  ///     order, and each replica applies all of them inside one
-  ///     QueryEngine::update, so it publishes once, tagged E+k.  Readers
-  ///     never pin E+1..E+k-1.
+  ///     order, each replica in rotation applies all of them inside one
+  ///     QueryEngine::update, so it publishes once, and the view of E+k
+  ///     built from those snapshots is published.  Readers never pin
+  ///     E+1..E+k-1.
   /// `outcomes` gets one entry per record, in order; its capacity is kept.
   void apply_updates(std::span<const Update> group, std::vector<UpdateOutcome>& outcomes);
 
@@ -233,10 +230,11 @@ class ShardedCluster {
   std::uint64_t add_rule(const RuleSpec& spec);
   std::uint64_t remove_rule(const RuleSpec& spec);
 
-  /// Read access for differential tests.  The returned engine is kept
-  /// alive by the shared_ptr even across a concurrent resync swap.
+  /// Read access for differential tests: shard i's engine in the published
+  /// view.  The returned engine is kept alive by the shared_ptr even across
+  /// a concurrent resync swap.
   std::shared_ptr<const engine::QueryEngine> shard(std::size_t i) const {
-    return replica_engine(i);
+    return view_.load()->engines[i];
   }
 
   // ---- Health & fault containment ----
@@ -279,9 +277,9 @@ class ShardedCluster {
 
  private:
   /// The swappable compute core of a shard.  Resync builds a replacement
-  /// offline and swaps the shared_ptr; in-flight batches keep the old one
-  /// alive through PinnedView::engines.  Member order matters: the engine
-  /// references the classifier which references the manager, so
+  /// offline and swaps the shared_ptr; readers of an older view keep the
+  /// old one alive through PinnedView::engines.  Member order matters: the
+  /// engine references the classifier which references the manager, so
   /// destruction must run engine-first (reverse declaration order).
   struct Replica {
     std::shared_ptr<bdd::BddManager> mgr;
@@ -290,7 +288,7 @@ class ShardedCluster {
   };
 
   struct Shard {
-    std::shared_ptr<Replica> replica;  ///< guarded by swap_mu_
+    std::shared_ptr<Replica> replica;  ///< guarded by update_mu_
     std::unique_ptr<io::Wal> wal;      ///< guarded by update_mu_
     /// Service time (ns) of each batch slice this shard executed.
     obs::LatencyHistogram batch_ns;
@@ -309,14 +307,9 @@ class ShardedCluster {
     RuleSpec spec;
   };
 
-  std::shared_ptr<Replica> replica_ref(std::size_t i) const;
-  std::shared_ptr<const engine::QueryEngine> replica_engine(std::size_t i) const;
-  /// pin() into `view`, reusing its vectors' capacity.
-  void pin_into(PinnedView& view) const;
-  /// Runs shard `slice`'s share of the batch on executing shard `exec`
-  /// (same pinned snapshot epoch, out.view_).  Returns false on
-  /// shed/exception.
-  bool execute_slice(std::size_t exec, std::size_t slice,
+  /// Runs shard `slice`'s share of the batch on executing shard `exec`'s
+  /// snapshot in `view`.  Returns false on shed/exception.
+  bool execute_slice(const PinnedView& view, std::size_t exec, std::size_t slice,
                      const std::vector<BatchItem>& items, BatchAnswers& out) const;
   void note_shard_success(std::size_t i) const;
   void note_shard_failure(std::size_t i) const;
@@ -327,13 +320,12 @@ class ShardedCluster {
   Options opts_;
   NetworkModel net_;  ///< resync rebuilds replicas from this copy
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Serializes add_rule/remove_rule and resync splice-in (the publication
-  /// protocol assumes one writer walks the shards at a time).
+  /// Serializes update groups and resync splice-in: the one writer of the
+  /// replicas, their WALs and view_.
   mutable std::mutex update_mu_;
-  /// Guards every Shard::replica pointer; leaf lock (acquired after
-  /// update_mu_, never around engine calls).
-  mutable std::mutex swap_mu_;
-  std::atomic<std::uint64_t> epoch_{0};
+  /// The published view; stored only under update_mu_ (mutable: the const
+  /// resync republishes it).
+  mutable util::SharedSlot<const PinnedView> view_;
   /// Global update sequence embedded in WAL records (guarded by update_mu_).
   std::uint64_t next_seq_ = 1;
   /// Full update history (replayed + applied), for resync (update_mu_).

@@ -2,12 +2,11 @@
 // protocol.hpp for the grammar and docs/architecture.md, "Serving layer &
 // sharding" / "Overload & failure handling").
 //
-// Threading: one acceptor thread plus one thread per connection — the
-// serving fan-out the paper's controller needs is per-*batch* (each GO fans
-// its items across the shard engines' pools), so connection handling stays
-// deliberately simple and blocking.  A connection buffers C/Q lines until
-// GO, executes them against ONE pinned cluster epoch, and streams the
-// answers back in order.  Update (A/R) lines pipelined back to back form
+// Threading: one acceptor thread plus one thread per connection, with
+// connection handling deliberately simple and blocking.  A connection
+// buffers C/Q lines until GO, executes them against ONE pinned cluster
+// epoch — each shard's slice as one engine call, one slice after another
+// on the connection's thread — and streams the answers back in order.  Update (A/R) lines pipelined back to back form
 // one group (ShardedCluster::apply_updates): the group runs, and all of its
 // replies go out, before the next non-update line, at kMaxUpdateGroup lines,
 // or once the receive buffer holds no whole line — so replies stay in line

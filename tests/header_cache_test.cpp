@@ -1,8 +1,8 @@
-// HeaderAtomCache sizing: the constructor's slot/shard arithmetic must be
-// deterministic and total — every (capacity, shards) input, including
-// adversarial ones (0, SIZE_MAX, values above 2^63 that used to spin the
-// power-of-two rounding forever), lands on a documented power-of-two
-// configuration with at least kMinSlots slots per shard.
+// HeaderAtomCache sizing: the constructor's slot arithmetic must be
+// deterministic and total — every capacity, including adversarial ones (0,
+// SIZE_MAX, values above 2^63 that used to spin the power-of-two rounding
+// forever), lands on a documented power-of-two slot count in
+// [kMinSlots, kMaxSlots].
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,16 +24,15 @@ bool is_pow2(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 TEST(HeaderCacheSizing, CapacityFloorsAtMinSlots) {
   for (const std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                                 std::size_t{64}}) {
-    HeaderAtomCache c(cap, 0, full_mask());
+    HeaderAtomCache c(cap, full_mask());
     EXPECT_EQ(c.capacity(), HeaderAtomCache::kMinSlots) << "capacity " << cap;
-    EXPECT_EQ(c.shard_count(), 1u) << "capacity " << cap;
   }
 }
 
 TEST(HeaderCacheSizing, CapacityRoundsUpToPowerOfTwo) {
-  HeaderAtomCache c65(65, 0, full_mask());
+  HeaderAtomCache c65(65, full_mask());
   EXPECT_EQ(c65.capacity(), 128u);
-  HeaderAtomCache c1000(1000, 0, full_mask());
+  HeaderAtomCache c1000(1000, full_mask());
   EXPECT_EQ(c1000.capacity(), 1024u);
 }
 
@@ -45,53 +44,23 @@ TEST(HeaderCacheSizing, HugeCapacityClampsInsteadOfSpinning) {
        {std::numeric_limits<std::size_t>::max(),
         std::size_t{1} << 63, (std::size_t{1} << 63) + 1,
         HeaderAtomCache::kMaxSlots + 1}) {
-    HeaderAtomCache c(cap, 0, full_mask());
+    HeaderAtomCache c(cap, full_mask());
     EXPECT_EQ(c.capacity(), HeaderAtomCache::kMaxSlots) << "capacity " << cap;
-    EXPECT_TRUE(is_pow2(c.shard_count()));
   }
-}
-
-TEST(HeaderCacheSizing, AutoShardingOneShardPer256SlotsCappedAt64) {
-  HeaderAtomCache small(256, 0, full_mask());
-  EXPECT_EQ(small.shard_count(), 1u);
-  HeaderAtomCache mid(1u << 12, 0, full_mask());
-  EXPECT_EQ(mid.shard_count(), 16u);
-  HeaderAtomCache big(1u << 20, 0, full_mask());
-  EXPECT_EQ(big.shard_count(), 64u);
-}
-
-TEST(HeaderCacheSizing, ExplicitShardsClampToSlotsOverMinSlots) {
-  // 4096 slots can host at most 4096/64 = 64 shards; an explicit request
-  // above that ceiling is clamped, never honored at the cost of the
-  // slots-per-shard >= kMinSlots invariant.
-  HeaderAtomCache honored(1u << 12, 8, full_mask());
-  EXPECT_EQ(honored.shard_count(), 8u);
-  HeaderAtomCache rounded(1u << 12, 3, full_mask());
-  EXPECT_EQ(rounded.shard_count(), 4u);  // power-of-two rounding
-  HeaderAtomCache clamped(1u << 12, 1u << 10, full_mask());
-  EXPECT_EQ(clamped.shard_count(), 64u);
-  // A huge explicit shard request must not spin either.
-  HeaderAtomCache huge(1u << 12, std::numeric_limits<std::size_t>::max(),
-                       full_mask());
-  EXPECT_EQ(huge.shard_count(), 64u);
 }
 
 TEST(HeaderCacheSizing, EveryConfigurationKeepsTheInvariants) {
   for (const std::size_t cap : {std::size_t{0}, std::size_t{100},
                                 std::size_t{1} << 10, std::size_t{1} << 18}) {
-    for (const std::size_t sh : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                 std::size_t{4096}}) {
-      HeaderAtomCache c(cap, sh, full_mask());
-      EXPECT_TRUE(is_pow2(c.capacity()));
-      EXPECT_TRUE(is_pow2(c.shard_count()));
-      EXPECT_GE(c.capacity() / c.shard_count(), HeaderAtomCache::kMinSlots);
-      EXPECT_LE(c.capacity(), HeaderAtomCache::kMaxSlots);
-    }
+    HeaderAtomCache c(cap, full_mask());
+    EXPECT_TRUE(is_pow2(c.capacity()));
+    EXPECT_GE(c.capacity(), HeaderAtomCache::kMinSlots);
+    EXPECT_LE(c.capacity(), HeaderAtomCache::kMaxSlots);
   }
 }
 
 TEST(HeaderCacheSizing, ClampedCacheStillServesLookups) {
-  HeaderAtomCache c(HeaderAtomCache::kMaxSlots + 123, 0, full_mask());
+  HeaderAtomCache c(HeaderAtomCache::kMaxSlots + 123, full_mask());
   PacketHeader h;
   h.set_dst_ip(0x0a000001);
   AtomId atom = 0;

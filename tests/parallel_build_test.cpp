@@ -153,6 +153,7 @@ TEST(ConcurrencyParallelBuild, ParallelRebuildRacesEngineReaders) {
   const Dataset d = datasets::datacenter_like(Scale::Tiny, 17);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(d.net, mgr, ApClassifier::Options{});
+  clf.set_build_threads(2);
 
   Rng rng(31);
   const auto reps = datasets::atom_representatives(clf.atoms(), rng);
@@ -160,7 +161,6 @@ TEST(ConcurrencyParallelBuild, ParallelRebuildRacesEngineReaders) {
 
   engine::QueryEngine::Options eopts;
   eopts.num_threads = 2;
-  eopts.build_threads = 2;
   engine::QueryEngine eng(clf, eopts);
 
   std::atomic<bool> stop{false};

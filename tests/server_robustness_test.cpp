@@ -585,8 +585,41 @@ TEST(ClusterResilience, UpdatesDuringQuarantineReachTheResyncedShard) {
   ASSERT_EQ(res.lines.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
-  // The resynced replica publishes at the cluster epoch, not at zero.
-  EXPECT_EQ(cluster.shard(2)->snapshot_epoch(), cluster.epoch());
+  // The resynced replica's snapshot is in the view of the cluster epoch.
+  const auto view = cluster.pin();
+  EXPECT_EQ(view.epoch, cluster.epoch());
+  EXPECT_EQ(view.snaps[2], cluster.shard(2)->snapshot());
+}
+
+TEST(ClusterResilience, ResyncPublishesOneSnapshotIntoTheCurrentView) {
+  RobustWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  RuleSpec spec;
+  spec.box = 1;
+  spec.rule.dst = parse_prefix("10.98.0.0/16");
+  spec.rule.egress_port = 0;
+  spec.rule.priority = 70;
+  ASSERT_EQ(cluster.add_rule(spec), 1u);
+  const std::shared_ptr<const engine::QueryEngine> before = cluster.shard(1);
+  cluster.quarantine_shard(1);
+  ASSERT_TRUE(wait_until(
+      [&] { return cluster.shard_state(1) == ShardState::kHealthy; }, 10000));
+
+  // The rebuilt replica builds one snapshot, its first, and that snapshot
+  // is shard 1's entry in the view of the current epoch.
+  const std::shared_ptr<const engine::QueryEngine> after = cluster.shard(1);
+  ASSERT_NE(after, before);
+  EXPECT_EQ(after->publish_count(), 1u);
+  const auto view = cluster.pin();
+  EXPECT_EQ(view.epoch, cluster.epoch());
+  EXPECT_EQ(view.epoch, 1u);
+  ASSERT_EQ(view.snaps[1], after->snapshot());
+  auto fork = w.reference.fork();
+  fork->insert_fib_rule(spec.box, spec.rule);
+  for (std::size_t i = 0; i < 24; ++i)
+    EXPECT_EQ(format_behavior_summary(view.snaps[1]->query(w.trace[i], 1)),
+              format_behavior_summary(fork->query(w.trace[i], 1)))
+        << "probe " << i;
 }
 
 #if defined(APC_FAULT_INJECTION)
@@ -770,6 +803,59 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
     for (std::size_t i = 0; i < expected.size(); ++i)
       EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A resync that cannot write the shard's new WAL must leave the old one in
+// place: the shard's acknowledged updates survive every failed attempt and
+// a restart.
+TEST_F(ClusterFaultInjection, FailedResyncKeepsTheShardWal) {
+  RobustWorld w;
+  const std::string dir = ::testing::TempDir() + "apc_cluster_failed_resync_wal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ShardedCluster::Options opts = w.cluster_options(2);
+  opts.wal_dir = dir;
+  opts.resync_backoff = {std::chrono::milliseconds{1}, std::chrono::milliseconds{2}, 2.0,
+                         0.0, 2};
+  RuleSpec owned0;  // box 0 -> owner shard 0
+  owned0.box = 0;
+  owned0.rule.dst = parse_prefix("10.60.0.0/16");
+  owned0.rule.egress_port = 0;
+  owned0.rule.priority = 50;
+  {
+    ShardedCluster cluster(w.data.net, opts);
+    ASSERT_EQ(cluster.add_rule(owned0), 1u);
+    util::FaultPlan plan;
+    plan.kind = util::FaultPlan::Kind::kErrno;
+    plan.err = EIO;
+    plan.count = 0;  // every WAL open fails
+    util::FaultInjector::instance().arm("wal.open", plan);
+    cluster.quarantine_shard(0);
+    // The first attempt and both retries fail; the shard stays out.
+    ASSERT_TRUE(wait_until([&] { return cluster.resync_failures() == 3; }, 10000));
+    EXPECT_EQ(cluster.shard_state(0), ShardState::kQuarantined);
+    EXPECT_EQ(cluster.resyncs(), 0u);
+    util::FaultInjector::instance().disarm("wal.open");
+  }
+
+  ShardedCluster recovered(w.data.net, opts);
+  EXPECT_EQ(recovered.updates_applied(), 1u);
+  auto fork = w.reference.fork();
+  fork->insert_fib_rule(owned0.box, owned0.rule);
+  std::vector<ShardedCluster::BatchItem> qs;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 8; ++i) {
+    ShardedCluster::BatchItem q;
+    q.is_query = true;
+    q.header = w.trace[i];
+    q.ingress = static_cast<BoxId>(i % w.data.net.topology.box_count());
+    qs.push_back(q);
+    expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
+  }
+  const auto res = recovered.run_batch(qs);
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
   std::filesystem::remove_all(dir);
 }
 

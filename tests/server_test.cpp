@@ -563,8 +563,16 @@ TEST(ShardedCluster, EpochAdvancesOnceEveryShardPublishes) {
 
   EXPECT_EQ(cluster.add_rule(spec), 1u);
   EXPECT_EQ(cluster.epoch(), 1u);
-  for (std::size_t s = 0; s < cluster.shard_count(); ++s)
-    EXPECT_EQ(cluster.shard(s)->snapshot_epoch(), 1u) << "shard " << s;
+  {
+    // Every shard published once more, and the epoch-1 view holds exactly
+    // those snapshots.
+    const auto view = cluster.pin();
+    EXPECT_EQ(view.epoch, 1u);
+    for (std::size_t s = 0; s < cluster.shard_count(); ++s) {
+      EXPECT_EQ(cluster.shard(s)->publish_count(), 2u) << "shard " << s;
+      EXPECT_EQ(view.snaps[s], cluster.shard(s)->snapshot()) << "shard " << s;
+    }
+  }
   EXPECT_EQ(cluster.remove_rule(spec), 2u);
   EXPECT_EQ(cluster.epoch(), 2u);
   EXPECT_EQ(cluster.updates_applied(), 2u);
@@ -575,25 +583,33 @@ TEST(ShardedCluster, EpochAdvancesOnceEveryShardPublishes) {
   for (const auto& s : view.snaps) ASSERT_NE(s, nullptr);
 }
 
-// Once every shard has published an update's epoch, no new pin can want
-// the previous one, so each replica frees that snapshot at once instead of
-// holding two full snapshots until its next publish.
+// Once an update's view is published, no new pin can want the previous
+// epoch, so every replica's epoch-0 snapshot is freed at once instead of
+// lingering beside the new one until the next publish.
 TEST(ShardedCluster, RetiredEpochIsReleasedOncePublished) {
   ClusterWorld w;
   ShardedCluster cluster(w.data.net, w.cluster_options(4));
-  const std::weak_ptr<const engine::FlatSnapshot> first = cluster.shard(0)->snapshot_at(0);
-  ASSERT_FALSE(first.expired());
+  std::vector<std::weak_ptr<const engine::FlatSnapshot>> first;
+  {
+    const auto view = cluster.pin();
+    ASSERT_EQ(view.epoch, 0u);
+    for (const auto& snap : view.snaps) first.push_back(snap);
+  }
+  for (const auto& snap : first) ASSERT_FALSE(snap.expired());
   RuleSpec spec;
   spec.box = 0;
   spec.rule.dst = parse_prefix("10.77.0.0/16");
   spec.rule.egress_port = 0;
   spec.rule.priority = 90;
   ASSERT_EQ(cluster.add_rule(spec), 1u);
-  for (std::size_t i = 0; i < cluster.shard_count(); ++i) {
-    EXPECT_TRUE(cluster.shard(i)->snapshot_at(0) == nullptr) << "shard " << i;
-    EXPECT_TRUE(cluster.shard(i)->snapshot_at(1) != nullptr) << "shard " << i;
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_TRUE(first[i].expired()) << "shard " << i;
+  {
+    const auto view = cluster.pin();
+    EXPECT_EQ(view.epoch, 1u);
+    for (std::size_t i = 0; i < view.snaps.size(); ++i)
+      EXPECT_TRUE(view.snaps[i] != nullptr) << "shard " << i;
   }
-  EXPECT_TRUE(first.expired());
   std::vector<ShardedCluster::BatchItem> items(2);
   items[0].header = w.trace[0];
   items[1].is_query = true;
@@ -860,7 +876,7 @@ TEST(ShardedCluster, IdleShardStatsReportZeroPercentiles) {
   EXPECT_EQ(idle_count->value, 0.0);
   EXPECT_EQ(idle_p99->value, 0.0) << "idle shard must report 0, not throw";
   ASSERT_NE(stats.find("cluster.epoch"), nullptr);
-  ASSERT_NE(stats.find("shard1.engine.snapshot_epoch"), nullptr);
+  ASSERT_NE(stats.find("shard1.engine.publish_count"), nullptr);
 }
 
 // ---------------------------------------------------------------- tcp front

@@ -1,7 +1,7 @@
 // Tests for the v2 arena snapshot format (engine/arena.hpp +
 // engine/snapshot_io.cpp): mmap warm restore vs owned-read storage, memory
-// accounting, prefault policies, rejection of corrupt and non-terminating
-// files, and RCU retirement of a mapped snapshot under republish churn.
+// accounting, rejection of corrupt and non-terminating files, and RCU
+// retirement of a mapped snapshot under republish churn.
 // The suite name rides the CI TSan/chaos regexes via the SnapshotPersist
 // substring.
 #include <gtest/gtest.h>
@@ -132,22 +132,6 @@ TEST(SnapshotPersistV2, MappedAndOwnedAgreeOnEveryAtom) {
   mapped->classify_into(fx.probes.data(), fx.probes.size(), a.data());
   owned->classify_into(fx.probes.data(), fx.probes.size(), b.data());
   EXPECT_EQ(a, b);
-}
-
-TEST(SnapshotPersistV2, PrefaultPoliciesAllLoadCorrectly) {
-  Fixture fx;
-  const auto snap = FlatSnapshot::build(*fx.clf);
-  const std::string path = tmp_snap("prefault");
-  save_snapshot(*snap, path);
-
-  for (const PrefaultPolicy p :
-       {PrefaultPolicy::kNone, PrefaultPolicy::kHot, PrefaultPolicy::kAll}) {
-    FlatSnapshot::Options lo;
-    lo.prefault = p;
-    const auto loaded = load_snapshot(path, lo);
-    ASSERT_NE(loaded, nullptr);
-    expect_same_answers(*loaded, *snap, fx.probes);
-  }
 }
 
 TEST(SnapshotPersistV2, MappedFileBitFlipsAreRejected) {
