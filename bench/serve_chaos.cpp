@@ -3,7 +3,8 @@
 // the connection cap, a dead reader, mid-stream RSTs, a quarantined shard
 // resyncing back in — plus, under APC_FAULT_INJECTION, a WAL fsync burst
 // absorbed by retries and a poisoned WAL flipping a shard read-only until
-// resync) while a healthy closed-loop population keeps querying.
+// the resync worker rewrites it) while a healthy closed-loop population
+// keeps querying.
 //
 // Unlike the figure benches this binary is a GATE: it exits non-zero when
 // any robustness invariant breaks —
@@ -317,9 +318,10 @@ int run() {
         }, 10000);
 
 #if defined(APC_FAULT_INJECTION)
-        // (g) WAL chaos: an ENOSPC burst is absorbed by retries; a
-        // persistent EIO poisons the WAL, flipping the owner shard
-        // read-only (updates 503, queries serve) until resync clears it.
+        // (g) WAL chaos: an ENOSPC burst is absorbed by retries; an EIO
+        // poisons the WAL, flipping the owner shard read-only (updates 503,
+        // queries serve) until the resync worker rewrites the log on its
+        // own.
         auto& inj = util::FaultInjector::instance();
         server::RuleSpec spec;
         spec.box = 1 % boxes;  // owner shard 1
@@ -341,18 +343,21 @@ int run() {
         inj.disarm_all();
         gate(retried_ok, "transient fsync ENOSPC burst absorbed by WAL retries");
 
+        // While every WAL open fails, the worker cannot rewrite the poisoned
+        // log, so the shard stays read-only through the gates below.
+        util::FaultPlan no_open;
+        no_open.count = 0;
+        inj.arm("wal.open", no_open);
         util::FaultPlan poison_plan;
         poison_plan.err = EIO;
         inj.arm("wal.append.fsync", poison_plan);
         bool refused = false;
-        server::RuleSpec spec2 = spec;
-        spec2.rule.dst = parse_prefix("198.19.0.0/16");
         try {
           cluster.remove_rule(spec);
         } catch (const Error& e) {
           refused = e.code() == ErrorCode::kUnavailable;
         }
-        inj.disarm_all();
+        inj.disarm("wal.append.fsync");
         gate(refused, "poisoned WAL refuses owned updates with kUnavailable");
         gate(cluster.shard_read_only(1 % kShards),
              "poisoned shard is read-only");
@@ -367,7 +372,9 @@ int run() {
           std::fprintf(stderr, "healthy-owner update: %s\n", e.what());
         }
         gate(other_ok, "updates owned by healthy shards still apply");
-        cluster.quarantine_shard(1 % kShards);
+        // No quarantine_shard() call: with opens working again the worker's
+        // next attempt rewrites the log and clears read-only.
+        inj.disarm("wal.open");
         const bool recovered = wait_until([&] {
           return cluster.shard_state(1 % kShards) == server::ShardState::kHealthy &&
                  !cluster.shard_read_only(1 % kShards);

@@ -1,12 +1,13 @@
 // Closed-loop serving benchmark: 8 client threads hammer a 4-shard
 // ShardedCluster through the TCP front end over loopback, each pipelining
 // fixed-size batches of mixed C/Q lines and waiting for the full reply
-// before sending the next (closed loop), while one updater thread toggles a
-// forwarding rule through the same protocol.
+// before sending the next (closed loop), while one updater thread sends a
+// fixed number of update groups through the same protocol.
 //
-// Every batch embeds two cross-shard probe queries whose answers must agree
-// under the epoch-consistency contract; a disagreement is counted as a
-// mixed-epoch batch and reported (the CI gate asserts it stays 0).
+// Every batch embeds two probe queries, homed on different shards, whose
+// answers both change with the updates.  A batch whose probe pair is not
+// the pair its reply's epoch implies is counted as a mixed-epoch batch, and
+// any such batch makes the binary exit 1 (CI also asserts the count is 0).
 //
 // Emits BENCH_serve.json:
 //   serve.shards / serve.clients / serve.batches / serve.qps
@@ -17,9 +18,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "server/cluster.hpp"
@@ -35,6 +39,9 @@ using bench::BenchJson;
 constexpr std::size_t kClients = 8;
 constexpr std::size_t kShards = 4;
 constexpr std::size_t kBatchLines = 64;
+/// Update groups the updater sends before the clients stop: a publication
+/// count that does not shrink when a sanitizer slows the updates down.
+constexpr std::size_t kUpdateGroups = 64;
 
 /// Blocking loopback line client (mirrors the test client; the bench keeps
 /// its own copy so bench binaries stay test-framework-free).
@@ -95,6 +102,62 @@ int run() {
   const std::vector<PacketHeader> trace = datasets::uniform_trace(w.reps, 4096, rng);
   const BoxId boxes = static_cast<BoxId>(w.data().net.topology.box_count());
 
+  // The cross-shard consistency probe: one header queried from two ingress
+  // boxes that live on different shards (box 0 on shard 0, box 1 on shard
+  // 1).  The updater toggles two rules, one per probe box, that send the
+  // probe's destination out of another port: groups "A a, A b" and
+  // "R a, R b" alternate.  Every update takes one epoch, so a reply's epoch
+  // E says which toggles are in force (E mod 4: 0 none, 1 a, 2 a and b,
+  // 3 b) and so which probe pair the batch must carry.  The four pairs come
+  // from reference forks, and both probe answers must differ between none
+  // and both, or a batch mixing those epochs would pass unseen.
+  const PacketHeader probe = trace[0];
+  const BoxId probe_a = 0 % boxes, probe_b = 1 % boxes;
+  const std::string probe_wire =
+      server::format_query(probe_a, probe) + "\n" +
+      server::format_query(probe_b, probe) + "\n";
+  using ProbePair = std::pair<std::string, std::string>;
+  const auto probe_pair = [&](const ApClassifier& c) {
+    return ProbePair{server::format_behavior_summary(c.query(probe, probe_a)),
+                     server::format_behavior_summary(c.query(probe, probe_b))};
+  };
+  // A rule on `box` for exactly the probe's destination, out of the first
+  // port that changes the probe's answer from `box` on top of `base`.
+  const auto toggle_for = [&](const ApClassifier& base, BoxId box) {
+    server::RuleSpec spec;
+    spec.box = box;
+    spec.rule.dst = Ipv4Prefix{probe.dst_ip(), 32};
+    spec.rule.priority = 1000;
+    const std::string before = server::format_behavior_summary(base.query(probe, box));
+    const std::size_t ports = w.data().net.topology.box(box).ports.size();
+    for (std::uint32_t port = 0; port < ports; ++port) {
+      spec.rule.egress_port = port;
+      auto f = base.fork();
+      f->insert_fib_rule(box, spec.rule);
+      if (server::format_behavior_summary(f->query(probe, box)) != before) break;
+    }
+    return spec;
+  };
+  const server::RuleSpec toggle_a = toggle_for(*w.clf, probe_a);
+  auto with_a = w.clf->fork();
+  with_a->insert_fib_rule(toggle_a.box, toggle_a.rule);
+  const server::RuleSpec toggle_b = toggle_for(*with_a, probe_b);
+  auto with_ab = with_a->fork();
+  with_ab->insert_fib_rule(toggle_b.box, toggle_b.rule);
+  auto with_b = w.clf->fork();
+  with_b->insert_fib_rule(toggle_b.box, toggle_b.rule);
+  const std::array<ProbePair, 4> want = {probe_pair(*w.clf), probe_pair(*with_a),
+                                         probe_pair(*with_ab), probe_pair(*with_b)};
+  if (want[2].first == want[0].first || want[2].second == want[0].second) {
+    std::printf("FAIL: the toggled rules leave a probe answer unchanged, so no "
+                "mixed-epoch batch could be seen\n");
+    return 1;
+  }
+  const std::string group_on = server::format_rule(true, toggle_a) + "\n" +
+                               server::format_rule(true, toggle_b) + "\n";
+  const std::string group_off = server::format_rule(false, toggle_a) + "\n" +
+                                server::format_rule(false, toggle_b) + "\n";
+
   server::ShardedCluster::Options copts;
   copts.shards = kShards;
   copts.engine.num_threads = 2;
@@ -103,38 +166,12 @@ int run() {
   std::printf("cluster up: %zu shards, port %u\n", cluster.shard_count(),
               server.port());
 
-  // The cross-shard consistency probe: one header queried from two ingress
-  // boxes that live on different shards.  Baseline answers come from the
-  // reference classifier; after any update the two answers may legitimately
-  // change TOGETHER — only a within-batch disagreement of derivation epoch
-  // (mismatched pair) indicates mixed epochs.  The updater toggles a rule
-  // that does NOT affect the probe header, so the probe answers must stay
-  // byte-identical throughout.
-  const PacketHeader probe = trace[0];
-  const BoxId probe_a = 0 % boxes, probe_b = 1 % boxes;
-  const std::string probe_wire =
-      server::format_query(probe_a, probe) + "\n" +
-      server::format_query(probe_b, probe) + "\n";
-  const std::string want_a =
-      server::format_behavior_summary(w.clf->query(probe, probe_a));
-  const std::string want_b =
-      server::format_behavior_summary(w.clf->query(probe, probe_b));
-
-  // The toggled rule lives in address space the generated FIBs never route
-  // (198.18.0.0/15 is benchmarking space) so it perturbs predicates — a
-  // real publish on every shard — without changing any probe answer.
-  server::RuleSpec toggle;
-  toggle.box = 2 % boxes;
-  toggle.rule.dst = parse_prefix("198.18.0.0/16");
-  toggle.rule.egress_port = 0;
-  toggle.rule.priority = 5;
-
-  const double duration_s = scale == datasets::Scale::Tiny ? 1.0 : 3.0;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> batches{0}, mixed{0}, queries{0};
   std::vector<std::vector<double>> lat_us(kClients);
   std::vector<std::thread> clients;
 
+  Stopwatch run_sw;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       LineClient conn(server.port());
@@ -158,11 +195,13 @@ int run() {
         const std::string status = conn.read_line();
         if (status.rfind("201 ", 0) != 0)
           throw Error("bad batch status: " + status);
+        const std::uint64_t epoch = std::stoull(status.substr(4));
         const std::string line_a = conn.read_line();
         const std::string line_b = conn.read_line();
         for (std::size_t i = 0; i < kBatchLines; ++i) (void)conn.read_line();
         lat_us[c].push_back(sw.seconds() * 1e6);
-        if (line_a != want_a || line_b != want_b)
+        const ProbePair& pair = want[epoch % want.size()];
+        if (line_a != pair.first || line_b != pair.second)
           mixed.fetch_add(1, std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
         queries.fetch_add(kBatchLines + 2, std::memory_order_relaxed);
@@ -170,24 +209,25 @@ int run() {
     });
   }
 
+  // Each update must apply at the next epoch, or the epoch would no longer
+  // say which toggles are in force.
   std::thread updater([&] {
     LineClient conn(server.port());
-    bool add = true;
-    while (!stop.load(std::memory_order_acquire)) {
-      conn.send(server::format_rule(add, toggle) + "\n");
-      const std::string reply = conn.read_line();
-      if (reply.rfind("200 ", 0) != 0) throw Error("bad update status: " + reply);
-      add = !add;
+    std::uint64_t epoch = 0;
+    for (std::size_t g = 0; g < kUpdateGroups; ++g) {
+      conn.send(g % 2 == 0 ? group_on : group_off);
+      for (int line = 0; line < 2; ++line) {
+        const std::string reply = conn.read_line();
+        if (reply != "200 " + std::to_string(++epoch))
+          throw Error("bad update status: " + reply + " (expected epoch " +
+                      std::to_string(epoch) + ")");
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+    stop.store(true, std::memory_order_release);
   });
-
-  Stopwatch run_sw;
-  while (run_sw.seconds() < duration_s)
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop.store(true, std::memory_order_release);
-  for (auto& t : clients) t.join();
   updater.join();
+  for (auto& t : clients) t.join();
   const double elapsed = run_sw.seconds();
 
   std::vector<double> all_us;
@@ -200,10 +240,12 @@ int run() {
   std::printf("%zu clients x %zu-line batches for %.1fs: %.0f q/s, "
               "batch p50 %.0f us, p99 %.0f us, max %.0f us\n",
               kClients, kBatchLines, elapsed, qps, p50, p99, mx);
-  std::printf("epoch %llu after %llu updates; mixed-epoch batches: %llu\n",
-              static_cast<unsigned long long>(cluster.epoch()),
+  std::printf("epoch %llu after %zu update groups (%llu updates); "
+              "mixed-epoch batches: %llu of %llu\n",
+              static_cast<unsigned long long>(cluster.epoch()), kUpdateGroups,
               static_cast<unsigned long long>(cluster.updates_applied()),
-              static_cast<unsigned long long>(mixed.load()));
+              static_cast<unsigned long long>(mixed.load()),
+              static_cast<unsigned long long>(batches.load()));
 
   BenchJson out("serve");
   out.row("serve.shards", static_cast<double>(kShards), "count", kClients);

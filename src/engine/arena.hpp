@@ -104,7 +104,8 @@ struct ArenaHeader {
   enum Flags : std::uint32_t {
     kHasMiddleboxes = 1u << 0,
     kTracksVisits = 1u << 1,
-    kHasProgram = 1u << 2,  ///< the `program` section holds a compiled MatchProgram
+    kHasProgram = 1u << 2,  ///< the `program` section holds a compiled MatchProgram;
+                            ///< a loaded arena without it is refused
   };
 
   char magic[8] = {};
@@ -124,7 +125,7 @@ struct ArenaHeader {
   ArenaRef ports;      ///< ArenaPortEntry
   ArenaRef in_acls;    ///< ArenaInAcl
   ArenaRef words;      ///< std::uint64_t bitset word pool
-  ArenaRef program;    ///< MatchInsn (count == 0 when kHasProgram is clear)
+  ArenaRef program;    ///< MatchInsn
 };
 static_assert(PacketHeader::kWords == 5, "ArenaHeader::tested_bits layout");
 static_assert(sizeof(ArenaHeader) == 192, "header must stay 3 cache lines");

@@ -304,19 +304,13 @@ void FlatSnapshot::adopt_arena(std::shared_ptr<const Arena> arena,
   has_middleboxes_ = (h.flags & ArenaHeader::kHasMiddleboxes) != 0;
   if ((h.flags & ArenaHeader::kTracksVisits) != 0) visits_.reset(atom_capacity_);
 
-  if ((h.flags & ArenaHeader::kHasProgram) != 0) {
-    // Zero-copy adoption: the program runs straight out of the arena (and
-    // keeps it alive — a mapped file stays mapped while any reader runs).
-    program_ = MatchProgram::adopt(arena_->ptr<MatchInsn>(h.program),
-                                   static_cast<std::size_t>(h.program.count),
-                                   h.program_entry, arena_, compile_seconds);
-  } else {
-    // Only a loaded file can lack the section (older builds could skip or
-    // cap compilation): compile now, off the validated frozen arrays.
-    program_ = MatchProgram::compile(bdd_nodes_, bdd_count_, tree_, tree_count_,
-                                     tree_root_);
-    if (!program_) throw_program_too_large();
-  }
+  // Zero-copy adoption: the program runs straight out of the arena (and
+  // keeps it alive — a mapped file stays mapped while any reader runs).
+  // Every arena holds one: from_core compiles it in, and validate_arena
+  // refuses a file without it.
+  program_ = MatchProgram::adopt(arena_->ptr<MatchInsn>(h.program),
+                                 static_cast<std::size_t>(h.program.count),
+                                 h.program_entry, arena_, compile_seconds);
 
   init_accelerators(opts);
 }
@@ -538,9 +532,7 @@ std::size_t FlatSnapshot::owned_bytes() const {
   // fill_cell), plus the header cache's slot arrays.
   bytes += table_heap_bytes_.load(std::memory_order_relaxed);
   if (cache_) bytes += cache_->memory_bytes();
-  // A load-time-compiled program lives on its own heap; an adopted program
-  // runs out of the arena and is already counted there.
-  if (program_->owns_code()) bytes += program_->bytes();
+  // The program runs out of the arena and is already counted there.
   return bytes;
 }
 

@@ -160,8 +160,8 @@ class FlatSnapshot {
   /// or loaded without mmap) or a read-only file mapping.
   Arena::Storage storage() const { return arena_->storage(); }
   /// Heap bytes this snapshot owns: the arena when owned, the visit
-  /// counters, the behavior table (cells + published behaviors), the header
-  /// cache, and a load-time-compiled program.
+  /// counters, the behavior table (cells + published behaviors) and the
+  /// header cache.
   std::size_t owned_bytes() const;
   /// Bytes of the mapped snapshot file (0 for owned storage).  Shared page
   /// cache, not private RSS — reported separately for exactly that reason.

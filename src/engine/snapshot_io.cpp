@@ -320,8 +320,10 @@ void validate_arena(const Arena& a, const std::string& path) {
       }
     }
     if (queued != n) fail_corrupt(path, "program jump cycle");
-  } else if (h.program.count != 0) {
-    fail_corrupt(path, "program section without program flag");
+  } else {
+    // Every writer compiles the program into the arena; a file without one
+    // is not a snapshot this build wrote.
+    fail_corrupt(path, "arena without a match program");
   }
 }
 

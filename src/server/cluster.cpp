@@ -5,12 +5,21 @@
 #include <thread>
 
 #include "io/line_parse.hpp"
+#include "util/backoff.hpp"
 #include "util/fault_injection.hpp"
 #include "util/stats.hpp"
 
 namespace apc::server {
 
 namespace {
+
+/// The breaker: consecutive failures before a shard is degraded, quarantined.
+constexpr std::size_t kDegradeAfter = 2;
+constexpr std::size_t kQuarantineAfter = 5;
+/// The resync worker's retry delay: 10 ms doubling to a 500 ms cap, ±25%.
+/// The worker never gives up, so max_retries goes unread.
+constexpr util::BackoffPolicy kRepairBackoff{std::chrono::milliseconds{10},
+                                             std::chrono::milliseconds{500}, 2.0, 0.25, 0};
 
 /// WAL record: "<seq> <A|R> fib <box> <prefix> <port> <prio>".  The global
 /// sequence number lets recovery merge the per-shard files back into the
@@ -116,9 +125,6 @@ void ShardedCluster::BatchAnswers::append_line(std::size_t i, std::string& out) 
 ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
     : opts_(std::move(opts)), net_(net) {
   require(opts_.shards > 0, "ShardedCluster: zero shards");
-  require(opts_.breaker_degrade_after > 0 &&
-              opts_.breaker_quarantine_after >= opts_.breaker_degrade_after,
-          "ShardedCluster: breaker thresholds must satisfy 0 < degrade <= quarantine");
   opts_.engine.snapshot_path.clear();  // see Options::engine
   shards_.resize(opts_.shards);
 
@@ -146,11 +152,10 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   // existed) would fail on every replica, so it is skipped and counted.
   std::vector<Fib> fibs = net_.fibs;
   fibs.resize(std::max(fibs.size(), net_.topology.box_count()));
-  std::erase_if(replay, [&](const ReplayRecord& r) {
-    const Update u{r.add, r.spec};
-    if (!check_update(net_.topology, fibs, u, {}).empty()) {
+  for (const ReplayRecord& r : replay) {
+    if (!check_update(net_.topology, fibs, Update{r.add, r.spec}, {}).empty()) {
       ++wal_records_skipped_;
-      return true;
+      continue;
     }
     std::vector<ForwardingRule>& rules = fibs[r.spec.box].rules;
     if (r.add)
@@ -159,10 +164,8 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
       rules.erase(std::find_if(rules.begin(), rules.end(), [&](const ForwardingRule& q) {
         return q.same_entry(r.spec.rule);
       }));
-    return false;
-  });
-  update_log_.reserve(replay.size());
-  for (const ReplayRecord& r : replay) update_log_.push_back({r.seq, r.add, r.spec});
+    update_log_.push_back({r.seq, r.add, r.spec});
+  }
 
   // Build the replicas in parallel — each shard's BDD manager, classifier,
   // WAL replay, and initial snapshot are independent of every other
@@ -174,10 +177,7 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   for (std::size_t i = 0; i < opts_.shards; ++i) {
     builders.emplace_back([&, i] {
       try {
-        auto rep = std::make_shared<Replica>();
-        rep->mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
-        rep->clf = std::make_unique<ApClassifier>(net_, rep->mgr, opts_.classifier);
-        for (const ReplayRecord& r : replay) apply_record(*rep->clf, r.add, r.spec);
+        std::shared_ptr<Replica> rep = build_replica(update_log_);
         rep->engine = std::make_unique<engine::QueryEngine>(*rep->clf, opts_.engine);
         shards_[i]->replica = std::move(rep);
       } catch (...) {
@@ -188,7 +188,7 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
   for (auto& t : builders) t.join();
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
-  updates_applied_.store(replay.size(), std::memory_order_relaxed);
+  updates_applied_.store(update_log_.size(), std::memory_order_relaxed);
 
   // Epoch 0: every replica's initial snapshot.
   auto view = std::make_shared<PinnedView>();
@@ -198,22 +198,17 @@ ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
     view->engines.emplace_back(rep, rep->engine.get());
   }
   view_.store(std::move(view));
+  // Last, so a constructor that throws leaves no thread to join.
+  worker_ = std::thread([this] { resync_worker(); });
 }
 
 ShardedCluster::~ShardedCluster() {
-  stopping_.store(true, std::memory_order_release);
   {
-    // Pair with the wait_for predicate so no resync sleeper misses the flag.
-    std::lock_guard<std::mutex> lock(stop_mu_);
+    std::lock_guard<std::mutex> lock(worker_mu_);
+    stopping_ = true;
   }
-  stop_cv_.notify_all();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(resync_mu_);
-    threads.swap(resync_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  worker_cv_.notify_one();
+  worker_.join();
 }
 
 ShardedCluster::PinnedView ShardedCluster::pin() const {
@@ -369,9 +364,9 @@ void ShardedCluster::note_shard_success(std::size_t i) const {
 void ShardedCluster::note_shard_failure(std::size_t i) const {
   Shard& sh = *shards_[i];
   const std::size_t f = sh.failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (f >= opts_.breaker_quarantine_after) {
+  if (f >= kQuarantineAfter) {
     quarantine_shard(i);
-  } else if (f >= opts_.breaker_degrade_after) {
+  } else if (f >= kDegradeAfter) {
     ShardState expected = ShardState::kHealthy;
     sh.state.compare_exchange_strong(expected, ShardState::kDegraded,
                                      std::memory_order_acq_rel);
@@ -381,61 +376,88 @@ void ShardedCluster::note_shard_failure(std::size_t i) const {
 void ShardedCluster::quarantine_shard(std::size_t i) const {
   require(i < shards_.size(), ErrorCode::kInvalidArgument,
           "quarantine_shard: shard index out of range");
-  Shard& sh = *shards_[i];
-  if (sh.state.exchange(ShardState::kQuarantined, std::memory_order_acq_rel) !=
+  if (shards_[i]->state.exchange(ShardState::kQuarantined, std::memory_order_acq_rel) !=
       ShardState::kQuarantined)
     quarantines_.fetch_add(1, std::memory_order_relaxed);
-  bool expected = false;
-  if (!sh.resync_active.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel))
-    return;  // a resync is already running for this shard
-  std::lock_guard<std::mutex> lock(resync_mu_);
-  if (stopping_.load(std::memory_order_acquire)) {
-    // Checked under resync_mu_ so the destructor (which sets stopping_
-    // before swapping the thread list out) can never miss a new thread.
-    sh.resync_active.store(false, std::memory_order_release);
-    return;
-  }
-  resync_threads_.emplace_back([this, i] { resync_loop(i); });
+  wake_worker();
 }
 
-void ShardedCluster::resync_loop(std::size_t i) const {
-  Shard& sh = *shards_[i];
+void ShardedCluster::wake_worker() const {
+  {
+    std::lock_guard<std::mutex> lock(worker_mu_);
+    wake_ = true;
+  }
+  worker_cv_.notify_one();
+}
+
+void ShardedCluster::resync_worker() {
+  Rng jitter(0x7e53ca11ull);
+  std::size_t failed_rounds = 0;  // consecutive rounds in which a repair failed
   for (;;) {
-    util::Backoff backoff(opts_.resync_backoff, 0x7e53ca11ull ^ i);
-    bool readmitted = false;
-    for (;;) {
-      if (stopping_.load(std::memory_order_acquire)) break;
+    {
+      std::unique_lock<std::mutex> lock(worker_mu_);
+      if (failed_rounds == 0) {
+        worker_cv_.wait(lock, [this] { return wake_ || stopping_; });
+      } else {
+        // Back off.  Only stop cuts the delay short, so a disk that keeps
+        // failing costs one attempt per delay however often shards wake us.
+        worker_cv_.wait_for(lock, kRepairBackoff.delay(failed_rounds - 1, jitter),
+                            [this] { return stopping_; });
+      }
+      if (stopping_) return;
+      // Cleared before the round reads the shards' flags: a wake-up that
+      // arrives during the round sets it again and starts another round.
+      wake_ = false;
+    }
+    const auto attempt = [this](auto&& repair) {
       try {
-        resync_once(i);
+        repair();
         resyncs_.fetch_add(1, std::memory_order_relaxed);
-        readmitted = true;
-        break;
+        return true;
       } catch (const std::exception&) {
         resync_failures_.fetch_add(1, std::memory_order_relaxed);
-        if (backoff.exhausted()) break;  // give up: stays quarantined
-        std::unique_lock<std::mutex> lock(stop_mu_);
-        stop_cv_.wait_for(lock, backoff.next_delay(), [this] {
-          return stopping_.load(std::memory_order_acquire);
-        });
+        return false;
       }
+    };
+    bool failed = false;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const Shard& sh = *shards_[i];
+      // The log first: a rewrite is cheap, and it never waits behind a
+      // rebuild.  A read-only shard still in rotation is not rebuilt.
+      if (sh.read_only.load(std::memory_order_acquire))
+        failed |= !attempt([&] { rewrite_wal(i); });
+      if (sh.state.load(std::memory_order_acquire) == ShardState::kQuarantined)
+        failed |= !attempt([&] { rebuild_replica(i); });
     }
-    sh.resync_active.store(false, std::memory_order_release);
-    // A quarantine_shard() racing the tail of this loop found
-    // resync_active still true and spawned nothing — pick it up here
-    // instead of stranding the shard.  Only after a SUCCESSFUL round:
-    // an exhausted backoff must stay quarantined, not spin.
-    if (!readmitted || stopping_.load(std::memory_order_acquire)) return;
-    if (sh.state.load(std::memory_order_acquire) != ShardState::kQuarantined)
-      return;
-    bool expected = false;
-    if (!sh.resync_active.compare_exchange_strong(expected, true,
-                                                  std::memory_order_acq_rel))
-      return;
+    failed_rounds = failed ? failed_rounds + 1 : 0;
   }
 }
 
-void ShardedCluster::resync_once(std::size_t i) const {
+std::shared_ptr<ShardedCluster::Replica> ShardedCluster::build_replica(
+    std::span<const LogRecord> log) const {
+  auto rep = std::make_shared<Replica>();
+  rep->mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
+  rep->clf = std::make_unique<ApClassifier>(net_, rep->mgr, opts_.classifier);
+  for (const LogRecord& r : log) apply_record(*rep->clf, r.add, r.spec);
+  return rep;
+}
+
+void ShardedCluster::rewrite_wal(std::size_t i) {
+  // Under the update lock, so no append races the rewrite.  The shard stays
+  // read-only until the new log is in place: after a throw past the rename,
+  // the old log's descriptor no longer names the file recovery reads.
+  std::lock_guard<std::mutex> lock(update_mu_);
+  std::vector<std::string> records;
+  for (const LogRecord& r : update_log_)
+    if (shard_of(r.spec.box) == i) records.push_back(make_record(r.seq, r.add, r.spec));
+  const std::vector<std::string_view> views(records.begin(), records.end());
+  Shard& sh = *shards_[i];
+  sh.wal = io::Wal::replace(opts_.wal_dir + "/shard" + std::to_string(i) + ".wal",
+                            opts_.wal, views);
+  sh.read_only.store(false, std::memory_order_release);
+}
+
+void ShardedCluster::rebuild_replica(std::size_t i) {
   Shard& sh = *shards_[i];
   // Phase 1 — offline, no locks held: rebuild a replica from the network
   // model and a prefix snapshot of the update log.  This is the expensive
@@ -445,31 +467,14 @@ void ShardedCluster::resync_once(std::size_t i) const {
     std::lock_guard<std::mutex> lock(update_mu_);
     prefix = update_log_;
   }
-  auto rep = std::make_shared<Replica>();
-  rep->mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
-  rep->clf = std::make_unique<ApClassifier>(net_, rep->mgr, opts_.classifier);
-  for (const LogRecord& r : prefix) apply_record(*rep->clf, r.add, r.spec);
+  std::shared_ptr<Replica> rep = build_replica(prefix);
 
   // Phase 2 — under the update lock: replay the suffix that landed during
-  // phase 1, replace this shard's WAL with one written from the
-  // authoritative in-memory log (dropping any unacknowledged frame a
-  // poisoned append left on disk), build the engine, whose first snapshot
-  // is at the current epoch, and republish the current view with it.
+  // phase 1, build the engine, whose first snapshot is at the current
+  // epoch, and republish the current view with it.
   std::lock_guard<std::mutex> lock(update_mu_);
   for (std::size_t k = prefix.size(); k < update_log_.size(); ++k)
     apply_record(*rep->clf, update_log_[k].add, update_log_[k].spec);
-  if (!opts_.wal_dir.empty()) {
-    // Updates this shard owns stay refused until the fresh log is in
-    // place: after a throw past the rename, the old log's descriptor no
-    // longer names the file recovery reads.
-    sh.read_only.store(true, std::memory_order_release);
-    std::vector<std::string> records;
-    for (const LogRecord& r : update_log_)
-      if (shard_of(r.spec.box) == i) records.push_back(make_record(r.seq, r.add, r.spec));
-    const std::vector<std::string_view> views(records.begin(), records.end());
-    sh.wal = io::Wal::replace(opts_.wal_dir + "/shard" + std::to_string(i) + ".wal",
-                              opts_.wal, views);
-  }
   rep->engine = std::make_unique<engine::QueryEngine>(*rep->clf, opts_.engine);
   auto view = std::make_shared<PinnedView>(*view_.load());
   view->snaps[i] = rep->engine->snapshot();
@@ -478,7 +483,6 @@ void ShardedCluster::resync_once(std::size_t i) const {
   // The replaced replica goes once the last reader of an older view drops
   // it.
   view_.store(std::move(view));
-  sh.read_only.store(false, std::memory_order_release);
   sh.failures.store(0, std::memory_order_relaxed);
   sh.state.store(ShardState::kHealthy, std::memory_order_release);
 }
@@ -558,9 +562,10 @@ void ShardedCluster::apply_updates(std::span<const Update> group,
       if (sh.wal->poisoned()) {
         // Durability of this shard's acked records is now unknown: flip it
         // read-only (updates it owns get 503, queries keep serving) until
-        // a resync rewrites the log from the in-memory history.
+        // the resync worker rewrites the log from the in-memory history.
         sh.read_only.store(true, std::memory_order_release);
         wal_poisonings_.fetch_add(1, std::memory_order_relaxed);
+        wake_worker();
         code = ErrorCode::kUnavailable;
         why = "cluster: WAL poisoned, shard " + std::to_string(s) + " now read-only: " + why;
       } else {

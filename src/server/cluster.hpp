@@ -29,22 +29,23 @@
 // Fault containment.  Each shard carries a health state driven by a
 // consecutive-failure circuit breaker over its batch/update path:
 //
-//   healthy --(breaker_degrade_after failures)--> degraded
-//   degraded --(breaker_quarantine_after failures)--> quarantined
+//   healthy --(2 consecutive failures)--> degraded
+//   degraded --(5 consecutive failures)--> quarantined
 //   any success: degraded -> healthy; quarantine only exits via resync.
 //
 // A quarantined shard is dropped from pin()/classify round-robin; queries
 // homed on it are answered by a healthy replica at the SAME pinned epoch
 // (full replication makes every shard an oracle) with
 // BatchResult::degraded flagged so clients see the service quality drop.
-// A background resync thread rebuilds the replica offline from the network
-// model + the in-memory update log, replaces the shard's WAL (dropping any
-// unacknowledged record a poisoned append left behind), republishes the
-// current view with the new replica's first snapshot, and re-admits the
-// shard — retrying the whole attempt under Options::resync_backoff.  A
-// poisoned WAL additionally flips the owner shard read-only: updates owned
-// by it are refused with kUnavailable (503) while queries keep serving;
-// resync clears the flag.
+// A poisoned WAL flips the owner shard read-only: updates owned by it get
+// kUnavailable (503) while queries keep serving.  One resync worker thread
+// (started by the constructor, joined by the destructor) repairs shards; a
+// quarantine or a poisoning only marks the shard and wakes it.  A read-only
+// shard gets its WAL rewritten from the in-memory update log, which clears
+// the flag; a quarantined shard gets a replica rebuilt offline and spliced
+// into the current view, and keeps its WAL unless it is read-only too.
+// Failed repairs retry after a jittered delay growing from 10 ms to a
+// 500 ms cap, until they succeed or the cluster stops.
 #pragma once
 
 #include <atomic>
@@ -62,7 +63,6 @@
 #include "io/wal.hpp"
 #include "obs/metrics.hpp"
 #include "server/protocol.hpp"
-#include "util/backoff.hpp"
 #include "util/shared_slot.hpp"
 
 namespace apc::server {
@@ -92,22 +92,13 @@ class ShardedCluster {
     /// durability (updates live only in memory).
     std::string wal_dir;
     io::WalOptions wal;
-    /// Consecutive batch/update failures before a shard is marked degraded.
-    std::size_t breaker_degrade_after = 2;
-    /// Consecutive failures before quarantine + background resync.  Must be
-    /// >= breaker_degrade_after.
-    std::size_t breaker_quarantine_after = 5;
-    /// Retry schedule for resync attempts before giving up (the shard then
-    /// stays quarantined; a later quarantine_shard() call retries).
-    util::BackoffPolicy resync_backoff{std::chrono::milliseconds{10},
-                                       std::chrono::milliseconds{500},
-                                       2.0, 0.25, 6};
   };
 
-  /// Builds `opts.shards` replicas of `net` (in parallel, one thread per
-  /// shard) and replays any existing WALs in global sequence order.  `net`
-  /// is copied (resync rebuilds replicas from it long after construction).
+  /// Builds `opts.shards` replicas of `net` (in parallel), replays any
+  /// existing WALs in global sequence order and starts the resync worker.
+  /// `net` is copied: resync rebuilds replicas from it.
   ShardedCluster(const NetworkModel& net, Options opts);
+  /// Stops and joins the resync worker, cutting a back-off short.
   ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;
@@ -245,13 +236,13 @@ class ShardedCluster {
   bool shard_read_only(std::size_t i) const {
     return shards_[i]->read_only.load(std::memory_order_acquire);
   }
-  /// Forces shard `i` out of rotation and kicks the background resync
-  /// (idempotent while one is already running).  The breaker calls this
-  /// internally; tests and operators can call it directly.
+  /// Forces shard `i` out of rotation and wakes the resync worker, which
+  /// rebuilds and re-admits it.  The breaker calls this internally; tests
+  /// and operators can call it directly.
   void quarantine_shard(std::size_t i) const;
-  /// Completed resyncs (shards re-admitted) since construction.
+  /// Completed repairs (WAL rewrites and replica rebuilds) since construction.
   std::uint64_t resyncs() const { return resyncs_.load(std::memory_order_relaxed); }
-  /// Resync attempts that failed (the shard stayed quarantined that round).
+  /// Repair attempts that failed (each is retried after a back-off).
   std::uint64_t resync_failures() const {
     return resync_failures_.load(std::memory_order_relaxed);
   }
@@ -295,7 +286,6 @@ class ShardedCluster {
     std::atomic<ShardState> state{ShardState::kHealthy};
     std::atomic<std::size_t> failures{0};  ///< consecutive, breaker input
     std::atomic<bool> read_only{false};    ///< poisoned WAL: refuse updates
-    std::atomic<bool> resync_active{false};
   };
 
   /// One replayed/journaled update, kept in memory so resync can rebuild a
@@ -313,23 +303,27 @@ class ShardedCluster {
                      const std::vector<BatchItem>& items, BatchAnswers& out) const;
   void note_shard_success(std::size_t i) const;
   void note_shard_failure(std::size_t i) const;
-  void resync_loop(std::size_t i) const;
-  /// One full resync attempt; throws on failure (caller backs off).
-  void resync_once(std::size_t i) const;
+  /// A replica of net_ with `log` replayed; the caller builds its engine.
+  std::shared_ptr<Replica> build_replica(std::span<const LogRecord> log) const;
+  /// Takes worker_mu_, so callers may hold update_mu_ (never the reverse).
+  void wake_worker() const;
+  void resync_worker();
+  // The two repairs; each throws on failure and leaves the shard as it was.
+  void rewrite_wal(std::size_t i);      ///< read-only: new WAL, flag cleared
+  void rebuild_replica(std::size_t i);  ///< quarantined: new replica, re-admitted
 
   Options opts_;
   NetworkModel net_;  ///< resync rebuilds replicas from this copy
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Serializes update groups and resync splice-in: the one writer of the
-  /// replicas, their WALs and view_.
+  /// Serializes update groups and the resync worker's repairs: the one
+  /// writer of the replicas, their WALs and view_.
   mutable std::mutex update_mu_;
-  /// The published view; stored only under update_mu_ (mutable: the const
-  /// resync republishes it).
-  mutable util::SharedSlot<const PinnedView> view_;
+  /// The published view; stored only under update_mu_.
+  util::SharedSlot<const PinnedView> view_;
   /// Global update sequence embedded in WAL records (guarded by update_mu_).
   std::uint64_t next_seq_ = 1;
   /// Full update history (replayed + applied), for resync (update_mu_).
-  mutable std::vector<LogRecord> update_log_;
+  std::vector<LogRecord> update_log_;
   std::atomic<std::uint64_t> updates_applied_{0};
   /// Records per apply_updates call, and its time under update_mu_ (ns).
   obs::LatencyHistogram update_group_size_;
@@ -337,17 +331,18 @@ class ShardedCluster {
   /// WAL records that failed the update check at recovery and were skipped.
   std::uint64_t wal_records_skipped_ = 0;
 
-  // ---- resync machinery (mutable: quarantine is logically const) ----
-  mutable std::mutex resync_mu_;
-  mutable std::vector<std::thread> resync_threads_;  ///< guarded by resync_mu_
-  mutable std::mutex stop_mu_;
-  mutable std::condition_variable stop_cv_;
-  mutable std::atomic<bool> stopping_{false};
-  mutable std::atomic<std::uint64_t> resyncs_{0};
-  mutable std::atomic<std::uint64_t> resync_failures_{0};
+  std::atomic<std::uint64_t> resyncs_{0};
+  std::atomic<std::uint64_t> resync_failures_{0};
+  std::atomic<std::uint64_t> wal_poisonings_{0};
+  // Moved by the const batch path (the breaker quarantines from it).
   mutable std::atomic<std::uint64_t> reroutes_{0};
   mutable std::atomic<std::uint64_t> quarantines_{0};
-  mutable std::atomic<std::uint64_t> wal_poisonings_{0};
+  // ---- the resync worker ----
+  mutable std::mutex worker_mu_;
+  mutable std::condition_variable worker_cv_;
+  mutable bool wake_ = false;  ///< a repair may be owed (worker_mu_)
+  bool stopping_ = false;      ///< set by the destructor (worker_mu_)
+  std::thread worker_;         ///< started last in the constructor
 };
 
 }  // namespace apc::server

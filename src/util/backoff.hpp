@@ -1,6 +1,6 @@
 // Bounded exponential backoff with jitter, shared by every transient-failure
-// retry loop in the system (WAL append/fsync retries, quarantined-shard
-// resync re-admission).
+// retry loop in the system (WAL append/fsync retries, the cluster's resync
+// worker).
 //
 // The policy is the classic capped geometric schedule: attempt k sleeps
 // base * multiplier^k, clamped to `max`, then scaled by a uniform jitter
@@ -30,10 +30,13 @@ struct BackoffPolicy {
   double multiplier = 2.0;
   /// Uniform jitter half-width: each delay is scaled by [1-j, 1+j].
   double jitter = 0.25;
-  /// Retries allowed after the initial attempt; 0 = never retry.
+  /// Retries allowed after the initial attempt; 0 = never retry.  Only
+  /// Backoff::exhausted() reads it.
   std::size_t max_retries = 4;
 
-  /// The (jittered) delay before retry number `attempt` (0-based).
+  /// The (jittered) delay before retry number `attempt` (0-based).  With
+  /// base <= max and multiplier >= 1, every attempt's delay lies within
+  /// [base * (1 - jitter), max * (1 + jitter)].
   std::chrono::microseconds delay(std::size_t attempt, Rng& rng) const {
     double d = static_cast<double>(base.count());
     const double cap = static_cast<double>(max.count());
@@ -53,15 +56,11 @@ class Backoff {
       : policy_(policy), rng_(seed) {}
 
   /// True once the retry budget is spent (next_delay was called
-  /// max_retries times since construction/reset).
+  /// max_retries times since construction).
   bool exhausted() const { return attempt_ >= policy_.max_retries; }
-  /// Retries handed out so far.
-  std::size_t attempts() const { return attempt_; }
 
   /// The delay to sleep before the next retry; advances the attempt count.
   std::chrono::microseconds next_delay() { return policy_.delay(attempt_++, rng_); }
-
-  void reset() { attempt_ = 0; }
 
  private:
   BackoffPolicy policy_;

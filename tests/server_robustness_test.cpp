@@ -2,9 +2,10 @@
 // "Overload & failure handling"): connection deadlines (408), connection
 // caps (503 shed), graceful drain, the finished-session reaper, the
 // ChaosProxy transport-fault fixture, the shard circuit breaker +
-// quarantine/resync cycle, and WAL poisoning flipping a shard read-only.
-// The fault-injection–gated suites additionally drive the breaker and the
-// WAL retry/poison paths deterministically.
+// quarantine/resync cycle, and WAL poisoning flipping a shard read-only
+// until the resync worker rewrites its log.  The fault-injection–gated
+// suites additionally drive the breaker, the WAL retry/poison paths and the
+// worker's retries deterministically.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -622,7 +624,56 @@ TEST(ClusterResilience, ResyncPublishesOneSnapshotIntoTheCurrentView) {
         << "probe " << i;
 }
 
+// One resync worker serves every quarantine: back-to-back episodes on one
+// cluster each re-admit the shard, and so do two that overlap.
+TEST(ClusterResilience, BackToBackQuarantinesEachReadmitTheShard) {
+  RobustWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(3));
+  for (std::uint64_t k = 1; k <= 16; ++k) {
+    cluster.quarantine_shard(1);
+    ASSERT_TRUE(wait_until(
+        [&] {
+          return cluster.resyncs() == k && cluster.shard_state(1) == ShardState::kHealthy;
+        },
+        10000))
+        << "episode " << k << ": resyncs " << cluster.resyncs();
+  }
+  // A quarantine that lands while another shard is being rebuilt wakes the
+  // worker again instead of being lost.
+  cluster.quarantine_shard(1);
+  cluster.quarantine_shard(2);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        return cluster.resyncs() == 18 && cluster.shard_state(1) == ShardState::kHealthy &&
+               cluster.shard_state(2) == ShardState::kHealthy;
+      },
+      10000))
+      << "resyncs " << cluster.resyncs();
+  EXPECT_EQ(cluster.resync_failures(), 0u);
+
+  std::vector<ShardedCluster::BatchItem> items;
+  for (std::size_t i = 0; i < 12; ++i) {
+    ShardedCluster::BatchItem q;
+    q.is_query = true;
+    q.header = w.trace[i];
+    q.ingress = static_cast<BoxId>(i % 3);
+    items.push_back(q);
+  }
+  const auto res = cluster.run_batch(items);
+  EXPECT_FALSE(res.degraded);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    EXPECT_EQ(res.lines[i], format_behavior_summary(w.reference.query(
+                                items[i].header, items[i].ingress)))
+        << "item " << i;
+}
+
 #if defined(APC_FAULT_INJECTION)
+
+/// The bytes of the file at `path` ("" when it cannot be read).
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
 
 // Deterministic breaker + WAL-poison paths (need armed fault sites).
 class ClusterFaultInjection : public ::testing::Test {
@@ -632,15 +683,12 @@ class ClusterFaultInjection : public ::testing::Test {
 
 TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
   RobustWorld w;
-  ShardedCluster::Options opts = w.cluster_options(2);
-  opts.breaker_degrade_after = 1;
-  opts.breaker_quarantine_after = 3;
-  ShardedCluster cluster(w.data.net, opts);
+  ShardedCluster cluster(w.data.net, w.cluster_options(2));
 
-  // Every primary batch execution on the (only busy) shard 0 fails 3 times.
+  // Every primary batch execution on the (only busy) shard 0 fails 5 times.
   util::FaultPlan plan;
   plan.kind = util::FaultPlan::Kind::kThrow;
-  plan.count = 3;
+  plan.count = 5;
   util::FaultInjector::instance().arm("cluster.shard.batch", plan);
 
   std::vector<ShardedCluster::BatchItem> items;
@@ -659,21 +707,29 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
     for (std::size_t i = 0; i < expected.size(); ++i)
       EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
   };
+  const auto quarantines = [&] { return cluster.stats().find("cluster.quarantines")->value; };
 
-  // Failure 1: breaker degrades shard 0; the batch is rerouted and correct.
+  // Failure 1: the batch is rerouted and correct; the shard stays healthy.
   auto res = cluster.run_batch(items);
   check(res);
   EXPECT_TRUE(res.degraded);
-  EXPECT_EQ(cluster.shard_state(0), ShardState::kDegraded);
+  EXPECT_EQ(cluster.shard_state(0), ShardState::kHealthy);
 
-  // Failures 2 and 3: the third consecutive failure quarantines.
+  // Failures 2-4: degraded, still in rotation.
+  for (int failure = 2; failure <= 4; ++failure) {
+    res = cluster.run_batch(items);
+    check(res);
+    EXPECT_TRUE(res.degraded);
+    EXPECT_EQ(cluster.shard_state(0), ShardState::kDegraded) << "failure " << failure;
+  }
+  EXPECT_EQ(quarantines(), 0.0);
+
+  // Failure 5 quarantines.
   res = cluster.run_batch(items);
   check(res);
   EXPECT_TRUE(res.degraded);
-  res = cluster.run_batch(items);
-  check(res);
-  EXPECT_TRUE(res.degraded);
-  EXPECT_GE(cluster.reroutes(), 3u);
+  EXPECT_EQ(quarantines(), 1.0);
+  EXPECT_GE(cluster.reroutes(), 5u);
 
   // The plan is exhausted; resync re-admits shard 0 and replies go clean.
   EXPECT_TRUE(wait_until(
@@ -684,6 +740,10 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
   EXPECT_FALSE(res.degraded);
 }
 
+// An fsync EIO poisons a shard's WAL: the shard goes read-only, and the
+// resync worker rewrites the log and makes it writable again with no
+// quarantine_shard() call.  The refused update's frame goes with the old
+// log, so a restart recovers exactly the acknowledged updates.
 TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   RobustWorld w;
   const std::string dir = ::testing::TempDir() + "apc_cluster_poison_wal";
@@ -692,6 +752,7 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   ShardedCluster::Options opts = w.cluster_options(2);
   opts.wal_dir = dir;
   ShardedCluster cluster(w.data.net, opts);
+  auto& inj = util::FaultInjector::instance();
 
   RuleSpec owned0;  // box 0 -> owner shard 0
   owned0.box = 0;
@@ -702,12 +763,17 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   owned1.box = 1;
   owned1.rule.dst = parse_prefix("10.51.0.0/16");
 
+  // While every WAL open fails, the worker cannot rewrite a log, so the
+  // poisoned shard stays read-only for the checks below.
+  util::FaultPlan no_open;
+  no_open.count = 0;  // every hit: EIO
   // EIO on fsync is NOT retried (fsyncgate): one hit poisons shard 0's WAL.
   util::FaultPlan plan;
   plan.kind = util::FaultPlan::Kind::kErrno;
   plan.err = EIO;
   plan.count = 1;
-  util::FaultInjector::instance().arm("wal.append.fsync", plan);
+  inj.arm("wal.open", no_open);
+  inj.arm("wal.append.fsync", plan);
   try {
     cluster.add_rule(owned0);
     FAIL() << "poisoned WAL append must refuse the update";
@@ -728,7 +794,8 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   EXPECT_NO_THROW((void)cluster.run_batch(items));
   EXPECT_EQ(cluster.add_rule(owned1), 1u);
 
-  // Updates owned by the read-only shard stay refused until resync.
+  // Updates owned by the read-only shard stay refused until its log is
+  // rewritten.
   try {
     cluster.add_rule(owned0);
     FAIL() << "read-only shard must keep refusing owned updates";
@@ -736,14 +803,15 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
     EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
   }
 
-  // Resync rewrites the WAL from the in-memory log and clears read-only.
-  cluster.quarantine_shard(0);
-  ASSERT_TRUE(wait_until(
-      [&] {
-        return cluster.shard_state(0) == ShardState::kHealthy &&
-               !cluster.shard_read_only(0);
-      },
-      10000));
+  // Opens work again: the worker rewrites the WAL from the in-memory log
+  // and clears read-only on its own.  The shard never left rotation, so its
+  // replica is not rebuilt.
+  const std::shared_ptr<const engine::QueryEngine> replica = cluster.shard(0);
+  inj.disarm("wal.open");
+  ASSERT_TRUE(wait_until([&] { return !cluster.shard_read_only(0); }, 5000))
+      << "resyncs " << cluster.resyncs() << ", failures " << cluster.resync_failures();
+  EXPECT_EQ(cluster.shard_state(0), ShardState::kHealthy);
+  EXPECT_EQ(cluster.shard(0), replica);
   EXPECT_EQ(cluster.add_rule(owned0), 2u);
 
   // A group spanning both owner shards, with shard 0's fsync failing: its
@@ -757,7 +825,8 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   group1.rule.dst = parse_prefix("10.53.0.0/16");
   const std::vector<ShardedCluster::Update> group = {
       {true, owned1}, {true, group0}, {true, group1}, {false, owned0}};
-  util::FaultInjector::instance().arm("wal.append.fsync", plan);
+  inj.arm("wal.open", no_open);
+  inj.arm("wal.append.fsync", plan);
   std::vector<ShardedCluster::UpdateOutcome> out;
   cluster.apply_updates(group, out);
   ASSERT_EQ(out.size(), group.size());
@@ -771,13 +840,9 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   EXPECT_TRUE(cluster.shard_read_only(0));
   EXPECT_FALSE(cluster.shard_read_only(1));
   EXPECT_EQ(cluster.epoch(), 4u);
-  cluster.quarantine_shard(0);
-  ASSERT_TRUE(wait_until(
-      [&] {
-        return cluster.shard_state(0) == ShardState::kHealthy &&
-               !cluster.shard_read_only(0);
-      },
-      10000));
+  inj.disarm("wal.open");
+  ASSERT_TRUE(wait_until([&] { return !cluster.shard_read_only(0); }, 5000));
+  EXPECT_EQ(cluster.shard_state(0), ShardState::kHealthy);
 
   // The rewritten per-shard WALs recover to exactly the applied updates.
   {
@@ -806,9 +871,10 @@ TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
   std::filesystem::remove_all(dir);
 }
 
-// A resync that cannot write the shard's new WAL must leave the old one in
-// place: the shard's acknowledged updates survive every failed attempt and
-// a restart.
+// A rewrite that keeps failing is retried past any fixed budget, and every
+// failed attempt leaves the shard's old WAL in place: the shard ends
+// writable once the fault clears, and its acknowledged update survives a
+// restart while the update the poisoned log refused does not.
 TEST_F(ClusterFaultInjection, FailedResyncKeepsTheShardWal) {
   RobustWorld w;
   const std::string dir = ::testing::TempDir() + "apc_cluster_failed_resync_wal";
@@ -816,27 +882,42 @@ TEST_F(ClusterFaultInjection, FailedResyncKeepsTheShardWal) {
   std::filesystem::create_directories(dir);
   ShardedCluster::Options opts = w.cluster_options(2);
   opts.wal_dir = dir;
-  opts.resync_backoff = {std::chrono::milliseconds{1}, std::chrono::milliseconds{2}, 2.0,
-                         0.0, 2};
   RuleSpec owned0;  // box 0 -> owner shard 0
   owned0.box = 0;
   owned0.rule.dst = parse_prefix("10.60.0.0/16");
   owned0.rule.egress_port = 0;
   owned0.rule.priority = 50;
+  RuleSpec refused = owned0;
+  refused.rule.dst = parse_prefix("10.61.0.0/16");
   {
     ShardedCluster cluster(w.data.net, opts);
     ASSERT_EQ(cluster.add_rule(owned0), 1u);
-    util::FaultPlan plan;
-    plan.kind = util::FaultPlan::Kind::kErrno;
-    plan.err = EIO;
-    plan.count = 0;  // every WAL open fails
-    util::FaultInjector::instance().arm("wal.open", plan);
-    cluster.quarantine_shard(0);
-    // The first attempt and both retries fail; the shard stays out.
-    ASSERT_TRUE(wait_until([&] { return cluster.resync_failures() == 3; }, 10000));
-    EXPECT_EQ(cluster.shard_state(0), ShardState::kQuarantined);
+    auto& inj = util::FaultInjector::instance();
+    // The next 10 WAL opens fail, and with them the worker's first 10
+    // rewrites of the log the fsync EIO below poisons.
+    util::FaultPlan no_open;
+    no_open.count = 10;
+    inj.arm("wal.open", no_open);
+    util::FaultPlan eio;
+    eio.count = 1;
+    inj.arm("wal.append.fsync", eio);
+    EXPECT_THROW(cluster.add_rule(refused), Error);
+    ASSERT_TRUE(cluster.shard_read_only(0));
+    const std::string poisoned = file_bytes(dir + "/shard0.wal");
+    ASSERT_FALSE(poisoned.empty());
+
+    // More than 7 failures in a row: the log is still the poisoned one.
+    ASSERT_TRUE(wait_until([&] { return cluster.resync_failures() >= 8; }, 10000))
+        << "failures " << cluster.resync_failures();
+    EXPECT_TRUE(cluster.shard_read_only(0));
+    EXPECT_EQ(file_bytes(dir + "/shard0.wal"), poisoned);
     EXPECT_EQ(cluster.resyncs(), 0u);
-    util::FaultInjector::instance().disarm("wal.open");
+
+    // The fault clears after its 10th hit; the next attempt succeeds.
+    ASSERT_TRUE(wait_until([&] { return !cluster.shard_read_only(0); }, 10000));
+    EXPECT_EQ(cluster.resync_failures(), 10u);
+    EXPECT_EQ(cluster.resyncs(), 1u);
+    EXPECT_EQ(cluster.shard_state(0), ShardState::kHealthy);
   }
 
   ShardedCluster recovered(w.data.net, opts);
@@ -856,6 +937,38 @@ TEST_F(ClusterFaultInjection, FailedResyncKeepsTheShardWal) {
   const auto res = recovered.run_batch(qs);
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+  std::filesystem::remove_all(dir);
+}
+
+// A cluster destroyed while its resync worker backs off returns without
+// waiting out the delay.
+TEST_F(ClusterFaultInjection, DestructorCutsTheRepairBackoffShort) {
+  RobustWorld w;
+  const std::string dir = ::testing::TempDir() + "apc_cluster_backoff_stop_wal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ShardedCluster::Options opts = w.cluster_options(2);
+  opts.wal_dir = dir;
+  auto cluster = std::make_unique<ShardedCluster>(w.data.net, opts);
+  RuleSpec owned0;  // box 0 -> owner shard 0
+  owned0.box = 0;
+  owned0.rule.dst = parse_prefix("10.62.0.0/16");
+  owned0.rule.egress_port = 0;
+  owned0.rule.priority = 50;
+  auto& inj = util::FaultInjector::instance();
+  util::FaultPlan no_open;
+  no_open.count = 0;  // every rewrite fails
+  inj.arm("wal.open", no_open);
+  util::FaultPlan eio;
+  eio.count = 1;
+  inj.arm("wal.append.fsync", eio);
+  EXPECT_THROW(cluster->add_rule(owned0), Error);
+  // From the 7th failure on, every delay is the 500 ms cap, give or take a
+  // quarter.
+  ASSERT_TRUE(wait_until([&] { return cluster->resync_failures() >= 7; }, 10000));
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(300));
   std::filesystem::remove_all(dir);
 }
 

@@ -522,7 +522,8 @@ TEST(ShardedCluster, OutOfRangeIngressIsRefusedWithoutTrippingBreakers) {
   bad[1].ingress = boxes + 3;
   const std::string why = "ingress " + std::to_string(boxes + 3) + " out of range (" +
                           std::to_string(boxes) + " boxes)";
-  for (std::size_t k = 0; k < 2 * opts.breaker_quarantine_after; ++k) {
+  // Twice the breaker's quarantine threshold (5 consecutive failures).
+  for (std::size_t k = 0; k < 10; ++k) {
     try {
       cluster.run_batch(bad);
       ADD_FAILURE() << "batch " << k << " was answered";

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,6 +190,40 @@ TEST(SnapshotPersistV2, MappedSnapshotAdoptsProgramWithoutRecompile) {
   EXPECT_FALSE(loaded->program()->owns_code());
 }
 
+/// Saves `snap` to `path`, lets `doctor` edit the file's arena (its header,
+/// and the bytes from the arena base), and recomputes the file CRC, so only
+/// the loader's arena checks can refuse what it did.
+void save_doctored(const FlatSnapshot& snap, const std::string& path,
+                   const std::function<void(ArenaHeader&, char*)>& doctor) {
+  save_snapshot(snap, path);
+  std::string bytes = read_raw(path);
+  constexpr std::size_t kArenaOffset = 4096;  // the arena follows the file header
+  char* arena = bytes.data() + kArenaOffset;
+  ArenaHeader h;
+  std::memcpy(&h, arena, sizeof(h));
+  doctor(h, arena);
+  std::memcpy(arena, &h, sizeof(h));
+  const std::uint32_t crc =
+      util::crc32c_mask(util::crc32c(arena, bytes.size() - kArenaOffset));
+  std::memcpy(bytes.data() + 24, &crc, sizeof(crc));  // the file header's CRC
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Both load paths (mapped and owned) refuse `path` as kCorruptData.
+void expect_load_refused(const std::string& path, const std::string& what) {
+  FlatSnapshot::Options owned;
+  owned.mmap_load = false;
+  for (const FlatSnapshot::Options& lo : {FlatSnapshot::Options{}, owned}) {
+    try {
+      (void)load_snapshot(path, lo);
+      ADD_FAILURE() << "accepted " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << e.what();
+    }
+  }
+}
+
 TEST(SnapshotPersistV2, ProgramJumpCycleIsRejected) {
   // The kernels run until a leaf jump with no step bound, so a program whose
   // jumps loop must be refused at load instead of hanging the first
@@ -200,35 +235,42 @@ TEST(SnapshotPersistV2, ProgramJumpCycleIsRejected) {
   const auto snap = FlatSnapshot::build(*fx.clf);
   ASSERT_GT(snap->program_instructions(), 0u);
   const std::string path = tmp_snap("cycle");
-  save_snapshot(*snap, path);
-  std::string bytes = read_raw(path);
-  constexpr std::size_t kArenaOffset = 4096;  // the arena follows the file header
-  ArenaHeader h;
-  std::memcpy(&h, bytes.data() + kArenaOffset, sizeof(h));
-  char* first = bytes.data() + kArenaOffset + h.program.off;
-  MatchInsn insn;
-  std::memcpy(&insn, first, sizeof(insn));
-  const std::uint32_t word =
-      insn.on_match & ~(MatchProgram::kLeafBit | MatchProgram::kTargetMask);
-  insn.on_match = word;  // non-leaf jump to pc 0, same header word
-  insn.on_fail = word;
-  std::memcpy(first, &insn, sizeof(insn));
-  const std::uint32_t crc = util::crc32c_mask(
-      util::crc32c(bytes.data() + kArenaOffset, bytes.size() - kArenaOffset));
-  std::memcpy(bytes.data() + 24, &crc, sizeof(crc));  // the file header's CRC
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  save_doctored(*snap, path, [](ArenaHeader& h, char* arena) {
+    char* first = arena + h.program.off;
+    MatchInsn insn;
+    std::memcpy(&insn, first, sizeof(insn));
+    const std::uint32_t word =
+        insn.on_match & ~(MatchProgram::kLeafBit | MatchProgram::kTargetMask);
+    insn.on_match = word;  // non-leaf jump to pc 0, same header word
+    insn.on_fail = word;
+    std::memcpy(first, &insn, sizeof(insn));
+  });
+  expect_load_refused(path, "a program whose jumps form a cycle");
+}
 
-  FlatSnapshot::Options owned;
-  owned.mmap_load = false;
-  for (const FlatSnapshot::Options& lo : {FlatSnapshot::Options{}, owned}) {
-    try {
-      (void)load_snapshot(path, lo);
-      ADD_FAILURE() << "accepted a program whose jumps form a cycle";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << e.what();
-    }
+TEST(SnapshotPersistV2, ArenaWithoutProgramIsRejected) {
+  // Every writer compiles the match program into the arena, so the loader
+  // never compiles one: an arena whose program flag is clear and whose
+  // program section is empty passes every other check, and must be refused.
+  Fixture fx;
+  const auto snap = FlatSnapshot::build(*fx.clf);
+  const std::string path = tmp_snap("no_program");
+  save_doctored(*snap, path, [](ArenaHeader& h, char*) {
+    h.flags &= ~static_cast<std::uint32_t>(ArenaHeader::kHasProgram);
+    h.program.count = 0;
+  });
+  expect_load_refused(path, "an arena without a match program");
+
+  // A warm restore falls back to a build and rewrites the file.
+  QueryEngine::Options opts;
+  opts.num_threads = 2;
+  opts.snapshot_path = path;
+  {
+    QueryEngine eng(*fx.clf, opts);
+    EXPECT_EQ(eng.snapshot_restores().value(), 0u);
   }
+  QueryEngine restored(*fx.clf, opts);
+  EXPECT_EQ(restored.snapshot_restores().value(), 1u);
 }
 
 // TSan target: republish churn must retire a MAPPED snapshot (munmap via

@@ -1,9 +1,11 @@
 // Tests for util: FlatBitset, Rng, stats.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
 
+#include "util/backoff.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -139,6 +141,59 @@ TEST(FlatBitset, PropertyVsStdSet) {
             std::vector<std::size_t>(diff.begin(), diff.end()));
   EXPECT_EQ(a.intersect_count(b), inter.size());
   EXPECT_EQ(a.minus_count(b), diff.size());
+}
+
+// ---------- Backoff ----------
+
+TEST(Backoff, EveryDelayStaysWithinJitteredBaseAndCap) {
+  // The cluster's resync worker retries with an attempt number that grows
+  // until its repair succeeds, so the cap must hold for every attempt, not
+  // just a retry budget's worth.  The first two policies are the worker's
+  // and the WAL's default; the third overshoots its cap between two steps.
+  using std::chrono::microseconds;
+  using std::chrono::milliseconds;
+  for (const util::BackoffPolicy& p :
+       {util::BackoffPolicy{milliseconds{10}, milliseconds{500}, 2.0, 0.25, 0},
+        util::BackoffPolicy{microseconds{500}, microseconds{20000}, 2.0, 0.25, 4},
+        util::BackoffPolicy{microseconds{1000}, microseconds{64000}, 3.0, 0.5, 0}}) {
+    const double lo = static_cast<double>(p.base.count()) * (1.0 - p.jitter);
+    const double hi = static_cast<double>(p.max.count()) * (1.0 + p.jitter);
+    Rng rng(42);
+    for (std::size_t k = 0; k <= 10000; ++k) {
+      const auto d = static_cast<double>(p.delay(k, rng).count());
+      ASSERT_GE(d, lo) << "attempt " << k << " of base " << p.base.count() << " us";
+      ASSERT_LE(d, hi) << "attempt " << k << " of base " << p.base.count() << " us";
+    }
+  }
+}
+
+TEST(Backoff, OneSeedGivesOneSchedule) {
+  const util::BackoffPolicy p{std::chrono::milliseconds{10}, std::chrono::milliseconds{500},
+                              2.0, 0.25, 6};
+  const auto schedule = [&p](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::int64_t> out;
+    for (std::size_t k = 0; k < 64; ++k) out.push_back(p.delay(k, rng).count());
+    return out;
+  };
+  const std::vector<std::int64_t> want = schedule(7);
+  EXPECT_EQ(schedule(7), want);
+  EXPECT_NE(schedule(8), want);
+  // Backoff hands out its policy's schedule for its seed, max_retries long.
+  util::Backoff backoff(p, 7);
+  for (std::size_t k = 0; k < p.max_retries; ++k) {
+    EXPECT_FALSE(backoff.exhausted());
+    EXPECT_EQ(backoff.next_delay().count(), want[k]) << "retry " << k;
+  }
+  EXPECT_TRUE(backoff.exhausted());
+  // With no jitter the schedule is base * 2^k up to the cap, exactly.
+  util::BackoffPolicy exact = p;
+  exact.jitter = 0.0;
+  const std::vector<std::int64_t> doubling = {10000,  20000,  40000,  80000,
+                                              160000, 320000, 500000, 500000};
+  Rng rng(7);
+  for (std::size_t k = 0; k < doubling.size(); ++k)
+    EXPECT_EQ(exact.delay(k, rng).count(), doubling[k]) << "attempt " << k;
 }
 
 // ---------- Rng ----------
