@@ -7,6 +7,7 @@
 // (~1000x slower); Forwarding Simulation 0.2 / 0.16 Mqps.  All methods
 // here run the FULL pipeline (stage 1 + stage 2).
 #include <algorithm>
+#include <bit>
 
 #include "aptree/build.hpp"
 #include "baselines/ap_linear.hpp"
@@ -108,10 +109,10 @@ int main() {
     // vs both disabled (pure tree walk + topology walk).  The cached
     // snapshot is warmed with one pass so the measurement reflects the
     // steady state a long-lived snapshot serves.
+    Rng zrng(31);
+    const auto zt = datasets::zipf_trace(w.reps, w.clf->atoms().capacity(),
+                                         8000, zrng, 1.0);
     {
-      Rng zrng(31);
-      const auto zt = datasets::zipf_trace(w.reps, w.clf->atoms().capacity(),
-                                           8000, zrng, 1.0);
       engine::FlatSnapshot::Options cached_opts;  // defaults: both layers on
       const auto cached = engine::FlatSnapshot::build(*w.clf, cached_opts);
       engine::FlatSnapshot::Options walk_opts;
@@ -209,6 +210,74 @@ int main() {
       json.row(prefix + "program_avx2_available", avx2 ? 1.0 : 0.0, "bool");
       json.row(prefix + "program_kernel_dispatch",
                static_cast<double>(compiled->kernel_dispatch()), "count");
+
+      // Program depth: mean instructions per header on the uniform trace,
+      // the longest walk any header can take, and the number of header
+      // bits the predicates test (a decision diagram tests each at most
+      // once per walk, so max_steps <= tested_bits).
+      double steps = 0.0;
+      for (const PacketHeader& h : trace) steps += static_cast<double>(prog->steps(h));
+      std::size_t tested_bits = 0;
+      for (const std::uint64_t word : compiled->tested_bits())
+        tested_bits += static_cast<std::size_t>(std::popcount(word));
+      std::printf("  match program depth: %.1f steps/header (uniform), max %zu, "
+                  "%zu tested header bits\n",
+                  steps / static_cast<double>(trace.size()),
+                  compiled->program_max_steps(), tested_bits);
+      json.row(prefix + "program_steps_per_header",
+               steps / static_cast<double>(trace.size()), "count");
+      json.row(prefix + "program_max_steps",
+               static_cast<double>(compiled->program_max_steps()), "count");
+      json.row(prefix + "program_tested_bits", static_cast<double>(tested_bits),
+               "count");
+    }
+
+    // Header cache on vs off (data for the cache ablation): classify_into
+    // ns per header in 64-header calls, behavior table off, on the uniform
+    // and Zipf traces (one representative per atom, so a warm cache hits
+    // nearly always) and on a FIB-rule trace 8x the default cache's slot
+    // count (random source/port bits: nearly every probe misses, the
+    // servebench cold-rules shape).  Each cached snapshot is warmed with one
+    // pass first.
+    {
+      Rng rrng(37);
+      const engine::FlatSnapshot::Options defaults;
+      const auto rt =
+          datasets::rule_trace(w.data().net, 8 * defaults.header_cache_capacity, rrng);
+      engine::FlatSnapshot::Options on_opts;
+      on_opts.behavior_table_budget = 0;
+      engine::FlatSnapshot::Options off_opts = on_opts;
+      off_opts.header_cache_capacity = 0;
+      const auto ns_per_header = [](const engine::FlatSnapshot& snap,
+                                    const std::vector<PacketHeader>& hs) {
+        std::vector<AtomId> out(hs.size());
+        const auto pass = [&] {
+          for (std::size_t i = 0; i < hs.size(); i += 64)
+            snap.classify_into(hs.data() + i, std::min<std::size_t>(64, hs.size() - i),
+                               out.data() + i);
+        };
+        pass();  // warm-up (fills the cache when on)
+        Stopwatch sw;
+        std::size_t done = 0;
+        do {
+          pass();
+          done += hs.size();
+        } while (sw.seconds() < 0.2);
+        return sw.seconds() * 1e9 / static_cast<double>(done);
+      };
+      const std::pair<const char*, const std::vector<PacketHeader>*> traces[] = {
+          {"uniform", &trace}, {"zipf", &zt.packets}, {"rule", &rt}};
+      for (const auto& [name, hs] : traces) {
+        const double on_ns =
+            ns_per_header(*engine::FlatSnapshot::build(*w.clf, on_opts), *hs);
+        const double off_ns =
+            ns_per_header(*engine::FlatSnapshot::build(*w.clf, off_opts), *hs);
+        std::printf("  classify_into %-7s cache on %.1f ns/header, off %.1f "
+                    "ns/header\n",
+                    name, on_ns, off_ns);
+        json.row(prefix + "classify_into_ns_cache_on_" + name, on_ns, "ns");
+        json.row(prefix + "classify_into_ns_cache_off_" + name, off_ns, "ns");
+      }
     }
 
     // Observability overhead: the same engine batch workload with metrics

@@ -222,6 +222,11 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_fn(prefix + ".snapshot.program_compile_us", [this] {
     return snapshot()->program_compile_seconds() * 1e6;
   }, "us");
+  // Longest walk any header takes through the program, in instructions.
+  reg.register_fn(
+      prefix + ".snapshot.program_max_steps",
+      [this] { return static_cast<double>(snapshot()->program_max_steps()); },
+      "count");
   reg.register_fn(prefix + ".snapshot.kernel_dispatch", [this] {
     // 1 = scalar kernel, 2 = AVX2 kernel.
     return static_cast<double>(snapshot()->kernel_dispatch());

@@ -13,15 +13,19 @@ namespace apc::engine {
 
 namespace {
 
+/// `steps`, when non-null, receives the number of instructions executed
+/// (the kernels pass nullptr, and the count folds away).
 inline AtomId run_one(const MatchInsn* prog, std::uint32_t entry,
-                      const PacketHeader& h) {
+                      const PacketHeader& h, std::size_t* steps = nullptr) {
   std::uint32_t pc = entry;
-  while ((pc & MatchProgram::kLeafBit) == 0) {
+  std::size_t n = 0;
+  for (; (pc & MatchProgram::kLeafBit) == 0; ++n) {
     const MatchInsn& insn = prog[pc & MatchProgram::kTargetMask];
     const std::uint32_t w = h.word32((insn.on_match >> MatchProgram::kWordShift) &
                                      MatchProgram::kWordFieldMask);
     pc = (w & insn.mask) == insn.value ? insn.on_match : insn.on_fail;
   }
+  if (steps != nullptr) *steps = n;
   return static_cast<AtomId>(pc & MatchProgram::kTargetMask);
 }
 
@@ -29,6 +33,12 @@ inline AtomId run_one(const MatchInsn* prog, std::uint32_t entry,
 
 AtomId MatchProgram::run(const PacketHeader& h) const {
   return run_one(code_, entry_, h);
+}
+
+std::size_t MatchProgram::steps(const PacketHeader& h) const {
+  std::size_t n = 0;
+  run_one(code_, entry_, h, &n);
+  return n;
 }
 
 void MatchProgram::run_batch_scalar(const PacketHeader* hs,

@@ -2,30 +2,31 @@
 // program: the snapshot's only stage-1 executor behind its header cache.
 //
 // An interpreted walk (FlatSnapshot::classify_walk, kept as the test oracle)
-// resolves one BDD *bit* per dependent load: tree node -> BDD root -> node
-// -> node -> ... -> terminal -> next tree node.  An uncached uniform trace
-// would therefore pay a full load latency per header bit.  Click's
-// Classifier shows the classic fix in software: compile the decision
-// structure into a linear program of mask-and-compare steps, each testing
-// a whole aligned word of the packet at once (SNIPPETS.md, classifier.hh:
-// "four bytes of packet data are ANDed with a mask and compared against
-// four bytes of classifier pattern").
+// follows the AP Tree: about log k whole predicates per header (paper SS V),
+// each a BDD walk of one dependent load per header bit, and the predicates
+// on one path test the same destination bits again and again.  The
+// compiler does not lower that tree.  It compiles the function the tree
+// computes — header -> atom, the atom partition — into a multi-terminal
+// decision diagram over the header bits in the BDD variable order, built
+// bottom-up over the frozen tree as
 //
-// The compiler lowers the frozen tree + shared BDD array into contiguous
-// 16-byte instructions
+//     f(leaf) = its atom,   f(t) = ite(pred_t, f(true child), f(false child))
+//
+// with hash-consed nodes, so every root-to-leaf path tests each header bit
+// at most once.  The diagram is then lowered the way Click's Classifier
+// lowers its decision tree (SNIPPETS.md, classifier.hh: "four bytes of
+// packet data are ANDed with a mask and compared against four bytes of
+// classifier pattern") into contiguous 16-byte instructions
 //
 //     { mask32, value32, jump_on_match, jump_on_fail }
 //
 // where a jump packs { leaf?, word_offset, target } (see the bit layout at
-// MatchInsn).  Runs of consecutive BDD bit-tests that (a) test bits of the
-// same 32-bit header word and (b) fail to the same continuation are
-// coalesced into a single instruction whose mask ORs the tested bits and
-// whose value holds the required ones — an `equals(dst_ip, X)` predicate
-// (32 BDD nodes) becomes ONE instruction.  Tree edges become jumps: a tree
-// node's true branch continues at the next tree node's entry, its false
-// branch at its right child's entry, and leaves are leaf-encoded jumps
-// carrying the AtomId, so the whole two-level structure (tree over BDDs)
-// flattens into one program with a single entry point.
+// MatchInsn).  A run of diagram nodes that (a) test bits of the same 32-bit
+// header word and (b) fail to the same continuation is coalesced into one
+// instruction whose mask ORs the tested bits and whose value holds the
+// required ones — an `equals(dst_ip, X)` predicate (32 BDD nodes) becomes
+// ONE instruction.  Diagram terminals are leaf-encoded jumps carrying the
+// AtomId, so the program has a single entry point and no tree left in it.
 //
 // Execution is a pure data-dependent loop with no unpredictable branches:
 //
@@ -43,6 +44,9 @@
 //     masked vpgatherdd fetches of the instruction fields and of each
 //     lane's header word, compare-under-mask, and a blend to advance the
 //     PCs; finished lanes retire their atom and admit the next header.
+//
+// engine/program_proof.hpp checks a compiled program exactly against the
+// classifier's atoms (translation validation).
 //
 // A MatchProgram is immutable after compile() and holds no pointers into
 // the snapshot, so it is safe to read from any number of threads.
@@ -100,11 +104,12 @@ class MatchProgram {
   static constexpr std::uint32_t kWordFieldMask = 0xFu;  ///< 4 bits: 16 words
   static constexpr std::size_t kMaxInstructions = std::size_t{1} << 27;
 
-  /// Lowers the frozen tree + shared BDD array into a program.  Instructions
-  /// are laid out in DFS order from the entry (match path first), so the hot
-  /// prefix of a walk is forward-contiguous.  Returns nullptr when the
-  /// program would exceed kMaxInstructions.  Pure function of its arguments;
-  /// the result holds no references to them.
+  /// Compiles the atom partition the frozen tree + shared BDD array compute
+  /// into a program (see the file comment).  Instructions are laid out in
+  /// DFS order from the entry (match path first), so the hot prefix of a
+  /// walk is forward-contiguous.  Returns nullptr when the diagram would
+  /// exceed kMaxInstructions nodes.  Pure function of its arguments; the
+  /// result holds no references to them.
   static std::shared_ptr<const MatchProgram> compile(
       const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
       const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root);
@@ -122,6 +127,8 @@ class MatchProgram {
 
   /// Classifies one header (scalar kernel).
   AtomId run(const PacketHeader& h) const;
+  /// Instructions run() executes to classify `h` (0 for a leaf entry).
+  std::size_t steps(const PacketHeader& h) const;
 
   /// Classifies `n` headers into `out`; `which`, when non-null, selects the
   /// header/output indices to process (the snapshot's cache-miss list).
@@ -147,6 +154,9 @@ class MatchProgram {
   std::size_t instruction_count() const { return code_count_; }
   std::size_t bytes() const { return code_count_ * sizeof(MatchInsn); }
   double compile_seconds() const { return compile_seconds_; }
+  /// Instructions on the longest walk from the entry to a leaf: the most
+  /// steps any header can take.  Computed once, at compile or adopt.
+  std::size_t max_steps() const { return max_steps_; }
   /// Entry jump value (leaf-encoded for a single-leaf tree).
   std::uint32_t entry() const { return entry_; }
   const MatchInsn* instructions() const { return code_; }
@@ -157,6 +167,10 @@ class MatchProgram {
 
  private:
   MatchProgram() = default;
+
+  /// Longest entry-to-leaf walk of an acyclic program, in instructions.
+  static std::size_t longest_path(const MatchInsn* code, std::size_t count,
+                                  std::uint32_t entry);
 
   void run_batch_scalar(const PacketHeader* hs, const std::size_t* which,
                         std::size_t n, AtomId* out) const;
@@ -174,6 +188,7 @@ class MatchProgram {
   std::shared_ptr<const void> keepalive_;
   std::uint32_t entry_ = kLeafBit;  ///< empty program: atom 0 leaf
   double compile_seconds_ = 0.0;
+  std::size_t max_steps_ = 0;
 };
 
 }  // namespace apc::engine

@@ -353,16 +353,20 @@ std::shared_ptr<const FlatSnapshot> FlatSnapshot::build(const ApClassifier& clf,
   return snap;
 }
 
+HeaderAtomCache::Mask FlatSnapshot::tested_bits() const {
+  HeaderAtomCache::Mask mask{};
+  const ArenaHeader& h = arena_->header();
+  std::copy(std::begin(h.tested_bits), std::end(h.tested_bits), mask.begin());
+  return mask;
+}
+
 void FlatSnapshot::init_accelerators(const Options& opts) {
   // Header -> atom cache (layer 2), keyed on the bits any predicate tests.
   // The mask was computed at assembly time and travels in the arena header,
   // so a mapped load does not touch the BDD section to rebuild it.
-  if (opts.header_cache_capacity > 0) {
-    HeaderAtomCache::Mask mask{};
-    const ArenaHeader& h = arena_->header();
-    std::copy(std::begin(h.tested_bits), std::end(h.tested_bits), mask.begin());
-    cache_ = std::make_unique<HeaderAtomCache>(opts.header_cache_capacity, mask);
-  }
+  if (opts.header_cache_capacity > 0)
+    cache_ = std::make_unique<HeaderAtomCache>(opts.header_cache_capacity,
+                                               tested_bits());
 
   // Behavior table (layer 1): the cell-pointer array must fit the budget or
   // the table is off; cells start empty (kLazy).

@@ -23,12 +23,15 @@
 //      front of the tree walk; hot flows (real traffic is Zipfian, SS VII)
 //      skip the tree entirely.  The cache lives inside the snapshot, so a
 //      republish invalidates it wholesale and stale hits cannot exist.
-//   3. Compiled match program.  The frozen tree and BDDs are lowered to a
-//      flat mask-and-compare program (engine/program.hpp) that every cache
-//      miss runs — classify_into() through the AVX2 lane-parallel kernel
-//      when the CPU has it.  Tree nodes stay 8 bytes in DFS preorder and
-//      BDD nodes DFS-contiguous in tree order for classify_walk(), the
-//      interpreted stage-1 oracle.
+//   3. Compiled match program.  The atom partition the frozen tree and
+//      BDDs compute is compiled to a decision diagram over the header bits
+//      and lowered to a flat mask-and-compare program (engine/program.hpp)
+//      that every cache miss runs — classify_into() through the AVX2
+//      lane-parallel kernel when the CPU has it.  No walk tests a header
+//      bit twice.  Tree nodes stay 8 bytes in DFS preorder and BDD nodes
+//      DFS-contiguous in tree order for classify_walk(), the interpreted
+//      stage-1 oracle; engine/program_proof.hpp checks a program against
+//      the classifier's atoms exactly.
 //
 // Storage: everything frozen lives in ONE relocatable Arena (engine/
 // arena.hpp) — BDD array, tree, stage-2 records, bitset word pool, compiled
@@ -175,6 +178,10 @@ class FlatSnapshot {
   std::uint64_t behavior_table_fills() const { return table_fills_.value(); }
   /// Wall-clock seconds the eager table precompute took (0 when lazy/off).
   double behavior_table_build_seconds() const { return table_build_seconds_; }
+  /// The union of header bits any frozen predicate tests: the header
+  /// cache's key mask (kept in the arena header, so a loaded snapshot has
+  /// it even with the cache off).
+  HeaderAtomCache::Mask tested_bits() const;
   /// nullptr when the cache is disabled.
   const HeaderAtomCache* header_cache() const { return cache_.get(); }
   /// Cache traffic counters, folded in by classify()/classify_into().
@@ -194,6 +201,8 @@ class FlatSnapshot {
   std::size_t program_bytes() const { return program_->bytes(); }
   /// Wall-clock seconds the compile took (0 when adopted from a file).
   double program_compile_seconds() const { return program_->compile_seconds(); }
+  /// Most instructions any header runs (MatchProgram::max_steps).
+  std::size_t program_max_steps() const { return program_->max_steps(); }
   /// Kernel batch classification dispatches to: 1 = scalar, 2 = AVX2.
   /// Matches the obs `kernel_dispatch` row.
   int kernel_dispatch() const {

@@ -413,6 +413,11 @@ TEST(QueryEngine, StatsRoundTripUnderConcurrentUpdates) {
   EXPECT_GT(snap.find("engine.classifier.bdd.nodes_created")->value, 0.0);
   EXPECT_GE(snap.find("engine.snapshot_age_seconds")->value, 0.0);
   EXPECT_DOUBLE_EQ(snap.find("engine.classifier.rebuilds")->value, 3.0);
+  // The program-depth row reads the published program's longest walk.
+  ASSERT_NE(snap.find("engine.snapshot.program_max_steps"), nullptr);
+  EXPECT_DOUBLE_EQ(snap.find("engine.snapshot.program_max_steps")->value,
+                   static_cast<double>(eng.snapshot()->program()->max_steps()));
+  EXPECT_GT(snap.find("engine.snapshot.program_max_steps")->value, 0.0);
 }
 
 /// A ring a -> b -> c -> a that reaches every branch of the stage-2 walk:

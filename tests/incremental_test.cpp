@@ -16,6 +16,7 @@
 #include "datasets/datasets.hpp"
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
+#include "engine/program_proof.hpp"
 #include "packet/ipv4.hpp"
 #include "util/rng.hpp"
 
@@ -160,6 +161,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalChurn, ::testing::Values(11, 42, 1234
 
 // ---- Engine republication under rule churn ----
 
+/// The published program equals the classifier's atom partition over the
+/// whole header space (engine/program_proof.hpp).
+void expect_published_program_exact(const QueryEngine& e, const char* what) {
+  const auto proof = engine::prove_program(*e.snapshot(), e.classifier());
+  EXPECT_TRUE(proof.ok()) << what << ": " << proof.summary();
+}
+
 struct EngineWorld {
   datasets::Dataset data;
   std::shared_ptr<bdd::BddManager> mgr = datasets::Dataset::make_manager();
@@ -201,6 +209,7 @@ void expect_engine_matches_classifier_under_churn(const datasets::Dataset& data)
 
   Rng rng(13);
   std::vector<std::pair<BoxId, ForwardingRule>> installed;
+  expect_published_program_exact(e, data.name.c_str());
   for (int round = 0; round < 12; ++round) {
     // Warm the header cache first: an entry that outlived the publish
     // would show as a wrong atom below.
@@ -225,6 +234,7 @@ void expect_engine_matches_classifier_under_churn(const datasets::Dataset& data)
       });
       installed.emplace_back(b, extra);
     }
+    expect_published_program_exact(e, data.name.c_str());
 
     const auto atoms = e.classify_batch(w.trace);
     ASSERT_EQ(atoms.size(), w.trace.size());
@@ -274,7 +284,9 @@ TEST(IncrementalConcurrency, RepublishesUnderConcurrentBatches) {
     const BoxId b = static_cast<BoxId>(rng.uniform(w.data.net.topology.box_count()));
     const ForwardingRule r = w.random_rule(b, rng);
     e.insert_fib_rule(b, r);
+    expect_published_program_exact(e, "after insert");
     e.remove_fib_rule(b, r);
+    expect_published_program_exact(e, "after remove");
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();

@@ -2,11 +2,18 @@
 // carries one, the scalar and AVX2 kernels must be bit-identical to the
 // interpreted walk (FlatSnapshot::classify_walk, the stage-1 oracle) on
 // every header — exhaustively across atoms, on random and adversarial
-// headers, and across republished snapshots — and the coalescer must
-// collapse same-word BDD chains to single instructions.
+// headers (every single-bit flip of every representative), and across
+// republished snapshots — the coalescer must collapse same-word chains to
+// single instructions, and the program must have the decision-diagram
+// shape: no path tests a header bit twice.  The ProgramProof suite checks
+// programs exactly over the whole header space (engine/program_proof.hpp)
+// and checks that seeded mutants fail that proof unless they are
+// equivalent.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <functional>
 #include <thread>
 
 #include "classifier/classifier.hpp"
@@ -14,7 +21,9 @@
 #include "datasets/traces.hpp"
 #include "engine/engine.hpp"
 #include "engine/program.hpp"
+#include "engine/program_proof.hpp"
 #include "engine/snapshot.hpp"
+#include "io/network_io.hpp"
 #include "packet/ipv4.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +34,7 @@ using datasets::Dataset;
 using datasets::Scale;
 using engine::FlatSnapshot;
 using engine::KernelKind;
+using engine::MatchInsn;
 using engine::MatchProgram;
 using engine::QueryEngine;
 
@@ -36,8 +46,9 @@ FlatSnapshot::Options program_options() {
 }
 
 /// All-atom representatives + random headers + adversarial corners: the
-/// all-zeros and all-ones headers, and single-bit flips of representatives
-/// (each flip crosses exactly one BDD test, probing every chain boundary).
+/// all-zeros and all-ones headers, and every single-bit flip of every
+/// representative (each flip crosses exactly one bit test, probing every
+/// chain boundary).
 std::vector<PacketHeader> differential_headers(const ApClassifier& clf,
                                                std::uint64_t seed) {
   Rng rng(seed);
@@ -56,7 +67,7 @@ std::vector<PacketHeader> differential_headers(const ApClassifier& clf,
   for (std::uint32_t b = 0; b < HeaderLayout::kBits; ++b) ones.set_bit(b, true);
   hs.push_back(ones);
   for (const PacketHeader& rep : reps.headers) {
-    for (std::uint32_t b = 0; b < HeaderLayout::kBits; b += 7) {
+    for (std::uint32_t b = 0; b < HeaderLayout::kBits; ++b) {
       PacketHeader h = rep;
       h.set_bit(b, !h.bit(b));
       hs.push_back(h);
@@ -285,6 +296,269 @@ TEST(MatchProgram, ChurnKernelQueriesAgainstConcurrentRepublish) {
   stop.store(true, std::memory_order_release);
   querier.join();
   EXPECT_NE(eng.snapshot()->program(), nullptr);
+}
+
+std::size_t popcount(const engine::HeaderAtomCache::Mask& bits) {
+  std::size_t n = 0;
+  for (const std::uint64_t w : bits) n += static_cast<std::size_t>(std::popcount(w));
+  return n;
+}
+
+/// Header bits one instruction tests, as a header-wide mask.
+engine::HeaderAtomCache::Mask insn_bits(const MatchInsn& insn) {
+  engine::HeaderAtomCache::Mask bits{};
+  const std::uint32_t word =
+      (insn.on_match >> MatchProgram::kWordShift) & MatchProgram::kWordFieldMask;
+  bits[word / 2] = std::uint64_t{insn.mask} << (32 * (word % 2));
+  return bits;
+}
+
+TEST(MatchProgram, NoPathTestsAHeaderBitTwice) {
+  // The program is a decision diagram over the header bits: along every
+  // walk each bit is tested at most once, so no walk is longer than the
+  // number of bits the predicates test.  (The tree lowering it replaced
+  // re-tested the destination bits once per predicate on the path: its
+  // longest walk on Stanford-like tiny was 92 instructions, against 10.)
+  for (const int which : {0, 1, 2}) {
+    Dataset d = which == 0   ? datasets::internet2_like(Scale::Tiny, 11)
+                : which == 1 ? datasets::stanford_like(Scale::Tiny, 11)
+                             : datasets::datacenter_like(Scale::Tiny, 11);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(d.net, mgr);
+    const auto snap = FlatSnapshot::build(clf, program_options());
+    const MatchProgram& prog = *snap->program();
+    const MatchInsn* code = prog.instructions();
+    ASSERT_EQ(prog.entry() & MatchProgram::kLeafBit, 0u) << d.name;
+
+    // below[pc]: bits tested on any walk from pc to a leaf, pc included;
+    // depth[pc]: instructions on the longest such walk.
+    std::vector<engine::HeaderAtomCache::Mask> below(prog.instruction_count());
+    std::vector<std::size_t> depth(prog.instruction_count(), 0);
+    const std::function<void(std::uint32_t)> visit = [&](std::uint32_t pc) {
+      if (depth[pc] != 0) return;
+      engine::HeaderAtomCache::Mask after{};
+      std::size_t deepest = 0;
+      for (const std::uint32_t j : {code[pc].on_match, code[pc].on_fail}) {
+        if ((j & MatchProgram::kLeafBit) != 0) continue;
+        visit(j & MatchProgram::kTargetMask);
+        for (std::size_t w = 0; w < after.size(); ++w)
+          after[w] |= below[j & MatchProgram::kTargetMask][w];
+        deepest = std::max(deepest, depth[j & MatchProgram::kTargetMask]);
+      }
+      const auto own = insn_bits(code[pc]);
+      for (std::size_t w = 0; w < after.size(); ++w) {
+        ASSERT_EQ(own[w] & after[w], 0u)
+            << d.name << ": instruction " << pc << " tests a bit again below it";
+        below[pc][w] = own[w] | after[w];
+      }
+      depth[pc] = deepest + 1;
+    };
+    visit(prog.entry() & MatchProgram::kTargetMask);
+    const std::size_t longest = depth[prog.entry() & MatchProgram::kTargetMask];
+    EXPECT_EQ(prog.max_steps(), longest) << d.name;
+    EXPECT_EQ(snap->program_max_steps(), longest) << d.name;
+    EXPECT_LE(longest, popcount(snap->tested_bits())) << d.name;
+
+    // steps() agrees with the walk it counts.
+    Rng rng(12);
+    const auto reps = datasets::atom_representatives(clf.atoms(), rng);
+    for (const PacketHeader& h : reps.headers) {
+      ASSERT_GE(prog.steps(h), 1u);
+      ASSERT_LE(prog.steps(h), longest);
+    }
+  }
+}
+
+// ---- Exact proof (engine/program_proof.hpp) ----
+
+class ProgramProofDataset : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProgramProofDataset, ProvesTinyAndMediumBuilds) {
+  for (const Scale scale : {Scale::Tiny, Scale::Medium}) {
+    Dataset d = GetParam() == 0   ? datasets::internet2_like(scale)
+                : GetParam() == 1 ? datasets::stanford_like(scale)
+                                  : datasets::datacenter_like(scale);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(d.net, mgr);
+    const auto snap = FlatSnapshot::build(clf, program_options());
+    const auto proof = engine::prove_program(*snap, clf);
+    EXPECT_TRUE(proof.ok()) << d.name << ": " << proof.summary();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fixtures, ProgramProofDataset, ::testing::Values(0, 1, 2));
+
+TEST(ProgramProof, CatchesUnsupportedAtomsAndMalformedPrograms) {
+  Dataset d = datasets::internet2_like(Scale::Tiny, 5);
+  auto mgr = Dataset::make_manager();
+  ApClassifier clf(d.net, mgr);
+  const auto snap = FlatSnapshot::build(clf, program_options());
+  const MatchProgram& prog = *snap->program();
+  ASSERT_GT(prog.instruction_count(), 0u);
+
+  // A header-cache key that drops a tested bit would merge atoms.
+  auto bits = snap->tested_bits();
+  bits[0] &= bits[0] - 1;  // clear the lowest tested bit of word 0
+  const auto narrow = engine::prove_program(prog.instructions(),
+                                            prog.instruction_count(), prog.entry(),
+                                            clf.atoms(), *mgr, bits);
+  EXPECT_TRUE(narrow.malformed.empty());
+  EXPECT_GT(narrow.unsupported_atoms, 0u) << narrow.summary();
+
+  // Jumps that disagree on the header word have no single meaning.
+  std::vector<MatchInsn> code(prog.instructions(),
+                              prog.instructions() + prog.instruction_count());
+  code[0].on_fail ^= 1u << MatchProgram::kWordShift;
+  const auto split = engine::prove_program(code.data(), code.size(), prog.entry(),
+                                           clf.atoms(), *mgr, snap->tested_bits());
+  EXPECT_FALSE(split.ok());
+  EXPECT_FALSE(split.malformed.empty()) << split.summary();
+}
+
+constexpr AtomId kHang = 0xFFFFFFFFu;
+
+/// The scalar kernel's loop with a step bound, so a mutant whose jumps
+/// form a cycle reads as kHang instead of spinning.
+AtomId run_bounded(const std::vector<MatchInsn>& code, std::uint32_t entry,
+                   const PacketHeader& h) {
+  std::uint32_t pc = entry;
+  for (std::size_t steps = 0; (pc & MatchProgram::kLeafBit) == 0; ++steps) {
+    if (steps > code.size()) return kHang;
+    const MatchInsn& insn = code[pc & MatchProgram::kTargetMask];
+    const std::uint32_t w = h.word32((insn.on_match >> MatchProgram::kWordShift) &
+                                     MatchProgram::kWordFieldMask);
+    pc = (w & insn.mask) == insn.value ? insn.on_match : insn.on_fail;
+  }
+  return pc & MatchProgram::kTargetMask;
+}
+
+/// One seeded single-field mutant: a flipped mask bit (among the bits the
+/// predicates test, so the header space that matters does not grow), a
+/// flipped value bit, or a match/fail jump retargeted to a random
+/// instruction or atom.  Word indices stay intact.
+std::vector<MatchInsn> mutate(const MatchProgram& prog,
+                              const engine::HeaderAtomCache::Mask& tested,
+                              std::size_t atom_capacity, Rng& rng) {
+  std::vector<MatchInsn> code(prog.instructions(),
+                              prog.instructions() + prog.instruction_count());
+  MatchInsn& insn = code[rng.uniform(code.size())];
+  const std::uint32_t word =
+      (insn.on_match >> MatchProgram::kWordShift) & MatchProgram::kWordFieldMask;
+  const auto retarget = [&](std::uint32_t& jump) {
+    const std::uint32_t target =
+        rng.coin(0.5) ? MatchProgram::kLeafBit |
+                            static_cast<std::uint32_t>(rng.uniform(atom_capacity))
+                      : static_cast<std::uint32_t>(rng.uniform(code.size()));
+    jump = (jump & ~(MatchProgram::kLeafBit | MatchProgram::kTargetMask)) | target;
+  };
+  switch (rng.uniform(4)) {
+    case 0: {
+      const auto half = static_cast<std::uint32_t>(tested[word / 2] >> (32 * (word % 2)));
+      std::vector<std::uint32_t> candidates;
+      for (std::uint32_t b = 0; b < 32; ++b)
+        if ((half >> b) & 1u) candidates.push_back(b);
+      insn.mask ^= 1u << candidates[rng.uniform(candidates.size())];
+      break;
+    }
+    case 1:
+      insn.value ^= 1u << rng.uniform(32);
+      break;
+    case 2:
+      retarget(insn.on_match);
+      break;
+    default:
+      retarget(insn.on_fail);
+      break;
+  }
+  return code;
+}
+
+TEST(ProgramProof, SeededMutantsFailUnlessEquivalent) {
+  // A network whose predicates test 17 header bits, so every mutant can be
+  // compared with the original program on all 2^17 headers that vary only
+  // those bits — every other bit is tested by neither program, so this is
+  // exact equivalence.  The proof must pass exactly the equivalent mutants.
+  const NetworkModel net = io::read_network_string(R"(
+box a
+box b
+link a b
+hostport a h1
+hostport b h2
+fib a 10.0.0.0/8 1
+fib a 10.128.0.0/9 0
+fib a 11.0.0.0/8 0
+fib b 10.0.0.0/7 1
+acl in b 0 default permit
+aclrule in b 0 deny src 0.0.0.0/0 dst 0.0.0.0/0 sport 0-65535 dport 0-65535 proto 17
+)");
+  auto mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
+  ApClassifier clf(net, mgr);
+  const auto snap = FlatSnapshot::build(clf, program_options());
+  const MatchProgram& prog = *snap->program();
+  const auto tested = snap->tested_bits();
+  ASSERT_TRUE(engine::prove_program(*snap, clf).ok());
+  ASSERT_GE(prog.instruction_count(), 4u);
+
+  std::vector<std::uint32_t> vars;
+  for (std::uint32_t v = 0; v < HeaderLayout::kBits; ++v)
+    if ((tested[v >> 6] >> (v & 63)) & 1u) vars.push_back(v);
+  ASSERT_EQ(vars.size(), 17u);
+  std::vector<PacketHeader> space(std::size_t{1} << vars.size());
+  std::vector<AtomId> want(space.size());
+  for (std::size_t x = 0; x < space.size(); ++x) {
+    for (std::size_t i = 0; i < vars.size(); ++i)
+      space[x].set_bit(vars[i], ((x >> i) & 1u) != 0);
+    want[x] = prog.run(space[x]);
+  }
+
+  Rng rng(2028);
+  std::size_t caught = 0, equivalent = 0;
+  for (int m = 0; m < 48; ++m) {
+    const auto code = mutate(prog, tested, clf.atoms().capacity(), rng);
+    bool same = true;
+    for (std::size_t x = 0; x < space.size() && same; ++x)
+      same = run_bounded(code, prog.entry(), space[x]) == want[x];
+    const auto proof = engine::prove_program(code.data(), code.size(), prog.entry(),
+                                             clf.atoms(), *mgr, tested);
+    EXPECT_EQ(proof.ok(), same) << "mutant " << m << ": " << proof.summary();
+    (same ? equivalent : caught) += 1;
+  }
+  EXPECT_GT(caught, 24u) << equivalent << " equivalent mutants";
+}
+
+TEST(ProgramProof, SeededMutantsOnDatasetsFailWhenSamplingSeesThem) {
+  // On the fixture datasets the header space is too large to enumerate, so
+  // sampling (representatives, their single-bit flips, random headers)
+  // stands in: a mutant that changes any sampled answer must fail the
+  // proof, and one that passes it must change none.
+  for (const int which : {0, 1}) {
+    Dataset d = which == 0 ? datasets::internet2_like(Scale::Tiny, 3)
+                           : datasets::stanford_like(Scale::Tiny, 3);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(d.net, mgr);
+    const auto snap = FlatSnapshot::build(clf, program_options());
+    const MatchProgram& prog = *snap->program();
+    const auto hs = differential_headers(clf, 70 + which);
+    std::vector<AtomId> want(hs.size());
+    for (std::size_t i = 0; i < hs.size(); ++i) want[i] = prog.run(hs[i]);
+
+    Rng rng(4 + which);
+    std::size_t caught = 0;
+    for (int m = 0; m < 24; ++m) {
+      const auto code = mutate(prog, snap->tested_bits(), clf.atoms().capacity(), rng);
+      bool differs = false;
+      for (std::size_t i = 0; i < hs.size() && !differs; ++i)
+        differs = run_bounded(code, prog.entry(), hs[i]) != want[i];
+      const auto proof = engine::prove_program(code.data(), code.size(),
+                                               prog.entry(), clf.atoms(), *mgr,
+                                               snap->tested_bits());
+      if (differs) {
+        EXPECT_FALSE(proof.ok()) << d.name << " mutant " << m;
+      }
+      caught += !proof.ok();
+    }
+    EXPECT_GT(caught, 12u) << d.name;
+  }
 }
 
 }  // namespace

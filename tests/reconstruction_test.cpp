@@ -8,6 +8,10 @@
 
 #include "baselines/ap_linear.hpp"
 #include "classifier/reconstruction.hpp"
+#include "datasets/datasets.hpp"
+#include "datasets/traces.hpp"
+#include "engine/engine.hpp"
+#include "engine/program_proof.hpp"
 #include "util/rng.hpp"
 
 namespace apc {
@@ -399,6 +403,48 @@ TEST(Reconstruction, StatsInventory) {
   EXPECT_GT(snap.find("reconstruction.rebuild_seconds.max")->value, 0.0);
   ASSERT_NE(snap.find("reconstruction.predicates"), nullptr);
   EXPECT_DOUBLE_EQ(snap.find("reconstruction.predicates")->value, 9.0);
+}
+
+TEST(Reconstruction, EveryRebuildPublishesAnExactProgram) {
+  // Same-thread reconstruction through the query engine: each rebuild
+  // (OAPT, Quick-Ordering, distribution-aware) renumbers the atoms and
+  // reshapes the tree, and its publish must compile a program equal to the
+  // new partition over the whole header space (engine/program_proof.hpp),
+  // as must the rule updates between rebuilds.
+  for (const int which : {0, 1}) {
+    datasets::Dataset d = which == 0
+                              ? datasets::internet2_like(datasets::Scale::Tiny, 9)
+                              : datasets::stanford_like(datasets::Scale::Tiny, 9);
+    auto mgr = datasets::Dataset::make_manager();
+    ApClassifier::Options copts;
+    copts.track_visits = true;
+    ApClassifier clf(d.net, mgr, copts);
+    engine::QueryEngine::Options eopts;
+    eopts.num_threads = 1;
+    engine::QueryEngine eng(clf, eopts);
+    Rng rng(10 + which);
+    const auto reps = datasets::atom_representatives(clf.atoms(), rng);
+    const auto trace = datasets::uniform_trace(reps, 300, rng);
+    const auto expect_exact = [&](const char* what) {
+      const auto proof = engine::prove_program(*eng.snapshot(), clf);
+      EXPECT_TRUE(proof.ok()) << d.name << " " << what << ": " << proof.summary();
+    };
+    expect_exact("initial");
+    const BoxId box = 0;
+    const auto& rules = d.net.fibs.at(box).rules;
+    for (int round = 0; round < 3; ++round) {
+      const ForwardingRule rule = rules[rng.uniform(rules.size())];
+      eng.remove_fib_rule(box, rule);
+      expect_exact("remove");
+      eng.insert_fib_rule(box, rule);
+      expect_exact("insert");
+      (void)eng.classify_batch(trace);  // visits for the weighted rebuild
+      if (round == 0) eng.rebuild(BuildMethod::Oapt);
+      if (round == 1) eng.rebuild(BuildMethod::QuickOrdering);
+      if (round == 2) eng.rebuild({}, /*distribution_aware=*/true);
+      expect_exact("rebuild");
+    }
+  }
 }
 
 }  // namespace

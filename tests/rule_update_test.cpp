@@ -5,6 +5,7 @@
 #include "baselines/forwarding_sim.hpp"
 #include "classifier/classifier.hpp"
 #include "datasets/traces.hpp"
+#include "engine/program_proof.hpp"
 #include "io/network_io.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +40,16 @@ fib b 10.2.0.0/16 1
                                          1000, 80, 6);
   }
 
+  /// Publishes a snapshot of the classifier and proves its program exact
+  /// (engine/program_proof.hpp).
+  void expect_program_exact() const {
+    const auto snap = engine::FlatSnapshot::build(*clf);
+    const auto proof = engine::prove_program(*snap, *clf);
+    EXPECT_TRUE(proof.ok()) << proof.summary();
+  }
+
   void check_against_forwarding_sim() const {
+    expect_program_exact();
     // After any update, classification + stage 2 must agree with direct
     // forwarding simulation over the *current* predicates.
     const ForwardingSimulation fsim(clf->compiled(), clf->network().topology,
@@ -172,6 +182,7 @@ TEST(RuleUpdate, ChurnKeepsClassifierConsistent) {
       w.clf->remove_fib_rule(w.a, installed[i]);
       installed.erase(installed.begin() + static_cast<std::ptrdiff_t>(i));
     }
+    w.expect_program_exact();
   }
   w.check_against_forwarding_sim();
   // Tree still has one leaf per live atom.
