@@ -248,7 +248,7 @@ int run() {
   const std::vector<double> fault_us = run_population(
       server.port(), trace, boxes, 2.5, degraded, batches_fault, client_error,
       [&] {
-        // (a) one shard drops out; its queries reroute, resync re-admits it.
+        // (a) one shard drops out; batches skip it, resync re-admits it.
         cluster.quarantine_shard(2);
 
         // (b) slowloris: a client trickling 2 bytes every 5 ms must never
@@ -417,7 +417,7 @@ int run() {
   gate(drained, "zero hung threads (live_sessions drained to 0, got " +
                     std::to_string(server.live_sessions()) + ")");
 
-  // Final clean batch: home routing restored, reply not degraded.
+  // Final clean batch: every shard back in rotation, reply not degraded.
   {
     LineClient fin(server.port());
     std::string out;

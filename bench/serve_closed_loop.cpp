@@ -4,10 +4,14 @@
 // before sending the next (closed loop), while one updater thread sends a
 // fixed number of update groups through the same protocol.
 //
-// Every batch embeds two probe queries, homed on different shards, whose
+// Every batch embeds two probe queries, entering at two boxes, whose
 // answers both change with the updates.  A batch whose probe pair is not
 // the pair its reply's epoch implies is counted as a mixed-epoch batch, and
 // any such batch makes the binary exit 1 (CI also asserts the count is 0).
+// The cluster answers a whole batch on one replica, and each connection's
+// batches visit the replicas in turn, so the gate still catches a view
+// whose slot for some replica holds another epoch's snapshot, and a reply
+// that names an epoch its answers are not from.
 //
 // Emits BENCH_serve.json:
 //   serve.shards / serve.clients / serve.batches / serve.qps

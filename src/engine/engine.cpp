@@ -32,7 +32,6 @@ FlatSnapshot::Options snapshot_options(const QueryEngine::Options& o) {
 
 QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
     : clf_(clf), opts_(std::move(opts)), pool_(default_threads(opts_.num_threads)) {
-  require(opts_.batch_grain > 0, "QueryEngine: zero batch grain");
   // Warm restore: a valid durable snapshot serves immediately, skipping the
   // freeze + eager-precompute cost.  Anything wrong with the file (absent,
   // torn, corrupt) falls back to a normal build — never a crash.
@@ -53,63 +52,21 @@ QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
   persist_current_locked();  // ctor: no readers yet, no lock needed
 }
 
-// ---- batch admission (Options::max_pending_batches) ----
-
-bool QueryEngine::admit_batch() const {
-  if (opts_.max_pending_batches == 0) return true;
-  if (pending_batches_.fetch_add(1, std::memory_order_acq_rel) >=
-      opts_.max_pending_batches) {
-    pending_batches_.fetch_sub(1, std::memory_order_acq_rel);
-    batches_rejected_.add();
-    return false;
-  }
-  return true;
-}
-
-void QueryEngine::release_batch() const {
-  if (opts_.max_pending_batches > 0)
-    pending_batches_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
 std::vector<AtomId> QueryEngine::classify_batch(
     const std::vector<PacketHeader>& hs) const {
-  auto out = try_classify_batch(hs);
-  require(out.has_value(), ErrorCode::kUnavailable,
-          "QueryEngine: batch admission cap reached; retry or shed load");
-  return std::move(*out);
+  return *try_classify_batch_on(*snapshot(), hs.data(), hs.size());
 }
 
 std::vector<Behavior> QueryEngine::query_batch(const std::vector<PacketHeader>& hs,
                                                BoxId ingress) const {
-  auto out = try_query_batch(hs, ingress);
-  require(out.has_value(), ErrorCode::kUnavailable,
-          "QueryEngine: batch admission cap reached; retry or shed load");
-  return std::move(*out);
+  return *try_query_batch_on(*snapshot(), hs.data(), hs.size(), ingress);
 }
-
-std::optional<std::vector<AtomId>> QueryEngine::try_classify_batch(
-    const std::vector<PacketHeader>& hs) const {
-  const std::shared_ptr<const FlatSnapshot> s = snapshot();
-  return try_classify_batch_on(*s, hs.data(), hs.size());
-}
-
-std::optional<std::vector<Behavior>> QueryEngine::try_query_batch(
-    const std::vector<PacketHeader>& hs, BoxId ingress) const {
-  const std::shared_ptr<const FlatSnapshot> s = snapshot();
-  return try_query_batch_on(*s, hs.data(), hs.size(), ingress);
-}
-
-// The vector-returning forms allocate their ingress list and result before
-// taking the admission ticket inside try_answer_batch_on, so a shed batch
-// costs those allocations; the served path never calls them.
 
 std::optional<std::vector<AtomId>> QueryEngine::try_classify_batch_on(
     const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const {
   const std::vector<BoxId> ingress(n, kNoIngress);
   std::vector<AtomId> out(n);
-  if (!try_answer_batch_on(s, hs, ingress.data(), n, out.data(),
-                           [](std::size_t, const Behavior&) {}))
-    return std::nullopt;
+  answer_batch_on(s, hs, ingress.data(), n, out.data(), [](std::size_t, const Behavior&) {});
   return out;
 }
 
@@ -120,9 +77,8 @@ std::optional<std::vector<Behavior>> QueryEngine::try_query_batch_on(
   const std::vector<BoxId> ingresses(n, ingress);
   std::vector<AtomId> atoms(n);
   std::vector<Behavior> out(n);
-  if (!try_answer_batch_on(s, hs, ingresses.data(), n, atoms.data(),
-                           [&out](std::size_t k, const Behavior& b) { out[k] = b; }))
-    return std::nullopt;
+  answer_batch_on(s, hs, ingresses.data(), n, atoms.data(),
+                  [&out](std::size_t k, const Behavior& b) { out[k] = b; });
   return out;
 }
 
@@ -234,9 +190,6 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_counter(prefix + ".snapshot_restores", &snapshot_restores_);
   reg.register_counter(prefix + ".snapshot_saves", &snapshot_saves_);
   reg.register_counter(prefix + ".snapshot_save_failures", &snapshot_save_failures_);
-  reg.register_counter(prefix + ".batches_rejected", &batches_rejected_);
-  reg.register_fn(prefix + ".pending_batches",
-                  [this] { return static_cast<double>(pending_batches()); }, "count");
   pool_.register_metrics(reg, prefix + ".pool.");
   clf_.register_metrics(reg, prefix + ".classifier");
 }

@@ -22,7 +22,7 @@
 // classify_batch()/query_batch() fan a vector of headers across a small
 // worker pool; every item in one batch is answered from one snapshot, so a
 // batch is atomic with respect to updates.  Every batch call, the
-// cluster's mixed C/Q slices included, runs one body: try_answer_batch_on.
+// cluster's mixed C/Q batches included, runs one body: answer_batch_on.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +46,6 @@ class QueryEngine {
     /// batch parallelism matches hardware_concurrency — the same "0 means
     /// all cores" convention as every other threads knob in the repo.
     std::size_t num_threads = 0;
-    /// Headers per work chunk when fanning out a batch.
-    std::size_t batch_grain = 256;
     /// Memory budget for each snapshot's (atom x ingress) behavior table:
     /// below it the table is precomputed at publish time, above it cells
     /// fill lazily, 0 turns the table off (behavior_of() walks the
@@ -65,17 +63,15 @@ class QueryEngine {
     /// and tolerated (serving continues).  See snapshot.hpp and
     /// docs/architecture.md, "Fault tolerance & durability".
     std::string snapshot_path;
-    /// Admission cap: at most this many batch queries in flight at once.
-    /// Excess classify_batch()/query_batch() calls fail fast with
-    /// apc::Error(kUnavailable) (the try_* variants return nullopt instead)
-    /// rather than piling onto the pool.  0 = unbounded.
-    std::size_t max_pending_batches = 0;
     /// Ignored: an engine keeps no snapshot but its current one, and the
     /// cluster holds each epoch's snapshots in its own published view
     /// (server/cluster.hpp).  Kept only because the serving benchmark sets
     /// it.
     bool epoch_pin = false;
   };
+  /// Headers per work chunk when a batch fans out across the pool; a batch
+  /// of at most this many runs inline on the caller.
+  static constexpr std::size_t kBatchGrain = 256;
 
   /// Builds the initial snapshot from `clf`.  The engine keeps a reference:
   /// `clf` must outlive it, and all mutations of `clf` must go through the
@@ -97,24 +93,17 @@ class QueryEngine {
   }
 
   /// Stage-1 classification of a whole batch, fanned across the pool.
-  /// The entire batch is answered from a single snapshot.  Throws
-  /// apc::Error(kUnavailable) when the admission cap is reached.
+  /// The entire batch is answered from a single snapshot.
   std::vector<AtomId> classify_batch(const std::vector<PacketHeader>& hs) const;
   /// Two-stage queries for a whole batch (middlebox-free networks).
   std::vector<Behavior> query_batch(const std::vector<PacketHeader>& hs,
                                     BoxId ingress) const;
-  /// Non-throwing admission variants: nullopt when the engine is saturated
-  /// (Options::max_pending_batches) — shed load or retry later.
-  std::optional<std::vector<AtomId>> try_classify_batch(
-      const std::vector<PacketHeader>& hs) const;
-  std::optional<std::vector<Behavior>> try_query_batch(
-      const std::vector<PacketHeader>& hs, BoxId ingress) const;
 
-  // ---- Caller-pinned read side (the sharded cluster's entry points) ----
-  // A cross-shard batch must never mix snapshot versions, so the cluster
-  // pins one view (a snapshot per shard, all of one epoch) and answers each
-  // shard's slice of the batch against that exact snapshot.
-  /// The ingress of a classify-only (C) item in try_answer_batch_on.
+  // ---- Caller-pinned read side (the sharded cluster's entry point) ----
+  // A batch must never mix snapshot versions, so the cluster pins one view
+  // (a snapshot per shard, all of one epoch) and answers the whole batch
+  // against one replica's snapshot in it.
+  /// The ingress of a classify-only (C) item in answer_batch_on.
   static constexpr BoxId kNoIngress = ~BoxId{0};
   /// The batch body every batch call runs.  Answers items hs[0..n) against
   /// caller-pinned snapshot `s` (which the caller keeps alive): writes each
@@ -124,22 +113,20 @@ class QueryEngine {
   /// kNoIngress) with b = FlatSnapshot::behavior_ref(atoms[k], ingress[k]),
   /// the table cell itself (no copy).  The sink runs on pool threads,
   /// concurrently for distinct k.  Q items need a middlebox-free snapshot.
-  /// One admission ticket (an RAII permit, released on every path out,
-  /// including a worker-task throw) and one timer per call: the call lands
-  /// in `<prefix>.query_batch_seconds` when it holds a Q item, in
-  /// `<prefix>.classify_batch_seconds` otherwise.  A call of at most
-  /// Options::batch_grain items runs inline on the caller with no heap work
-  /// (as long as the behavior table is precomputed).  False when saturated.
+  /// One timer per call: the call lands in `<prefix>.query_batch_seconds`
+  /// when it holds a Q item, in `<prefix>.classify_batch_seconds`
+  /// otherwise.  A call of at most kBatchGrain items runs inline on the
+  /// caller with no heap work (as long as the behavior table is
+  /// precomputed).  A worker-task throw reaches the caller.
   template <typename Sink>
-  bool try_answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
-                           const BoxId* ingress, std::size_t n, AtomId* atoms,
-                           Sink&& sink) const;
-  /// try_answer_batch_on over C items only, into a fresh vector; nullopt
-  /// when saturated.
+  void answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs, const BoxId* ingress,
+                       std::size_t n, AtomId* atoms, Sink&& sink) const;
+  /// answer_batch_on over C items only, into a fresh vector.  Always
+  /// engaged; the optional is kept only for the serving benchmark.
   std::optional<std::vector<AtomId>> try_classify_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n) const;
-  /// try_answer_batch_on over Q items at one ingress, each Behavior copied
-  /// into a fresh vector; nullopt when saturated.
+  /// answer_batch_on over Q items at one ingress, each Behavior copied into
+  /// a fresh vector.  Always engaged, as try_classify_batch_on.
   std::optional<std::vector<Behavior>> try_query_batch_on(
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
       BoxId ingress) const;
@@ -201,12 +188,6 @@ class QueryEngine {
   /// Successful / failed durable snapshot saves.
   const obs::Counter& snapshot_saves() const { return snapshot_saves_; }
   const obs::Counter& snapshot_save_failures() const { return snapshot_save_failures_; }
-  /// Batches refused by the admission cap.
-  const obs::Counter& batches_rejected() const { return batches_rejected_; }
-  /// Batch queries currently in flight (only tracked when the cap is set).
-  std::size_t pending_batches() const {
-    return pending_batches_.load(std::memory_order_acquire);
-  }
 
   /// Registers the engine's metric inventory under `prefix`: batch latency
   /// histograms, batch sizes, publish count/age, pool counters, and the
@@ -231,24 +212,6 @@ class QueryEngine {
   /// (or is the constructor).
   void persist_current_locked();
 
-  bool admit_batch() const;
-  void release_batch() const;
-  /// RAII admission ticket for one in-flight batch (see
-  /// Options::max_pending_batches).  A leaked permit would shrink the
-  /// admission window for good, so the fault-injection suite pins down its
-  /// release on the throwing paths (AdmissionPermitRecovery).
-  struct BatchTicket {
-    const QueryEngine& e;
-    const bool admitted;
-    explicit BatchTicket(const QueryEngine& eng) : e(eng), admitted(eng.admit_batch()) {}
-    ~BatchTicket() {
-      if (admitted) e.release_batch();
-    }
-    BatchTicket(const BatchTicket&) = delete;
-    BatchTicket& operator=(const BatchTicket&) = delete;
-    explicit operator bool() const { return admitted; }
-  };
-
   ApClassifier& clf_;
   Options opts_;
   mutable util::TaskPool pool_;
@@ -264,21 +227,16 @@ class QueryEngine {
   mutable obs::Counter queries_answered_;
   std::atomic<std::int64_t> last_publish_ns_{0};  // steady_clock epoch ns
 
-  // Durability / degradation (see Options::snapshot_path and
-  // Options::max_pending_batches).
+  // Durability (see Options::snapshot_path).
   obs::Counter snapshot_restores_;
   obs::Counter snapshot_saves_;
   obs::Counter snapshot_save_failures_;
-  mutable std::atomic<std::size_t> pending_batches_{0};
-  mutable obs::Counter batches_rejected_;
 };
 
 template <typename Sink>
-bool QueryEngine::try_answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
-                                      const BoxId* ingress, std::size_t n,
-                                      AtomId* atoms, Sink&& sink) const {
-  const BatchTicket ticket(*this);
-  if (!ticket) return false;
+void QueryEngine::answer_batch_on(const FlatSnapshot& s, const PacketHeader* hs,
+                                  const BoxId* ingress, std::size_t n, AtomId* atoms,
+                                  Sink&& sink) const {
   const bool queries =
       std::any_of(ingress, ingress + n, [](BoxId b) { return b != kNoIngress; });
   obs::ScopedTimer timer(queries ? query_batch_hist_ : classify_batch_hist_);
@@ -286,14 +244,13 @@ bool QueryEngine::try_answer_batch_on(const FlatSnapshot& s, const PacketHeader*
   require(!queries || !s.has_middleboxes(),
           "QueryEngine: middlebox networks need live tree re-search; use "
           "ApClassifier::query/query_probabilistic");
-  pool_.parallel_for(n, opts_.batch_grain, [&](std::size_t first, std::size_t last) {
+  pool_.parallel_for(n, kBatchGrain, [&](std::size_t first, std::size_t last) {
     s.classify_into(hs + first, last - first, atoms + first);
     Behavior scratch;  // used only when the table is off
     for (std::size_t k = first; k < last; ++k)
       if (ingress[k] != kNoIngress) sink(k, s.behavior_ref(atoms[k], ingress[k], scratch));
   });
   queries_answered_.add(n);
-  return true;
 }
 
 }  // namespace apc::engine

@@ -140,38 +140,7 @@ FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
     core.tree_root = 0;
   }
 
-  // Reorder the BDD nodes DFS-contiguous in tree order (hi edge first): the
-  // nodes a walk dereferences early land early in the array, so the hot
-  // paths of all predicates share a compact prefix of cache lines.
-  {
-    constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
-    std::vector<std::uint32_t> remap(flat_nodes.size(), kUnmapped);
-    remap[bdd::kFalse] = bdd::kFalse;
-    remap[bdd::kTrue] = bdd::kTrue;
-    core.bdd_nodes.reserve(flat_nodes.size());
-    core.bdd_nodes.push_back(flat_nodes[bdd::kFalse]);
-    core.bdd_nodes.push_back(flat_nodes[bdd::kTrue]);
-    std::vector<std::uint32_t> stack;
-    for (const FlatTreeNode& t : core.tree) {
-      if (t.right == kLeaf) continue;
-      stack.push_back(t.bdd_root);
-      while (!stack.empty()) {
-        const std::uint32_t r = stack.back();
-        stack.pop_back();
-        if (r <= bdd::kTrue || remap[r] != kUnmapped) continue;
-        remap[r] = static_cast<std::uint32_t>(core.bdd_nodes.size());
-        core.bdd_nodes.push_back(flat_nodes[r]);
-        stack.push_back(flat_nodes[r].lo);  // popped second
-        stack.push_back(flat_nodes[r].hi);  // popped first: hi path is hot
-      }
-    }
-    for (std::size_t i = 2; i < core.bdd_nodes.size(); ++i) {
-      core.bdd_nodes[i].lo = remap[core.bdd_nodes[i].lo];
-      core.bdd_nodes[i].hi = remap[core.bdd_nodes[i].hi];
-    }
-    for (FlatTreeNode& t : core.tree)
-      if (t.right != kLeaf) t.bdd_root = remap[t.bdd_root];
-  }
+  core.bdd_nodes = std::move(flat_nodes);
 
   // Freeze stage 2 flattened: per-box contiguous runs of port entries and
   // input-ACL slots, with every R(p) bitset interned into the shared word

@@ -28,8 +28,8 @@
 //      and lowered to a flat mask-and-compare program (engine/program.hpp)
 //      that every cache miss runs — classify_into() through the AVX2
 //      lane-parallel kernel when the CPU has it.  No walk tests a header
-//      bit twice.  Tree nodes stay 8 bytes in DFS preorder and BDD nodes
-//      DFS-contiguous in tree order for classify_walk(), the interpreted
+//      bit twice.  Tree nodes stay 8 bytes in DFS preorder, and BDD nodes
+//      in bdd::flatten's order, for classify_walk(), the interpreted
 //      stage-1 oracle; engine/program_proof.hpp checks a program against
 //      the classifier's atoms exactly.
 //

@@ -115,11 +115,10 @@ const char* shard_state_name(ShardState s) {
 }
 
 void ShardedCluster::BatchAnswers::append_line(std::size_t i, std::string& out) const {
-  const Answer& a = answers_[i];
-  if (a.is_query)
-    append_behavior_summary(out, a.summary);
+  if (ingress_[i] != engine::QueryEngine::kNoIngress)
+    append_behavior_summary(out, summaries_[i]);
   else
-    append_classify_answer(out, a.atom);
+    append_classify_answer(out, atoms_[i]);
 }
 
 ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
@@ -218,34 +217,6 @@ ShardedCluster::PinnedView ShardedCluster::pin() const {
   return view;
 }
 
-bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
-                                   std::size_t slice, const std::vector<BatchItem>& items,
-                                   BatchAnswers& out) const {
-  const std::vector<std::size_t>& ix = out.slice_ix_[slice];
-  out.headers_.clear();
-  out.ingress_.clear();
-  for (const std::size_t i : ix) {
-    out.headers_.push_back(items[i].header);
-    out.ingress_.push_back(items[i].is_query ? items[i].ingress
-                                             : engine::QueryEngine::kNoIngress);
-  }
-  out.atoms_.resize(ix.size());
-  try {
-    // One engine call for the whole slice; each Q answer is summarized
-    // straight from its behavior-table cell.
-    if (!view.engines[exec]->try_answer_batch_on(
-            *view.snaps[exec], out.headers_.data(), out.ingress_.data(), ix.size(),
-            out.atoms_.data(), [&out, &ix](std::size_t k, const Behavior& b) {
-              out.answers_[ix[k]].summary = BehaviorSummary::of(b);
-            }))
-      return false;  // shed
-  } catch (const std::exception&) {
-    return false;  // breaker input; the caller reroutes or throws
-  }
-  for (std::size_t k = 0; k < ix.size(); ++k) out.answers_[ix[k]].atom = out.atoms_[k];
-  return true;
-}
-
 std::string ShardedCluster::check_ingress(BoxId ingress) const {
   const std::size_t boxes = net_.topology.box_count();
   if (ingress < boxes) return {};
@@ -255,13 +226,23 @@ std::string ShardedCluster::check_ingress(BoxId ingress) const {
 
 void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
                                     BatchAnswers& out) const {
-  // A bad item is the caller's error, not a shard's: refuse the batch
-  // before any slice runs, or every replica would fail it in turn.
-  for (const BatchItem& item : items) {
+  // The engine's inputs.  A bad item is the caller's error, not a shard's:
+  // refuse the batch before any replica runs it, or each would fail it in
+  // turn.
+  const std::size_t n = items.size();
+  out.headers_.resize(n);
+  out.ingress_.resize(n);
+  out.atoms_.resize(n);
+  out.summaries_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const BatchItem& item = items[k];
+    out.headers_[k] = item.header;
+    out.ingress_[k] = engine::QueryEngine::kNoIngress;
     if (!item.is_query) continue;
     const std::string why = check_ingress(item.ingress);
     if (!why.empty())
       throw Error(ErrorCode::kInvalidArgument, "cluster: query refused: " + why);
+    out.ingress_[k] = item.ingress;
   }
   // The one lock of the batch.  Held only in this frame, so the view is
   // dropped on every way out and an idle connection pins nothing.
@@ -269,76 +250,46 @@ void ShardedCluster::run_batch_into(const std::vector<BatchItem>& items,
   const PinnedView& view = *pinned;
   out.epoch = view.epoch;
   out.degraded = false;
-  out.answers_.resize(items.size());
 
-  // Routable: the shard's snapshot is in the view and it is not
-  // quarantined (a view outlives quarantines until the next publish).
-  std::vector<std::size_t>& healthy = out.healthy_;
-  healthy.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i)
-    if (view.snaps[i] && shard_state(i) != ShardState::kQuarantined) healthy.push_back(i);
-  if (healthy.empty())
-    throw Error(ErrorCode::kUnavailable, "cluster: every shard is quarantined");
-  const auto routable = [&healthy](std::size_t i) {
-    return std::binary_search(healthy.begin(), healthy.end(), i);
-  };
-
-  // Group item indices by executing shard: classifies round-robin over the
-  // healthy shards, queries to their home shard — or a deterministic
-  // healthy stand-in (full replication makes any shard an oracle) when the
-  // home is quarantined, which degrades the reply.
-  out.slice_ix_.resize(shards_.size());
-  for (auto& ix : out.slice_ix_) ix.clear();
-  std::size_t rr = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out.answers_[i].is_query = items[i].is_query;
-    std::size_t exec = 0;
-    if (!items[i].is_query) {
-      exec = healthy[rr++ % healthy.size()];
-    } else {
-      exec = shard_of(items[i].ingress);
-      if (!routable(exec)) {
-        exec = healthy[exec % healthy.size()];
-        out.degraded = true;
-      }
-    }
-    out.slice_ix_[exec].push_back(i);
-  }
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (out.slice_ix_[s].empty()) continue;
+  // The first routable shard from the cursor on answers the batch:
+  // routable means its snapshot is in the view and it is not quarantined (a
+  // view outlives quarantines until the next publish).  A replica that
+  // throws trips its breaker and the whole batch reruns on the next
+  // routable one; reads are idempotent and every replica answers from the
+  // SAME view, so the reply stays consistent.
+  const std::size_t shards = shards_.size();
+  const std::size_t start = out.next_shard_;
+  bool failed = false;
+  for (std::size_t off = 0; off < shards; ++off) {
+    const std::size_t s = (start + off) % shards;
+    if (!view.snaps[s] || shard_state(s) == ShardState::kQuarantined) continue;
+    if (!failed) out.next_shard_ = (s + 1) % shards;
     const auto t0 = std::chrono::steady_clock::now();
-    const bool injected = util::fault_fires("cluster.shard.batch");
-    if (!injected && execute_slice(view, s, s, items, out)) {
-      note_shard_success(s);
-      shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+    try {
+      if (!failed && util::fault_fires("cluster.shard.batch"))
+        throw Error(ErrorCode::kInternal, "cluster: injected batch fault");
+      view.engines[s]->answer_batch_on(
+          *view.snaps[s], out.headers_.data(), out.ingress_.data(), n, out.atoms_.data(),
+          [&out](std::size_t k, const Behavior& b) {
+            out.summaries_[k] = BehaviorSummary::of(b);
+          });
+    } catch (const std::exception&) {
+      note_shard_failure(s);
+      failed = true;
       continue;
     }
-    // This shard shed or failed mid-batch: trip its breaker and re-run its
-    // whole slice on another pinned replica (reads are idempotent, and the
-    // stand-in answers from the SAME epoch, so the reply stays consistent).
-    note_shard_failure(s);
-    bool rerouted = false;
-    for (std::size_t off = 1; off < shards_.size() && !rerouted; ++off) {
-      const std::size_t t = (s + off) % shards_.size();
-      if (!routable(t)) continue;
-      if (execute_slice(view, t, s, items, out)) {
-        note_shard_success(t);
-        rerouted = true;
-      } else {
-        note_shard_failure(t);
-      }
-    }
-    if (!rerouted)
-      throw Error(ErrorCode::kUnavailable,
-                  "cluster: shard " + std::to_string(s) +
-                      " failed the batch and no healthy replica could take it");
-    out.degraded = true;
+    note_shard_success(s);
+    shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+    out.degraded = failed;
+    if (failed) reroutes_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  if (out.degraded) reroutes_.fetch_add(1, std::memory_order_relaxed);
+  throw Error(ErrorCode::kUnavailable,
+              failed ? "cluster: every routable replica failed the batch"
+                     : "cluster: every shard is quarantined");
 }
 
 ShardedCluster::BatchResult ShardedCluster::run_batch(

@@ -3,14 +3,15 @@
 // "Serving layer & sharding" and "Overload & failure handling").
 //
 // Sharding model.  Every shard holds a FULL replica of the classifier
-// (BddManager + ApClassifier + QueryEngine); queries are routed to
-// shard_of(ingress) = ingress % shards, so each shard's header cache and
-// visit counters specialize to its share of the ingress boxes while
-// correctness never depends on the routing (any shard could answer any
-// query).  Rule updates apply to every replica; the WAL is
-// partitioned by the rule's OWNER shard (shard_of(box)) with a global
-// sequence number in each record, so recovery merge-sorts the per-shard
-// files back into the original update order.
+// (BddManager + ApClassifier + QueryEngine), so any shard can answer any
+// batch.  A GO batch is answered whole by one replica, with one engine
+// call: each connection's BatchAnswers carries a cursor that hands its
+// batches to the routable shards in turn.  Replicas add no parallelism to
+// a batch; they are copies to fail over to.  Rule updates apply to every
+// replica; the WAL is partitioned by the rule's OWNER shard
+// (shard_of(box)) with a global sequence number in each record, so
+// recovery merge-sorts the per-shard files back into the original update
+// order.
 //
 // Epoch-consistent publication.  The cluster publishes one immutable
 // PinnedView per epoch through one util::SharedSlot: the epoch, plus one
@@ -21,10 +22,10 @@
 // takes epochs E+1..E+k, one per update, but its view carries E+k only:
 // the epochs in between are never published, so no reader can pin them.
 // Readers (run_batch_into, pin(), shard(i)) take the view with one lock and
-// one refcount, so a batch fanned across shards is answered from one
-// network-wide frozen state even while a group is being applied, and a
-// retired epoch's snapshots are freed as soon as its last reader drops the
-// view.
+// one refcount, so a batch, and its rerun on another replica, is answered
+// from one network-wide frozen state even while a group is being applied,
+// and a retired epoch's snapshots are freed as soon as its last reader
+// drops the view.
 //
 // Fault containment.  Each shard carries a health state driven by a
 // consecutive-failure circuit breaker over its batch/update path:
@@ -33,11 +34,11 @@
 //   degraded --(5 consecutive failures)--> quarantined
 //   any success: degraded -> healthy; quarantine only exits via resync.
 //
-// A quarantined shard is dropped from pin()/classify round-robin; queries
-// homed on it are answered by a healthy replica at the SAME pinned epoch
-// (full replication makes every shard an oracle) with
-// BatchResult::degraded flagged so clients see the service quality drop.
-// A poisoned WAL flips the owner shard read-only: updates owned by it get
+// A quarantined shard is dropped from pin() and skipped by the batch
+// cursor.  A replica that throws on a batch counts a breaker failure, and
+// the whole batch reruns on the next routable replica at the SAME pinned
+// epoch, with BatchResult::degraded flagged so clients see the service
+// quality drop.  A poisoned WAL flips the owner shard read-only: updates owned by it get
 // kUnavailable (503) while queries keep serving.  One resync worker thread
 // (started by the constructor, joined by the destructor) repairs shards; a
 // quarantine or a poisoning only marks the shard and wakes it.  A read-only
@@ -80,7 +81,7 @@ const char* shard_state_name(ShardState s);
 class ShardedCluster {
  public:
   struct Options {
-    /// Replica count; queries route by ingress % shards.
+    /// Replica count; each connection's batches visit the replicas in turn.
     std::size_t shards = 4;
     /// Per-shard engine knobs.  snapshot_path is cleared — the WAL is the
     /// cluster's durability story; a warm-restored snapshot could predate
@@ -105,7 +106,8 @@ class ShardedCluster {
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
   std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(BoxId ingress) const { return ingress % shards_.size(); }
+  /// The shard whose WAL journals rule updates on `box`.
+  std::size_t shard_of(BoxId box) const { return box % shards_.size(); }
   /// The epoch of the published view (never decreases).
   std::uint64_t epoch() const { return view_.load()->epoch; }
 
@@ -126,63 +128,59 @@ class ShardedCluster {
   struct BatchItem {
     bool is_query = false;  ///< false = classify (C), true = query (Q)
     PacketHeader header;
-    BoxId ingress = 0;  ///< queries only; also the routing key
+    BoxId ingress = 0;  ///< queries only
   };
   struct BatchResult {
     std::uint64_t epoch = 0;         ///< the pinned epoch
     std::vector<std::string> lines;  ///< one answer line per item, in order
-    /// True when any item was answered away from its home shard (the home
-    /// was quarantined, or failed mid-batch and the items were rerouted).
+    /// True when a replica failed the batch and another one answered it.
     bool degraded = false;
   };
-  /// A batch's answers in compact form — an atom per C item, a
-  /// BehaviorSummary per Q item — plus run_batch_into's scratch: the
-  /// per-shard slices.  Everything keeps its capacity from one batch to the
-  /// next, so a connection that reuses one BatchAnswers answers a steady
-  /// stream of batches with no heap work (SteadyStateBatchDoesNotAllocate).
-  /// It holds no view between batches, so an idle connection keeps no
-  /// snapshot or replica alive.
+  /// A batch's answers in compact form — an atom per item, a
+  /// BehaviorSummary per Q item — plus the engine's inputs and the
+  /// connection's routing cursor.  Everything keeps its capacity from one
+  /// batch to the next, so a connection that reuses one BatchAnswers
+  /// answers a steady stream of batches with no heap work
+  /// (SteadyStateBatchDoesNotAllocate).  It holds no view between batches,
+  /// so an idle connection keeps no snapshot or replica alive.
   class BatchAnswers {
    public:
     std::uint64_t epoch = 0;  ///< the pinned epoch
     bool degraded = false;    ///< as BatchResult::degraded
     /// Answer lines in the batch.
-    std::size_t size() const { return answers_.size(); }
+    std::size_t size() const { return atoms_.size(); }
     /// Appends answer line `i` (no newline): "A <atom>" or the
     /// format_behavior_summary line.
     void append_line(std::size_t i, std::string& out) const;
 
    private:
     friend class ShardedCluster;
-    struct Answer {
-      bool is_query = false;
-      AtomId atom = 0;          ///< C items
-      BehaviorSummary summary;  ///< Q items
-    };
-    std::vector<Answer> answers_;  ///< one per item, in input order
-    std::vector<std::size_t> healthy_;  ///< routable shards, ascending
-    std::vector<std::vector<std::size_t>> slice_ix_;  ///< item indices per shard
-    // One slice's engine inputs and atoms.
+    // One entry per item, in input order.
     std::vector<PacketHeader> headers_;
     std::vector<BoxId> ingress_;  ///< QueryEngine::kNoIngress for C items
     std::vector<AtomId> atoms_;
+    std::vector<BehaviorSummary> summaries_;  ///< read for Q items only
+    /// Where the search for the shard that answers the next batch starts.
+    std::size_t next_shard_ = 0;
   };
   /// Why a Q item entering at `ingress` cannot be answered (the ingress
   /// names no box of the network); empty when it can.  The server answers
   /// such a line 400 and leaves it out of the batch.
   std::string check_ingress(BoxId ingress) const;
-  /// Executes a mixed batch against ONE published view into `out`: items
-  /// are grouped by the shards whose snapshot is in the view and that are
-  /// not quarantined (C items round-robin, Q items by shard_of(ingress)),
-  /// each shard's slice is one QueryEngine::try_answer_batch_on call, and
-  /// each Q answer is summarized in place from its behavior-table cell.
-  /// A batch holding a Q item that check_ingress refuses throws
+  /// Executes a mixed batch against ONE published view into `out`, on one
+  /// replica with one QueryEngine::answer_batch_on call; each Q answer is
+  /// summarized in place from its behavior-table cell.  The replica is the
+  /// first shard, from `out`'s cursor on, whose snapshot is in the view and
+  /// that is not quarantined; the cursor then moves past it, so one
+  /// connection's batches visit the routable shards in turn.  A batch
+  /// holding a Q item that check_ingress refuses throws
   /// apc::Error(kInvalidArgument) before any shard runs it, so no breaker
-  /// moves.  A shard that sheds or throws trips its breaker and the batch is
-  /// rerouted to a healthy replica (degraded=true); only when no healthy
-  /// replica remains does the call throw apc::Error(kUnavailable).
+  /// moves.  A replica that throws counts a breaker failure and the whole
+  /// batch reruns on the next routable replica (degraded=true); only when
+  /// none is left does the call throw apc::Error(kUnavailable).
   void run_batch_into(const std::vector<BatchItem>& items, BatchAnswers& out) const;
-  /// run_batch_into, with the answers formatted as lines in input order.
+  /// run_batch_into on a fresh BatchAnswers (its cursor at shard 0), with
+  /// the answers formatted as lines in input order.
   BatchResult run_batch(const std::vector<BatchItem>& items) const;
 
   /// One A/R line of an update group.
@@ -246,7 +244,7 @@ class ShardedCluster {
   std::uint64_t resync_failures() const {
     return resync_failures_.load(std::memory_order_relaxed);
   }
-  /// Batches that needed rerouting away from a shard (degraded replies).
+  /// Batches that a replica failed and another answered (degraded replies).
   std::uint64_t reroutes() const { return reroutes_.load(std::memory_order_relaxed); }
 
   /// Aggregated metric snapshot: cluster rows (epoch, shards,
@@ -256,8 +254,8 @@ class ShardedCluster {
   /// health/WAL rows and engine inventory under "shard<i>.".  Materialized
   /// under the update lock so callback rows never race a mutation.  The
   /// shard<i>.batch_us.{p50,p99,count} rows come from a lifetime
-  /// obs::LatencyHistogram of the shard's slice service time: count is every
-  /// slice served since construction, the percentiles carry the
+  /// obs::LatencyHistogram of the shard's batch service time: count is every
+  /// batch it answered since construction, the percentiles carry the
   /// histogram's <= 2x bucket error, and an idle shard reports zeros.
   obs::MetricsSnapshot stats() const;
 
@@ -281,7 +279,7 @@ class ShardedCluster {
   struct Shard {
     std::shared_ptr<Replica> replica;  ///< guarded by update_mu_
     std::unique_ptr<io::Wal> wal;      ///< guarded by update_mu_
-    /// Service time (ns) of each batch slice this shard executed.
+    /// Service time (ns) of each batch this shard answered.
     obs::LatencyHistogram batch_ns;
     std::atomic<ShardState> state{ShardState::kHealthy};
     std::atomic<std::size_t> failures{0};  ///< consecutive, breaker input
@@ -297,10 +295,6 @@ class ShardedCluster {
     RuleSpec spec;
   };
 
-  /// Runs shard `slice`'s share of the batch on executing shard `exec`'s
-  /// snapshot in `view`.  Returns false on shed/exception.
-  bool execute_slice(const PinnedView& view, std::size_t exec, std::size_t slice,
-                     const std::vector<BatchItem>& items, BatchAnswers& out) const;
   void note_shard_success(std::size_t i) const;
   void note_shard_failure(std::size_t i) const;
   /// A replica of net_ with `log` replayed; the caller builds its engine.

@@ -22,10 +22,9 @@
 // order.  Responses lead with a numeric status line:
 //
 //   201 <epoch> <n> [degraded=1]   batch executed; n answer lines follow, in
-//                     order.  degraded=1 flags answers served away from
-//                     their home shard (it was quarantined/failing): still
-//                     correct and epoch-consistent, but the routing
-//                     locality the client asked for was unavailable.
+//                     order.  degraded=1 flags a batch that a replica
+//                     failed and another replica answered: still correct
+//                     and from the same epoch, but a replica is failing.
 //   200 <epoch>       update applied (its own epoch) / EPOCH answer
 //   202 <n>           STATS; n "name value" lines follow
 //   400 <message>     parse error or a Q ingress out of range (this line
@@ -33,8 +32,8 @@
 //                     or egress port out of range, or a remove with no
 //                     matching rule (never journaled)
 //   408 <message>     idle/write deadline hit; the server closes the line
-//   503 <message>     admission shed / connection-cap shed / read-only
-//                     shard / draining; retry later
+//   503 <message>     no replica could answer the batch / connection-cap
+//                     shed / read-only shard / draining; retry later
 //   500 <message>     internal error
 //
 // Parsing reuses the hardened io/line_parse helpers: 64 KiB line cap,

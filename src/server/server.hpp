@@ -5,13 +5,13 @@
 // Threading: one acceptor thread plus one thread per connection, with
 // connection handling deliberately simple and blocking.  A connection
 // buffers C/Q lines until GO, executes them against ONE pinned cluster
-// epoch — each shard's slice as one engine call, one slice after another
-// on the connection's thread — and streams the answers back in order.  Update (A/R) lines pipelined back to back form
-// one group (ShardedCluster::apply_updates): the group runs, and all of its
-// replies go out, before the next non-update line, at kMaxUpdateGroup lines,
-// or once the receive buffer holds no whole line — so replies stay in line
-// order, a connection always sees its own updates, and a group never waits
-// for more input.  Introspection (STATS/EPOCH) lines execute immediately,
+// epoch — one engine call on one replica, on the connection's thread — and
+// streams the answers back in order.  Update (A/R) lines pipelined back to
+// back form one group (ShardedCluster::apply_updates): the group runs, and
+// all of its replies go out, before the next non-update line, at
+// kMaxUpdateGroup lines, or once the receive buffer holds no whole line —
+// so replies stay in line order, a connection always sees its own updates,
+// and a group never waits for more input.  Introspection (STATS/EPOCH) lines execute immediately,
 // so one connection can interleave queries and updates.
 //
 // Robustness contract (exercised by tests/server_test.cpp and

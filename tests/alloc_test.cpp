@@ -86,11 +86,12 @@ namespace {
 // The cold-rules shape of the serving benchmark: 64-line batches of
 // rule_trace headers, whose random source and port bits keep missing the
 // header cache, on a default 4-shard cluster over Stanford-like tiny; even
-// lines C, odd lines Q at a random ingress.  Four warm-up batches each send
-// all 64 lines to one shard, so every scratch vector reaches the capacity
-// any 64-line batch needs.  After that, run_batch_into into the same
-// BatchAnswers must allocate nothing: the pinned view, the slice lists, the
-// engine call and the kernel's miss list all reuse memory.
+// lines C, odd lines Q at a random ingress.  Four warm-up batches, one per
+// shard (one BatchAnswers visits the shards in turn), bring every scratch
+// vector to the capacity any 64-line batch needs.  After that,
+// run_batch_into into the same BatchAnswers must allocate nothing: the
+// pinned view, the engine's inputs, the engine call and the kernel's miss
+// list all reuse memory.
 TEST(ShardedCluster, SteadyStateBatchDoesNotAllocate) {
   const datasets::Dataset data = datasets::stanford_like(datasets::Scale::Tiny, 11);
   ShardedCluster::Options opts;

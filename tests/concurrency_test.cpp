@@ -68,12 +68,13 @@ TEST(Concurrency, EngineUpdatesRaceBatchReaders) {
 
   Rng rng(14);
   const auto reps = datasets::atom_representatives(clf.atoms(), rng);
-  const auto trace = datasets::uniform_trace(reps, 256, rng);
+  // Longer than one work chunk, so every batch fans out across the pool.
+  const auto trace = datasets::uniform_trace(reps, 600, rng);
 
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.batch_grain = 32;
   QueryEngine eng(clf, opts);
+  ASSERT_GT(trace.size(), QueryEngine::kBatchGrain);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> batches{0};
@@ -161,14 +162,14 @@ TEST(Concurrency, HeaderCacheAndLazyTableFillUnderChurn) {
 
   Rng rng(24);
   const auto reps = datasets::atom_representatives(clf.atoms(), rng);
+  // Longer than one work chunk, so query_batch fans out across the pool.
   const auto wt =
-      datasets::zipf_trace(reps, clf.atoms().capacity(), 256, rng, 1.0);
+      datasets::zipf_trace(reps, clf.atoms().capacity(), 600, rng, 1.0);
   const auto& trace = wt.packets;
   const std::size_t boxes = data.net.topology.box_count();
 
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.batch_grain = 32;
   opts.header_cache_capacity = 256;  // tiny: force slot collisions
   // Cell pointers fit comfortably, full behaviors do not -> lazy mode, so
   // readers race to publish cells.
@@ -177,6 +178,7 @@ TEST(Concurrency, HeaderCacheAndLazyTableFillUnderChurn) {
   QueryEngine eng(clf, opts);
   ASSERT_EQ(eng.snapshot()->behavior_table_mode(),
             engine::FlatSnapshot::BehaviorTableMode::kLazy);
+  ASSERT_GT(trace.size(), QueryEngine::kBatchGrain);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> rounds{0};

@@ -113,8 +113,8 @@ TEST(QueryEngine, BatchMatchesSingleQueries) {
   World w;
   QueryEngine::Options opts;
   opts.num_threads = 3;
-  opts.batch_grain = 16;  // force multi-chunk fan-out
   QueryEngine eng(w.clf, opts);
+  ASSERT_GT(w.trace.size(), QueryEngine::kBatchGrain) << "the batch must fan out";
 
   const auto atoms = eng.classify_batch(w.trace);
   ASSERT_EQ(atoms.size(), w.trace.size());
@@ -129,13 +129,13 @@ TEST(QueryEngine, BatchMatchesSingleQueries) {
   EXPECT_TRUE(eng.classify_batch({}).empty());
 }
 
-// The mixed form against the stage-1 and stage-2 oracles: slices of C items
-// and Q items at every ingress, answered by one try_answer_batch_on each,
+// The mixed form against the stage-1 and stage-2 oracles: batches of C
+// items and Q items at every ingress, answered by one answer_batch_on each,
 // must give classify_walk's atom for every item and behavior_walk's
 // behavior for every Q item (and no sink call for a C item) — with the
 // header cache on and off and the behavior table precomputed and off, on a
-// FIB-dominated and an ACL-heavy input.  Slice lengths below and above
-// batch_grain cover the inline path and the pool fan-out, and each slice
+// FIB-dominated and an ACL-heavy input.  Batch lengths below and above
+// kBatchGrain cover the inline path and the pool fan-out, and each batch
 // runs twice, so the cache answers cold and warm.
 TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
   for (int input = 0; input < 2; ++input) {
@@ -146,6 +146,7 @@ TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
     Rng rng(41 + input);
     const auto reps = datasets::atom_representatives(clf.atoms(), rng);
     const std::vector<PacketHeader> trace = datasets::uniform_trace(reps, 300, rng);
+    ASSERT_GT(trace.size(), QueryEngine::kBatchGrain);
     const auto boxes = static_cast<BoxId>(data.net.topology.box_count());
     // Every third item is a C item; the rest are Q items cycling through
     // every ingress.
@@ -158,7 +159,6 @@ TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
                                           << " table " << table);
         QueryEngine::Options opts;
         opts.num_threads = 2;
-        opts.batch_grain = 16;
         if (!cache) opts.header_cache_capacity = 0;
         if (!table) opts.behavior_table_budget = 0;
         QueryEngine eng(clf, opts);
@@ -173,12 +173,11 @@ TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
             std::vector<AtomId> atoms(n, ~AtomId{0});
             std::vector<Behavior> got(n);
             std::vector<int> calls(n, 0);
-            ASSERT_TRUE(eng.try_answer_batch_on(
-                *snap, trace.data(), ingress.data(), n, atoms.data(),
-                [&](std::size_t k, const Behavior& b) {
-                  got[k] = b;
-                  ++calls[k];
-                }));
+            eng.answer_batch_on(*snap, trace.data(), ingress.data(), n, atoms.data(),
+                                [&](std::size_t k, const Behavior& b) {
+                                  got[k] = b;
+                                  ++calls[k];
+                                });
             for (std::size_t k = 0; k < n; ++k) {
               ASSERT_EQ(atoms[k], snap->classify_walk(trace[k])) << "item " << k;
               if (ingress[k] == QueryEngine::kNoIngress) {
@@ -205,14 +204,14 @@ TEST(QueryEngine, MixedBatchLandsInOneHistogram) {
   std::vector<BoxId> ingress(8, QueryEngine::kNoIngress);
   std::vector<AtomId> atoms(ingress.size());
   const auto none = [](std::size_t, const Behavior&) {};
-  ASSERT_TRUE(eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
-                                      ingress.size(), atoms.data(), none));
+  eng.answer_batch_on(*snap, w.trace.data(), ingress.data(), ingress.size(), atoms.data(),
+                      none);
   auto rows = eng.stats();
   EXPECT_EQ(rows.find("engine.classify_batch_seconds.count")->value, 1.0);
   EXPECT_EQ(rows.find("engine.query_batch_seconds.count")->value, 0.0);
   ingress[5] = 0;
-  ASSERT_TRUE(eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
-                                      ingress.size(), atoms.data(), none));
+  eng.answer_batch_on(*snap, w.trace.data(), ingress.data(), ingress.size(), atoms.data(),
+                      none);
   rows = eng.stats();
   EXPECT_EQ(rows.find("engine.classify_batch_seconds.count")->value, 1.0);
   EXPECT_EQ(rows.find("engine.query_batch_seconds.count")->value, 1.0);
@@ -226,8 +225,8 @@ TEST(QueryEngine, MixedBatchReadersRaceRepublishes) {
   World w;
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.batch_grain = 32;
   QueryEngine eng(w.clf, opts);
+  ASSERT_GT(w.trace.size(), QueryEngine::kBatchGrain) << "the batch must fan out";
   const auto boxes = static_cast<BoxId>(w.data.net.topology.box_count());
   std::vector<BoxId> ingress(w.trace.size());
   for (std::size_t k = 0; k < ingress.size(); ++k)
@@ -243,10 +242,9 @@ TEST(QueryEngine, MixedBatchReadersRaceRepublishes) {
       std::vector<Behavior> got(w.trace.size());
       while (!stop.load(std::memory_order_acquire)) {
         const auto snap = eng.snapshot();
-        if (!eng.try_answer_batch_on(*snap, w.trace.data(), ingress.data(),
-                                     w.trace.size(), atoms.data(),
-                                     [&](std::size_t k, const Behavior& b) { got[k] = b; }))
-          continue;
+        eng.answer_batch_on(*snap, w.trace.data(), ingress.data(), w.trace.size(),
+                            atoms.data(),
+                            [&](std::size_t k, const Behavior& b) { got[k] = b; });
         for (std::size_t k = 0; k < w.trace.size(); ++k) {
           if (atoms[k] != snap->classify_walk(w.trace[k])) {
             wrong.fetch_add(1, std::memory_order_relaxed);

@@ -386,6 +386,41 @@ TEST_P(ProgramProofDataset, ProvesTinyAndMediumBuilds) {
   }
 }
 
+// A second compiler guard, cheap enough for every run: a Small-scale build
+// of each fixture dataset, then 64 seeded withdraw/re-announce pairs, with
+// the exact proof after each of the 129 publishes.  A compiler whose ite
+// computed table matched on (p, g) and ignored h passed every tiny-scale
+// suite and failed only the medium proofs above; this fails it on every
+// dataset (1, 16 and 11 of the 128 churn publishes).
+TEST_P(ProgramProofDataset, ProvesEverySmallChurnPublish) {
+  Dataset d = GetParam() == 0   ? datasets::internet2_like(Scale::Small)
+              : GetParam() == 1 ? datasets::stanford_like(Scale::Small)
+                                : datasets::datacenter_like(Scale::Small);
+  auto mgr = Dataset::make_manager();
+  ApClassifier clf(d.net, mgr);
+  std::size_t failed = 0;
+  std::string first;
+  const auto prove = [&](const std::string& when) {
+    const auto proof =
+        engine::prove_program(*FlatSnapshot::build(clf, program_options()), clf);
+    if (!proof.ok() && failed++ == 0) first = when + ": " + proof.summary();
+  };
+  prove("build");
+  Rng rng(77 + static_cast<std::uint64_t>(GetParam()));
+  const std::size_t boxes = d.net.topology.box_count();
+  for (int k = 0; k < 64; ++k) {
+    const auto box = static_cast<BoxId>(rng.uniform(boxes));
+    const std::vector<ForwardingRule>& rules = clf.network().fibs[box].rules;
+    if (rules.empty()) continue;
+    const ForwardingRule rule = rules[rng.uniform(rules.size())];
+    clf.remove_fib_rule(box, rule);
+    prove("withdraw " + std::to_string(k));
+    clf.insert_fib_rule(box, rule);
+    prove("re-announce " + std::to_string(k));
+  }
+  EXPECT_EQ(failed, 0u) << d.name << ", first at " << first;
+}
+
 INSTANTIATE_TEST_SUITE_P(Fixtures, ProgramProofDataset, ::testing::Values(0, 1, 2));
 
 TEST(ProgramProof, CatchesUnsupportedAtomsAndMalformedPrograms) {

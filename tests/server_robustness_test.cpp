@@ -496,6 +496,10 @@ TEST(ChaosProxyFaults, DeadReaderBackPressureTripsWriteDeadline) {
 
 // ------------------------------------------------ quarantine/resync cycle
 
+// A quarantined shard drops out of the rotation: one connection's batches
+// skip it, every answer stays correct, and a skip is not a degraded reply
+// (no replica failed).  The resync worker re-admits the shard, and the
+// rotation visits it again.
 TEST(ClusterResilience, QuarantineReroutesThenResyncReadmits) {
   RobustWorld w;
   ShardedCluster cluster(w.data.net, w.cluster_options(3));
@@ -509,46 +513,51 @@ TEST(ClusterResilience, QuarantineReroutesThenResyncReadmits) {
   auto fork = w.reference.fork();
   fork->insert_fib_rule(r1.box, r1.rule);
 
-  // All queries homed on shard 1; expectations from the reference fork.
+  // Queries at every ingress; expectations from the reference fork.
+  const auto boxes = static_cast<BoxId>(w.data.net.topology.box_count());
   std::vector<ShardedCluster::BatchItem> items;
   std::vector<std::string> expected;
   for (std::size_t i = 0; i < 12; ++i) {
     ShardedCluster::BatchItem q;
     q.is_query = true;
     q.header = w.trace[i];
-    q.ingress = 1;
+    q.ingress = static_cast<BoxId>(i % boxes);
     items.push_back(q);
     expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
   }
-  auto check = [&](const ShardedCluster::BatchResult& res) {
-    ASSERT_EQ(res.lines.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+  ShardedCluster::BatchAnswers answers;
+  auto run_and_check = [&] {
+    cluster.run_batch_into(items, answers);
+    EXPECT_EQ(answers.epoch, 1u);
+    EXPECT_FALSE(answers.degraded);
+    ASSERT_EQ(answers.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      std::string line;
+      answers.append_line(i, line);
+      EXPECT_EQ(line, expected[i]) << "item " << i;
+    }
   };
 
   cluster.quarantine_shard(1);
-  // While shard 1 is out of rotation, its queries are answered by a healthy
-  // replica and flagged degraded; answers stay correct throughout.
-  bool saw_degraded = false;
   for (int round = 0; round < 200; ++round) {
-    const auto res = cluster.run_batch(items);
-    check(res);
-    saw_degraded |= res.degraded;
-    if (cluster.shard_state(1) == ShardState::kHealthy && !res.degraded) break;
+    run_and_check();
+    if (cluster.shard_state(1) == ShardState::kHealthy) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(saw_degraded)
-      << "queries homed on the quarantined shard must be flagged degraded";
   EXPECT_TRUE(wait_until(
       [&] { return cluster.shard_state(1) == ShardState::kHealthy; }, 10000))
       << "resync must re-admit the shard";
   EXPECT_GE(cluster.resyncs(), 1u);
-  EXPECT_GE(cluster.reroutes(), 1u);
+  EXPECT_EQ(cluster.reroutes(), 0u);
 
-  // Post-readmission: home routing again, replies no longer degraded.
-  const auto res = cluster.run_batch(items);
-  check(res);
-  EXPECT_FALSE(res.degraded);
+  // Re-admitted: three consecutive batches visit all three shards again.
+  const auto answered = [&](std::size_t i) {
+    return cluster.stats().find("shard" + std::to_string(i) + ".batch_us.count")->value;
+  };
+  std::vector<double> before;
+  for (std::size_t i = 0; i < 3; ++i) before.push_back(answered(i));
+  for (int k = 0; k < 3; ++k) run_and_check();
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(answered(i), before[i] + 1) << "shard " << i;
 }
 
 TEST(ClusterResilience, UpdatesDuringQuarantineReachTheResyncedShard) {
@@ -572,25 +581,20 @@ TEST(ClusterResilience, UpdatesDuringQuarantineReachTheResyncedShard) {
   auto fork = w.reference.fork();
   fork->insert_fib_rule(spec.box, spec.rule);
 
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < 12; ++i) {
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = w.trace[i];
-    q.ingress = 2;  // homed on the re-admitted shard
-    items.push_back(q);
-    expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
-  }
-  const auto res = cluster.run_batch(items);
-  EXPECT_FALSE(res.degraded);
-  ASSERT_EQ(res.lines.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
-  // The resynced replica's snapshot is in the view of the cluster epoch.
-  const auto view = cluster.pin();
+  // The resynced replica's snapshot is in the view of the cluster epoch,
+  // and it answers from there as the reference does.
+  const ShardedCluster::PinnedView view = cluster.pin();
   EXPECT_EQ(view.epoch, cluster.epoch());
-  EXPECT_EQ(view.snaps[2], cluster.shard(2)->snapshot());
+  ASSERT_EQ(view.snaps[2], cluster.shard(2)->snapshot());
+  constexpr std::size_t kItems = 12;
+  const std::vector<BoxId> ingress(kItems, 2);
+  std::vector<AtomId> atoms(kItems);
+  std::vector<std::string> got(kItems);
+  view.engines[2]->answer_batch_on(
+      *view.snaps[2], w.trace.data(), ingress.data(), kItems, atoms.data(),
+      [&got](std::size_t k, const Behavior& b) { got[k] = format_behavior_summary(b); });
+  for (std::size_t i = 0; i < kItems; ++i)
+    EXPECT_EQ(got[i], format_behavior_summary(fork->query(w.trace[i], 2))) << "item " << i;
 }
 
 TEST(ClusterResilience, ResyncPublishesOneSnapshotIntoTheCurrentView) {
@@ -685,7 +689,8 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
   RobustWorld w;
   ShardedCluster cluster(w.data.net, w.cluster_options(2));
 
-  // Every primary batch execution on the (only busy) shard 0 fails 5 times.
+  // The first attempt of each of the next 5 batches fails; run_batch's
+  // fresh cursor puts every batch on shard 0 first.
   util::FaultPlan plan;
   plan.kind = util::FaultPlan::Kind::kThrow;
   plan.count = 5;
@@ -697,7 +702,7 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
     ShardedCluster::BatchItem q;
     q.is_query = true;
     q.header = w.trace[i];
-    q.ingress = 0;  // all routed to shard 0 -> one fault-site hit per batch
+    q.ingress = 0;
     items.push_back(q);
     expected.push_back(
         format_behavior_summary(w.reference.query(q.header, q.ingress)));
@@ -709,7 +714,7 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
   };
   const auto quarantines = [&] { return cluster.stats().find("cluster.quarantines")->value; };
 
-  // Failure 1: the batch is rerouted and correct; the shard stays healthy.
+  // Failure 1: shard 1 reruns the batch, correctly; shard 0 stays healthy.
   auto res = cluster.run_batch(items);
   check(res);
   EXPECT_TRUE(res.degraded);
@@ -738,6 +743,67 @@ TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
   res = cluster.run_batch(items);
   check(res);
   EXPECT_FALSE(res.degraded);
+}
+
+// A replica that fails a batch trips its breaker, and the next routable
+// replica reruns the whole batch against the same pinned view: the reply
+// names that view's epoch, every answer is correct, degraded is set, and
+// the batch counts as one reroute.  The cursor moved past the failed shard
+// only, so the connection's next batch lands on the replica after it.
+TEST_F(ClusterFaultInjection, FailedReplicaRerunsTheBatchFromTheSameEpoch) {
+  RobustWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(3));
+  RuleSpec spec;
+  spec.box = 1;
+  spec.rule.dst = parse_prefix("10.67.0.0/16");
+  spec.rule.egress_port = 0;
+  spec.rule.priority = 80;
+  ASSERT_EQ(cluster.add_rule(spec), 1u);
+  auto fork = w.reference.fork();
+  fork->insert_fib_rule(spec.box, spec.rule);
+
+  const auto boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+  std::vector<ShardedCluster::BatchItem> items;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 16; ++i) {
+    ShardedCluster::BatchItem it;
+    it.header = w.trace[i];
+    it.is_query = i % 2 == 1;
+    it.ingress = static_cast<BoxId>(i % boxes);
+    items.push_back(it);
+    expected.push_back(it.is_query ? format_behavior_summary(fork->query(it.header, it.ingress))
+                                   : "A " + std::to_string(fork->classify(it.header)));
+  }
+  const auto row = [&](const std::string& name) { return cluster.stats().find(name)->value; };
+  ShardedCluster::BatchAnswers answers;
+  const auto check = [&] {
+    EXPECT_EQ(answers.epoch, 1u);
+    ASSERT_EQ(answers.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      std::string line;
+      answers.append_line(i, line);
+      EXPECT_EQ(line, expected[i]) << "item " << i;
+    }
+  };
+
+  util::FaultPlan plan;
+  plan.kind = util::FaultPlan::Kind::kThrow;
+  plan.count = 1;
+  util::FaultInjector::instance().arm("cluster.shard.batch", plan);
+  cluster.run_batch_into(items, answers);
+  check();
+  EXPECT_TRUE(answers.degraded);
+  EXPECT_EQ(cluster.reroutes(), 1u);
+  EXPECT_EQ(row("shard0.failures"), 1.0);
+  EXPECT_EQ(row("shard0.batch_us.count"), 0.0);
+  EXPECT_EQ(row("shard1.batch_us.count"), 1.0);
+
+  cluster.run_batch_into(items, answers);
+  check();
+  EXPECT_FALSE(answers.degraded);
+  EXPECT_EQ(cluster.reroutes(), 1u);
+  EXPECT_EQ(row("shard1.batch_us.count"), 2.0);
+  EXPECT_EQ(cluster.shard_state(0), ShardState::kHealthy);
 }
 
 // An fsync EIO poisons a shard's WAL: the shard goes read-only, and the

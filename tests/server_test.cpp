@@ -469,8 +469,59 @@ struct ClusterWorld {
   }
 };
 
+/// Each shard's `shard<i>.<row>` STATS value.
+std::vector<double> shard_rows(const ShardedCluster& cluster, const std::string& row) {
+  const obs::MetricsSnapshot stats = cluster.stats();
+  std::vector<double> out;
+  for (std::size_t i = 0; i < cluster.shard_count(); ++i)
+    out.push_back(stats.find("shard" + std::to_string(i) + "." + row)->value);
+  return out;
+}
+
+/// The shard that answered the one batch run between two shard_rows(...,
+/// "batch_us.count") reads: the only one whose count grew, by one.
+/// shard_count() when that is not exactly one shard.
+std::size_t answering_shard(const std::vector<double>& before,
+                            const std::vector<double>& after) {
+  std::size_t found = before.size();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (after[i] == before[i]) continue;
+    if (after[i] != before[i] + 1 || found != before.size()) return before.size();
+    found = i;
+  }
+  return found;
+}
+
+/// The answer lines of `answers`, in item order.
+std::vector<std::string> answer_lines(const ShardedCluster::BatchAnswers& answers) {
+  std::vector<std::string> lines(answers.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) answers.append_line(i, lines[i]);
+  return lines;
+}
+
+/// A C item and a Q item per box (the Q item entering at that box), with the
+/// reference classifier's answers.
+void mixed_batch_at_every_ingress(const ClusterWorld& w,
+                                  std::vector<ShardedCluster::BatchItem>& items,
+                                  std::vector<std::string>& expected) {
+  const BoxId boxes = static_cast<BoxId>(w.data.net.topology.box_count());
+  for (BoxId b = 0; b < boxes; ++b) {
+    const PacketHeader& h = w.trace[b % w.trace.size()];
+    ShardedCluster::BatchItem c;
+    c.header = h;
+    items.push_back(c);
+    expected.push_back("A " + std::to_string(w.reference.classify(h)));
+    ShardedCluster::BatchItem q;
+    q.is_query = true;
+    q.header = h;
+    q.ingress = b;
+    items.push_back(q);
+    expected.push_back(format_behavior_summary(w.reference.query(h, b)));
+  }
+}
+
 // Inputs: 3 shards with the default engine, and 4 shards with the header
-// cache off, so every header of a slice reaches the kernel.
+// cache off, so every header of the batch reaches the kernel.
 TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
   ClusterWorld w;
   for (const std::size_t shards : {3u, 4u}) {
@@ -508,7 +559,7 @@ TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
 // A Q item whose ingress names no box is the caller's error, not a shard's:
 // the batch is refused kInvalidArgument before any shard runs it, so no
 // breaker moves however often it comes, and the next valid batch is
-// answered by every shard as usual.
+// answered as usual.
 TEST(ShardedCluster, OutOfRangeIngressIsRefusedWithoutTrippingBreakers) {
   ClusterWorld w;
   const ShardedCluster::Options opts = w.cluster_options(4);
@@ -619,13 +670,14 @@ TEST(ShardedCluster, RetiredEpochIsReleasedOncePublished) {
 }
 
 // The epoch-consistency differential: while one thread toggles a rule that
-// changes a probe packet's behavior from TWO ingress boxes living on
-// DIFFERENT shards, every batch must answer both probes from the same
-// network-wide epoch — the pair (with, without) would mean shard 0 served
-// the new epoch while shard 1 served the old one.
+// changes a probe packet's behavior from TWO ingress boxes, every batch
+// must answer both probes from the epoch its reply names.  Each reader
+// reuses one BatchAnswers, so its batches alternate between the two
+// replicas: a wrong pair would mean a replica's slot in a published view
+// holds a snapshot of another epoch.
 TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   ClusterWorld w;
-  const BoxId ingress_a = 0, ingress_b = 1;  // shards 0 and 1 of 2
+  const BoxId ingress_a = 0, ingress_b = 1;
   // Pick a probe the network delivers from BOTH ingresses, so the redirect
   // below perturbs both answers.
   PacketHeader probe = w.trace[0];
@@ -681,12 +733,16 @@ TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
+      ShardedCluster::BatchAnswers answers;
+      std::string a, b;
       while (!done.load(std::memory_order_acquire)) {
-        const auto res = cluster.run_batch(batch);
-        const bool rule_live = res.epoch % 2 == 1;
-        const std::string& want_a = rule_live ? with_a : without_a;
-        const std::string& want_b = rule_live ? with_b : without_b;
-        if (res.lines[0] != want_a || res.lines[1] != want_b)
+        cluster.run_batch_into(batch, answers);
+        const bool rule_live = answers.epoch % 2 == 1;
+        a.clear();
+        b.clear();
+        answers.append_line(0, a);
+        answers.append_line(1, b);
+        if (a != (rule_live ? with_a : without_a) || b != (rule_live ? with_b : without_b))
           mixed.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -699,7 +755,7 @@ TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   }
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
-  EXPECT_EQ(mixed.load(), 0) << "cross-shard mixed-epoch batch observed";
+  EXPECT_EQ(mixed.load(), 0) << "mixed-epoch batch observed";
   EXPECT_EQ(cluster.epoch(), static_cast<std::uint64_t>(kToggles));
 }
 
@@ -857,7 +913,8 @@ TEST(ShardedCluster, GroupValidatesAgainstEarlierRecords) {
 TEST(ShardedCluster, IdleShardStatsReportZeroPercentiles) {
   ClusterWorld w;
   ShardedCluster cluster(w.data.net, w.cluster_options(2));
-  // Route every query to shard 0 (even ingress); shard 1 stays idle.
+  // One batch through run_batch, whose fresh cursor starts at shard 0:
+  // shard 0 answers it and shard 1 stays idle.
   std::vector<ShardedCluster::BatchItem> items(4);
   for (auto& it : items) {
     it.is_query = true;
@@ -878,6 +935,94 @@ TEST(ShardedCluster, IdleShardStatsReportZeroPercentiles) {
   EXPECT_EQ(idle_p99->value, 0.0) << "idle shard must report 0, not throw";
   ASSERT_NE(stats.find("cluster.epoch"), nullptr);
   ASSERT_NE(stats.find("shard1.engine.publish_count"), nullptr);
+}
+
+// A GO batch is one engine call on one replica, whatever its mix: a batch
+// of C items and Q items at every ingress grows the engine batch-call
+// counts, summed over the shards, by exactly one, and that call answers
+// every item.
+TEST(ShardedCluster, MixedBatchIsOneEngineCallOnOneReplica) {
+  ClusterWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(4));
+  std::vector<ShardedCluster::BatchItem> items;
+  std::vector<std::string> expected;
+  mixed_batch_at_every_ingress(w, items, expected);
+  ASSERT_GT(items.size(), 2 * cluster.shard_count());
+  const auto sum = [](const std::vector<double>& v) {
+    double total = 0;
+    for (const double x : v) total += x;
+    return total;
+  };
+  ShardedCluster::BatchAnswers answers;
+  for (std::size_t go = 0; go < 2 * cluster.shard_count(); ++go) {
+    const double calls = sum(shard_rows(cluster, "engine.batch_size.count"));
+    const double answered = sum(shard_rows(cluster, "engine.queries_answered"));
+    cluster.run_batch_into(items, answers);
+    EXPECT_EQ(sum(shard_rows(cluster, "engine.batch_size.count")), calls + 1) << "GO " << go;
+    EXPECT_EQ(sum(shard_rows(cluster, "engine.queries_answered")),
+              answered + static_cast<double>(items.size()))
+        << "GO " << go;
+    EXPECT_FALSE(answers.degraded);
+    EXPECT_EQ(answer_lines(answers), expected) << "GO " << go;
+  }
+}
+
+// One connection's batches visit the routable shards in turn (its
+// BatchAnswers carries the cursor), and a fresh BatchAnswers, as in
+// run_batch, starts at shard 0.
+TEST(ShardedCluster, ConsecutiveBatchesVisitEveryShardInTurn) {
+  ClusterWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(3));
+  std::vector<ShardedCluster::BatchItem> items;
+  std::vector<std::string> expected;
+  mixed_batch_at_every_ingress(w, items, expected);
+  ShardedCluster::BatchAnswers answers;
+  for (std::size_t go = 0; go < 2 * cluster.shard_count(); ++go) {
+    const std::vector<double> before = shard_rows(cluster, "batch_us.count");
+    cluster.run_batch_into(items, answers);
+    EXPECT_EQ(answering_shard(before, shard_rows(cluster, "batch_us.count")),
+              go % cluster.shard_count())
+        << "GO " << go;
+    EXPECT_EQ(answer_lines(answers), expected) << "GO " << go;
+  }
+  for (int k = 0; k < 2; ++k) {
+    const std::vector<double> before = shard_rows(cluster, "batch_us.count");
+    EXPECT_EQ(cluster.run_batch(items).lines, expected);
+    EXPECT_EQ(answering_shard(before, shard_rows(cluster, "batch_us.count")), 0u);
+  }
+}
+
+// A quarantined shard serves no batch: the cursor skips it, and a skip is
+// not a degraded reply.  The resync worker re-admits the shard within
+// milliseconds, so only batches that saw it quarantined before and after
+// they ran are checked; each episode yields several.
+TEST(ShardedCluster, QuarantinedShardServesNoBatch) {
+  ClusterWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options(3));
+  std::vector<ShardedCluster::BatchItem> items;
+  std::vector<std::string> expected;
+  mixed_batch_at_every_ingress(w, items, expected);
+  const auto quarantined = [&] { return cluster.shard_state(1) == ShardState::kQuarantined; };
+  ShardedCluster::BatchAnswers answers;
+  std::size_t checked = 0;
+  for (int episode = 0; episode < 50 && checked < 16; ++episode) {
+    cluster.quarantine_shard(1);
+    for (bool again = true; again;) {
+      const bool before_q = quarantined();
+      const std::vector<double> before = shard_rows(cluster, "batch_us.count");
+      cluster.run_batch_into(items, answers);
+      const std::size_t s = answering_shard(before, shard_rows(cluster, "batch_us.count"));
+      again = quarantined();
+      EXPECT_EQ(answer_lines(answers), expected);
+      EXPECT_FALSE(answers.degraded);
+      EXPECT_LT(s, cluster.shard_count());
+      if (!before_q || !again) continue;
+      ++checked;
+      EXPECT_NE(s, 1u) << "episode " << episode;
+    }
+  }
+  EXPECT_GT(checked, 0u) << "no batch ran while shard 1 was quarantined";
+  EXPECT_EQ(cluster.reroutes(), 0u);
 }
 
 // ---------------------------------------------------------------- tcp front
