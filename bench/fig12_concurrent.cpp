@@ -3,10 +3,9 @@
 //
 // Three comparisons per dataset:
 //   1. manager-backed tree walk (ApClassifier::classify, the Fig. 12 path)
-//      vs the FlatSnapshot array walk vs the header-cached snapshot, all
-//      single-threaded — the flat walk touches no BddManager state, so it
-//      should win on constant factors, and the cache short-circuits the
-//      walk entirely on repeated headers;
+//      vs FlatSnapshot::classify (the compiled match program), both
+//      single-threaded — the snapshot touches no BddManager state and tests
+//      no header bit twice;
 //   2. classify_batch() aggregate throughput at 1, 2, and 4 worker threads
 //      (the calling thread always participates, so "0 extra workers" is the
 //      single-threaded batch baseline);
@@ -54,30 +53,20 @@ int main() {
     std::printf("\n[%s]  atoms=%zu preds=%zu\n", w.short_name(),
                 w.clf->atom_count(), w.clf->predicate_count());
 
-    // 1. Single-threaded: manager walk vs flat snapshot walk vs cached
-    //    classify.  The walk row disables the header cache (and behavior
-    //    table) so it measures the pure DFS-ordered array walk; the cached
-    //    row is the default engine configuration after one warming pass.
+    // 1. Single-threaded: manager walk vs snapshot classify.  The snapshot
+    //    row has the behavior table off; stage 1 never reads it.
     const double mgr_qps = measure_qps(
         trace, [&](const PacketHeader& h) { (void)w.clf->classify(h); }, 0.4);
     engine::FlatSnapshot::Options walk_opts;
     walk_opts.behavior_table_budget = 0;
-    walk_opts.header_cache_capacity = 0;
     const auto snap = engine::FlatSnapshot::build(*w.clf, walk_opts);
     const double flat_qps = measure_qps(
         trace, [&](const PacketHeader& h) { (void)snap->classify(h); }, 0.4);
-    const auto cached_snap = engine::FlatSnapshot::build(*w.clf);
-    for (const PacketHeader& h : trace) (void)cached_snap->classify(h);
-    const double cached_qps = measure_qps(
-        trace, [&](const PacketHeader& h) { (void)cached_snap->classify(h); },
-        0.4);
     std::printf("%-34s %14s %10s\n", "single-thread classify", "qps", "vs mgr");
     std::printf("%-34s %14.0f %9.2fx\n", "  tree walk (manager-backed)",
                 mgr_qps, 1.0);
-    std::printf("%-34s %14.0f %9.2fx\n", "  flat snapshot walk", flat_qps,
-                flat_qps / mgr_qps);
-    std::printf("%-34s %14.0f %9.2fx\n", "  flat snapshot + header cache",
-                cached_qps, cached_qps / mgr_qps);
+    std::printf("%-34s %14.0f %9.2fx\n", "  flat snapshot (match program)",
+                flat_qps, flat_qps / mgr_qps);
     std::printf("  snapshot: %zu bdd nodes, %zu tree nodes, %.2f MB\n",
                 snap->bdd_node_count(), snap->tree_node_count(),
                 static_cast<double>(snap->memory_bytes()) / 1048576.0);
@@ -86,7 +75,6 @@ int main() {
         std::string("fig12c.") + (which == 0 ? "internet2" : "stanford") + ".";
     json.row(prefix + "classify_manager_qps", mgr_qps, "qps");
     json.row(prefix + "classify_flat_snapshot_qps", flat_qps, "qps");
-    json.row(prefix + "classify_cached_snapshot_qps", cached_qps, "qps");
 
     // 2./3. Batch fan-out at increasing thread counts.
     std::printf("%-34s %14s %10s\n", "batch throughput (aggregate)", "qps",

@@ -21,6 +21,10 @@
 using namespace apc;
 using namespace apc::bench;
 
+/// Headers in the FIB-rule trace of the stage-1 rows: the servebench
+/// `cold-rules` trace size.
+constexpr std::size_t kRuleTraceHeaders = 262144;
+
 int main() {
   print_header("Fig. 12: query throughput for static networks (full queries)");
   BenchJson json("fig12_static_throughput");
@@ -105,19 +109,19 @@ int main() {
 
     // Query-path acceleration (docs/architecture.md, "Query path"): full
     // two-stage queries, single-threaded, on a Zipfian trace (s = 1.0 —
-    // the skew of real traffic), with the behavior table + header cache on
-    // vs both disabled (pure tree walk + topology walk).  The cached
-    // snapshot is warmed with one pass so the measurement reflects the
-    // steady state a long-lived snapshot serves.
+    // the skew of real traffic), with the behavior table on vs off (every
+    // query then walks the topology).  Both snapshots run the match
+    // program for stage 1.  The cached snapshot is warmed with one pass so
+    // the measurement reflects the steady state a long-lived snapshot
+    // serves.
     Rng zrng(31);
     const auto zt = datasets::zipf_trace(w.reps, w.clf->atoms().capacity(),
                                          8000, zrng, 1.0);
     {
-      engine::FlatSnapshot::Options cached_opts;  // defaults: both layers on
+      engine::FlatSnapshot::Options cached_opts;  // default: table on
       const auto cached = engine::FlatSnapshot::build(*w.clf, cached_opts);
       engine::FlatSnapshot::Options walk_opts;
       walk_opts.behavior_table_budget = 0;
-      walk_opts.header_cache_capacity = 0;
       const auto uncached = engine::FlatSnapshot::build(*w.clf, walk_opts);
 
       const double uncached_qps = measure_qps(
@@ -127,20 +131,14 @@ int main() {
       const double cached_qps = measure_qps(
           zt.packets, [&](const PacketHeader& h) { cached->query(h, ingress); },
           0.3);
-      const double hits = static_cast<double>(cached->header_cache_hits());
-      const double misses = static_cast<double>(cached->header_cache_misses());
-      const double hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
-      std::printf("  zipf(s=1) query: cached %.0f qps vs uncached %.0f qps "
-                  "(%.2fx); cache hit rate %.3f, %llu table fills\n",
-                  cached_qps, uncached_qps, cached_qps / uncached_qps, hit_rate,
+      std::printf("  zipf(s=1) query: table on %.0f qps vs off %.0f qps "
+                  "(%.2fx); %llu table fills\n",
+                  cached_qps, uncached_qps, cached_qps / uncached_qps,
                   static_cast<unsigned long long>(cached->behavior_table_fills()));
       json.row(prefix + "cached_query_qps", cached_qps, "qps");
       json.row(prefix + "uncached_query_qps", uncached_qps, "qps");
       json.row(prefix + "cached_query_speedup", cached_qps / uncached_qps,
                "ratio");
-      json.row(prefix + "header_cache_hits", hits, "count");
-      json.row(prefix + "header_cache_misses", misses, "count");
-      json.row(prefix + "header_cache_hit_rate", hit_rate, "fraction");
       json.row(prefix + "behavior_table_fills",
                static_cast<double>(cached->behavior_table_fills()), "count");
       json.row(prefix + "behavior_table_build_seconds",
@@ -148,15 +146,13 @@ int main() {
     }
 
     // Compiled match program (docs/architecture.md, "Compiled match
-    // program"): stage-1 classification on the uncached uniform trace —
-    // header cache and behavior table off, so every header pays the full
-    // walk.  Three rows on one snapshot: the interpreted per-header walk
+    // program"): stage-1 classification on the uniform trace, behavior
+    // table off.  Three rows on one snapshot: the interpreted per-header walk
     // (classify_walk, the stage-1 oracle), the compiled program's scalar
     // kernel, and its AVX2 lane-parallel kernel.
     {
       engine::FlatSnapshot::Options prog_opts;
       prog_opts.behavior_table_budget = 0;
-      prog_opts.header_cache_capacity = 0;
       const auto compiled = engine::FlatSnapshot::build(*w.clf, prog_opts);
       const engine::MatchProgram* prog = compiled->program();
 
@@ -176,15 +172,15 @@ int main() {
           out[i] = compiled->classify_walk(trace[i]);
       });
       const double scalar_qps = batch_qps([&] {
-        prog->run_batch(trace.data(), nullptr, trace.size(), out.data(),
+        prog->run_batch(trace.data(), trace.size(), out.data(),
                         engine::KernelKind::kScalar);
       });
       const double simd_qps = batch_qps([&] {
-        prog->run_batch(trace.data(), nullptr, trace.size(), out.data(),
+        prog->run_batch(trace.data(), trace.size(), out.data(),
                         engine::KernelKind::kAvx2);
       });
       const bool avx2 = engine::MatchProgram::avx2_available();
-      std::printf("  match program (uncached): interpreted %.0f qps, compiled "
+      std::printf("  match program: interpreted %.0f qps, compiled "
                   "%.0f qps (%.2fx), compiled+SIMD %.0f qps (%.2fx)%s\n",
                   interp_qps, scalar_qps, scalar_qps / interp_qps, simd_qps,
                   simd_qps / interp_qps,
@@ -230,33 +226,22 @@ int main() {
                static_cast<double>(compiled->program_max_steps()), "count");
       json.row(prefix + "program_tested_bits", static_cast<double>(tested_bits),
                "count");
-    }
 
-    // Header cache on vs off (data for the cache ablation): classify_into
-    // ns per header in 64-header calls, behavior table off, on the uniform
-    // and Zipf traces (one representative per atom, so a warm cache hits
-    // nearly always) and on a FIB-rule trace 8x the default cache's slot
-    // count (random source/port bits: nearly every probe misses, the
-    // servebench cold-rules shape).  Each cached snapshot is warmed with one
-    // pass first.
-    {
+      // Stage-1 cost per trace: classify_into ns per header in 64-header
+      // calls (the served batch shape) on the uniform and Zipf traces (one
+      // representative per atom) and on a FIB-rule trace with random
+      // source/port bits (the servebench cold-rules shape).
       Rng rrng(37);
-      const engine::FlatSnapshot::Options defaults;
-      const auto rt =
-          datasets::rule_trace(w.data().net, 8 * defaults.header_cache_capacity, rrng);
-      engine::FlatSnapshot::Options on_opts;
-      on_opts.behavior_table_budget = 0;
-      engine::FlatSnapshot::Options off_opts = on_opts;
-      off_opts.header_cache_capacity = 0;
-      const auto ns_per_header = [](const engine::FlatSnapshot& snap,
-                                    const std::vector<PacketHeader>& hs) {
-        std::vector<AtomId> out(hs.size());
+      const auto rt = datasets::rule_trace(w.data().net, kRuleTraceHeaders, rrng);
+      const auto ns_per_header = [&](const std::vector<PacketHeader>& hs) {
+        std::vector<AtomId> atoms(hs.size());
         const auto pass = [&] {
           for (std::size_t i = 0; i < hs.size(); i += 64)
-            snap.classify_into(hs.data() + i, std::min<std::size_t>(64, hs.size() - i),
-                               out.data() + i);
+            compiled->classify_into(hs.data() + i,
+                                    std::min<std::size_t>(64, hs.size() - i),
+                                    atoms.data() + i);
         };
-        pass();  // warm-up (fills the cache when on)
+        pass();  // warm-up
         Stopwatch sw;
         std::size_t done = 0;
         do {
@@ -268,15 +253,9 @@ int main() {
       const std::pair<const char*, const std::vector<PacketHeader>*> traces[] = {
           {"uniform", &trace}, {"zipf", &zt.packets}, {"rule", &rt}};
       for (const auto& [name, hs] : traces) {
-        const double on_ns =
-            ns_per_header(*engine::FlatSnapshot::build(*w.clf, on_opts), *hs);
-        const double off_ns =
-            ns_per_header(*engine::FlatSnapshot::build(*w.clf, off_opts), *hs);
-        std::printf("  classify_into %-7s cache on %.1f ns/header, off %.1f "
-                    "ns/header\n",
-                    name, on_ns, off_ns);
-        json.row(prefix + "classify_into_ns_cache_on_" + name, on_ns, "ns");
-        json.row(prefix + "classify_into_ns_cache_off_" + name, off_ns, "ns");
+        const double ns = ns_per_header(*hs);
+        std::printf("  classify_into %-7s %.1f ns/header\n", name, ns);
+        json.row(prefix + "classify_into_ns_" + name, ns, "ns");
       }
     }
 

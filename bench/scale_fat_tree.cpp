@@ -38,11 +38,9 @@ int main() {
         trace, [&](const PacketHeader& h) { clf.query(h, 0); }, 0.3);
 
     // Compiled-kernel column: stage-1 batch classification through the
-    // snapshot's match program (best kernel this CPU has), cache off so
-    // every header runs the program.
+    // snapshot's match program (best kernel this CPU has).
     engine::FlatSnapshot::Options popts;
     popts.behavior_table_budget = 0;
-    popts.header_cache_capacity = 0;
     const auto snap = engine::FlatSnapshot::build(clf, popts);
     std::vector<AtomId> out(trace.size());
     Stopwatch ksw;

@@ -1,10 +1,11 @@
 // Chaos-serving gate: drives a 4-shard cluster behind the TCP front end
 // through a transport-fault schedule (slowloris trickle, silent peers at
 // the connection cap, a dead reader, mid-stream RSTs, a quarantined shard
-// resyncing back in — plus, under APC_FAULT_INJECTION, a WAL fsync burst
-// absorbed by retries and a poisoned WAL flipping a shard read-only until
-// the resync worker rewrites it) while a healthy closed-loop population
-// keeps querying.
+// resyncing back in — plus, under APC_FAULT_INJECTION, replicas failing
+// single batches that another replica reruns, a WAL fsync burst absorbed
+// by retries and a poisoned WAL flipping a shard read-only until the
+// resync worker rewrites it) while a healthy closed-loop population keeps
+// querying.
 //
 // Unlike the figure benches this binary is a GATE: it exits non-zero when
 // any robustness invariant breaks —
@@ -13,7 +14,10 @@
 //     baseline,
 //   * deadlines fired (timeouts > 0), cap shed (sheds > 0),
 //   * the quarantined shard was re-admitted (resyncs >= 1) and the final
-//     batch is not degraded.
+//     batch is not degraded,
+//   * every answer of a degraded (rerun) reply equals the reference
+//     classifier's, and under APC_FAULT_INJECTION some batch was rerun
+//     (degraded_batches > 0, reroutes > 0).
 //
 // Emits BENCH_serve_chaos.json:
 //   chaos.p99_base_us / chaos.p99_fault_us / chaos.batches_base /
@@ -26,8 +30,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -100,27 +106,55 @@ class LineClient {
   std::string buf_;
 };
 
+/// The ingress of a C line in a DegradedReply.
+constexpr BoxId kClassifyLine = ~BoxId{0};
+
+/// A degraded reply as its client saw it: what each line asked and what
+/// came back.  The main thread checks the answers against the reference
+/// classifier after the run.
+struct DegradedReply {
+  std::uint64_t epoch = 0;
+  std::vector<std::size_t> header;  ///< trace index per line
+  std::vector<BoxId> ingress;       ///< kClassifyLine for a C line
+  std::vector<std::string> lines;
+};
+
+/// Every degraded reply of the healthy population (read once its threads
+/// are joined).
+struct DegradedLog {
+  std::mutex mu;
+  std::vector<DegradedReply> replies;
+};
+
 /// One closed-loop healthy client: fixed-size mixed batches, waits for the
-/// full reply, records per-batch latency and degraded flags.  Any protocol
-/// violation (non-201 status, truncated reply) sets the shared error flag —
-/// the healthy population must keep being served THROUGH the fault schedule.
+/// full reply, records per-batch latency and every degraded reply.  Any
+/// protocol violation (non-201 status, truncated reply) sets the shared
+/// error flag — the healthy population must keep being served THROUGH the
+/// fault schedule.
 void healthy_loop(std::uint16_t port, const std::vector<PacketHeader>& trace,
                   BoxId boxes, std::uint64_t seed, const std::atomic<bool>& stop,
-                  std::vector<double>& lat_us, std::atomic<std::uint64_t>& degraded,
+                  std::vector<double>& lat_us, DegradedLog& degraded,
                   std::atomic<std::uint64_t>& batches,
                   std::atomic<bool>& client_error) {
   try {
     LineClient conn(port);
     Rng rng(seed);
     std::size_t cursor = seed * 13;
+    DegradedReply sent;
+    sent.header.resize(kBatchLines);
+    sent.ingress.resize(kBatchLines);
+    sent.lines.resize(kBatchLines);
     while (!stop.load(std::memory_order_acquire)) {
       std::string out;
       for (std::size_t i = 0; i < kBatchLines; ++i) {
-        const PacketHeader& h = trace[(cursor + i * 5) % trace.size()];
+        sent.header[i] = (cursor + i * 5) % trace.size();
+        const PacketHeader& h = trace[sent.header[i]];
+        sent.ingress[i] =
+            i % 2 == 0 ? kClassifyLine : static_cast<BoxId>(rng.next() % boxes);
         if (i % 2 == 0)
           out += server::format_classify(h);
         else
-          out += server::format_query(static_cast<BoxId>(rng.next() % boxes), h);
+          out += server::format_query(sent.ingress[i], h);
         out += '\n';
       }
       cursor += kBatchLines;
@@ -129,10 +163,15 @@ void healthy_loop(std::uint16_t port, const std::vector<PacketHeader>& trace,
       conn.send(out);
       const std::string status = conn.read_line();
       if (status.rfind("201 ", 0) != 0) throw Error("bad status: " + status);
-      if (status.find(" degraded=1") != std::string::npos)
-        degraded.fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < kBatchLines; ++i)
-        if (conn.read_line().empty()) throw Error("truncated reply");
+      for (std::size_t i = 0; i < kBatchLines; ++i) {
+        sent.lines[i] = conn.read_line();
+        if (sent.lines[i].empty()) throw Error("truncated reply");
+      }
+      if (status.find(" degraded=1") != std::string::npos) {
+        sent.epoch = std::strtoull(status.c_str() + 4, nullptr, 10);
+        std::lock_guard<std::mutex> lock(degraded.mu);
+        degraded.replies.push_back(sent);
+      }
       lat_us.push_back(sw.seconds() * 1e6);
       batches.fetch_add(1, std::memory_order_relaxed);
     }
@@ -157,7 +196,7 @@ bool wait_until(const std::function<bool()>& pred, int budget_ms) {
 std::vector<double> run_population(std::uint16_t port,
                                    const std::vector<PacketHeader>& trace,
                                    BoxId boxes, double seconds,
-                                   std::atomic<std::uint64_t>& degraded,
+                                   DegradedLog& degraded,
                                    std::atomic<std::uint64_t>& batches,
                                    std::atomic<bool>& client_error,
                                    const std::function<void()>& mid_schedule) {
@@ -223,7 +262,8 @@ int run() {
     }
   };
 
-  std::atomic<std::uint64_t> degraded{0}, batches_base{0}, batches_fault{0};
+  DegradedLog degraded;
+  std::atomic<std::uint64_t> batches_base{0}, batches_fault{0};
   std::atomic<bool> client_error{false};
 
   // ---- phase 0: fault-free baseline -------------------------------------
@@ -235,7 +275,7 @@ int run() {
               static_cast<unsigned long long>(batches_base.load()),
               percentile_or(base_us, 50.0), p99_base);
   gate(!client_error.load(), "baseline population served without errors");
-  gate(degraded.load() == 0, "baseline replies are not degraded");
+  gate(degraded.replies.size() == 0, "baseline replies are not degraded");
 
   // ---- phase 1: fault schedule ------------------------------------------
   std::printf("\n-- phase 1: fault schedule --\n");
@@ -244,12 +284,31 @@ int run() {
   server::ChaosProxy trickle_proxy(pa);
   server::ChaosProxy reader_proxy(pa);
 
+#if defined(APC_FAULT_INJECTION)
+  // One replica failure: the next batch's first attempt throws, and the
+  // next routable replica reruns the whole batch (a degraded reply).  One
+  // failure at a time, between the steps below, keeps every shard far from
+  // the breaker's five consecutive failures, so the quarantine and resync
+  // gates still mean what they say.
+  const auto fail_one_batch = [] {
+    auto& inj = util::FaultInjector::instance();
+    util::FaultPlan plan;
+    plan.kind = util::FaultPlan::Kind::kThrow;
+    inj.arm("cluster.shard.batch", plan);
+    wait_until([&] { return inj.hits("cluster.shard.batch") > 0; }, 2000);
+  };
+#else
+  const auto fail_one_batch = [] {};
+#endif
+
   std::atomic<bool> trickle_ok{false};
   const std::vector<double> fault_us = run_population(
       server.port(), trace, boxes, 2.5, degraded, batches_fault, client_error,
       [&] {
         // (a) one shard drops out; batches skip it, resync re-admits it.
+        // From here to (f) a replica fails one batch after each step.
         cluster.quarantine_shard(2);
+        fail_one_batch();
 
         // (b) slowloris: a client trickling 2 bytes every 5 ms must never
         // trip the idle deadline (every byte resets the clock).  Runs before
@@ -267,6 +326,7 @@ int run() {
           trickle_ok.store(all_ok, std::memory_order_release);
         } catch (const std::exception&) {
         }
+        fail_one_batch();
 
         // (c) dead reader: a big batch whose reply back-pressures into the
         // server's send buffer; the write deadline must free the thread.
@@ -285,6 +345,7 @@ int run() {
           } catch (const std::exception&) {
           }
         });
+        fail_one_batch();
 
         // (d) connection-cap burst: 12 silent connects on top of the live
         // population must shed at the door; the accepted ones sit silent
@@ -304,12 +365,14 @@ int run() {
         }
         std::printf("burst of 12 silent connects: %zu shed/refused\n", shed_seen);
         burst.clear();
+        fail_one_batch();
 
         // (e) RST the trickled connection mid-stream; the server thread
         // serving it must exit on the reset, not park.
         trickle_proxy.inject_rst();
         slow.reset();
         dead_reader.join();
+        fail_one_batch();
 
         // (f) the quarantined shard must resync and come back while the
         // population keeps running.
@@ -318,6 +381,10 @@ int run() {
         }, 10000);
 
 #if defined(APC_FAULT_INJECTION)
+        // The batch faults end here, before (g) applies any update: every
+        // degraded reply answers the initial rule set.
+        util::FaultInjector::instance().disarm("cluster.shard.batch");
+
         // (g) WAL chaos: an ENOSPC burst is absorbed by retries; an EIO
         // poisons the WAL, flipping the owner shard read-only (updates 503,
         // queries serve) until the resync worker rewrites the log on its
@@ -392,10 +459,10 @@ int run() {
       });
 
   const double p99_fault = percentile_or(fault_us, 99.0);
-  std::printf("under faults: %llu batches, %llu degraded, p50 %.0f us, "
+  std::printf("under faults: %llu batches, %zu degraded, p50 %.0f us, "
               "p99 %.0f us (baseline p99 %.0f us)\n",
               static_cast<unsigned long long>(batches_fault.load()),
-              static_cast<unsigned long long>(degraded.load()),
+              degraded.replies.size(),
               percentile_or(fault_us, 50.0), p99_fault, p99_base);
 
   // ---- gates -------------------------------------------------------------
@@ -416,6 +483,32 @@ int run() {
   const bool drained = wait_until([&] { return server.live_sessions() == 0; }, 5000);
   gate(drained, "zero hung threads (live_sessions drained to 0, got " +
                     std::to_string(server.live_sessions()) + ")");
+
+  // A rerun batch must answer as a healthy one would.  Batch faults end
+  // before the first update, so every degraded reply should name epoch 0,
+  // whose answers are the reference classifier's.
+  std::size_t wrong_answers = 0;
+  for (const DegradedReply& r : degraded.replies) {
+    if (r.epoch != 0) ++wrong_answers;
+    for (std::size_t i = 0; i < r.lines.size(); ++i) {
+      const PacketHeader& h = trace[r.header[i]];
+      std::string want;
+      if (r.ingress[i] == kClassifyLine)
+        server::append_classify_answer(want, w.clf->classify(h));
+      else
+        want = server::format_behavior_summary(w.clf->query(h, r.ingress[i]));
+      if (r.lines[i] != want) ++wrong_answers;
+    }
+  }
+  gate(wrong_answers == 0,
+       "degraded replies answer epoch 0 like the reference classifier (" +
+           std::to_string(degraded.replies.size()) + " replies, " +
+           std::to_string(wrong_answers) + " wrong)");
+#if defined(APC_FAULT_INJECTION)
+  gate(degraded.replies.size() > 0 && cluster.reroutes() > 0,
+       "failed replicas' batches were rerun (" + std::to_string(degraded.replies.size()) +
+           " degraded replies, " + std::to_string(cluster.reroutes()) + " reroutes)");
+#endif
 
   // Final clean batch: every shard back in rotation, reply not degraded.
   {
@@ -443,7 +536,7 @@ int run() {
           kHealthyClients);
   out.row("chaos.batches_fault", static_cast<double>(batches_fault.load()), "count",
           kHealthyClients);
-  out.row("chaos.degraded_batches", static_cast<double>(degraded.load()), "count",
+  out.row("chaos.degraded_batches", static_cast<double>(degraded.replies.size()), "count",
           kHealthyClients);
   out.row("chaos.timeouts", static_cast<double>(server.timeouts()), "count");
   out.row("chaos.sheds", static_cast<double>(server.sheds()), "count");

@@ -32,6 +32,7 @@
 // when the last reader drops its reference.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -95,6 +96,10 @@ struct ArenaBox {
 };
 static_assert(sizeof(ArenaBox) == 16);
 
+/// A set of header bits, one word per PacketHeader word: header bit v is
+/// bit v & 63 of word v >> 6.
+using HeaderBits = std::array<std::uint64_t, PacketHeader::kWords>;
+
 /// Offset 0 of every arena.  192 bytes = 3 cache lines, all sections named
 /// by ArenaRef so the layout can evolve without moving the header.
 struct ArenaHeader {
@@ -115,8 +120,9 @@ struct ArenaHeader {
   std::uint64_t atom_capacity = 0;
   std::int32_t tree_root = -1;
   std::uint32_t program_entry = 0;  ///< MatchProgram entry jump (valid iff kHasProgram)
-  /// Union of header bits any frozen BDD node tests — the HeaderAtomCache
-  /// canonicalization mask, persisted so a mapped load never re-derives it.
+  /// Union of header bits any frozen BDD node tests: engine::prove_program
+  /// bounds every atom's support by it.  Persisted so a mapped load never
+  /// re-derives it.
   std::uint64_t tested_bits[PacketHeader::kWords] = {};
 
   ArenaRef bdd_nodes;  ///< bdd::FlatBddNode

@@ -25,7 +25,6 @@ std::int64_t steady_now_ns() {
 FlatSnapshot::Options snapshot_options(const QueryEngine::Options& o) {
   FlatSnapshot::Options so;
   so.behavior_table_budget = o.behavior_table_budget;
-  so.header_cache_capacity = o.header_cache_capacity;
   return so;
 }
 }  // namespace
@@ -130,18 +129,6 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
                   "count");
   // Current-snapshot query-path rows.  Callbacks acquire the snapshot slot
   // (not the writer lock), so stats() taking them under writer_mu_ is safe.
-  reg.register_fn(prefix + ".snapshot.header_cache_hits",
-                  [this] { return static_cast<double>(snapshot()->header_cache_hits()); },
-                  "count");
-  reg.register_fn(prefix + ".snapshot.header_cache_misses",
-                  [this] { return static_cast<double>(snapshot()->header_cache_misses()); },
-                  "count");
-  reg.register_fn(prefix + ".snapshot.header_cache_hit_rate", [this] {
-    const auto s = snapshot();
-    const double total =
-        static_cast<double>(s->header_cache_hits() + s->header_cache_misses());
-    return total > 0.0 ? static_cast<double>(s->header_cache_hits()) / total : 0.0;
-  });
   reg.register_fn(prefix + ".snapshot.behavior_table_fills",
                   [this] { return static_cast<double>(snapshot()->behavior_table_fills()); },
                   "count");

@@ -52,9 +52,6 @@ class QueryEngine {
     /// topology).  See FlatSnapshot::Options and docs/architecture.md,
     /// "Query path".
     std::size_t behavior_table_budget = 64u << 20;
-    /// Per-snapshot header -> atom cache capacity in slots (~64 bytes per
-    /// slot; rounded up to a power of two).  0 disables the cache.
-    std::size_t header_cache_capacity = 1u << 15;
     /// Durable snapshot file (empty = off).  At construction a valid file
     /// here is warm-restored — the engine serves queries from it without
     /// paying the freeze/precompute cost — and every publish (including the
@@ -107,10 +104,10 @@ class QueryEngine {
   static constexpr BoxId kNoIngress = ~BoxId{0};
   /// The batch body every batch call runs.  Answers items hs[0..n) against
   /// caller-pinned snapshot `s` (which the caller keeps alive): writes each
-  /// item's atom to atoms[k] — one FlatSnapshot::classify_into per pool
-  /// chunk, so every header is probed in the cache and the misses share
-  /// kernel calls — then calls sink(k, b) for each Q item (ingress[k] !=
-  /// kNoIngress) with b = FlatSnapshot::behavior_ref(atoms[k], ingress[k]),
+  /// item's atom to atoms[k] — one FlatSnapshot::classify_into, so one
+  /// kernel call, per pool chunk — then calls sink(k, b) for each Q item
+  /// (ingress[k] != kNoIngress) with
+  /// b = FlatSnapshot::behavior_ref(atoms[k], ingress[k]),
   /// the table cell itself (no copy).  The sink runs on pool threads,
   /// concurrently for distinct k.  Q items need a middlebox-free snapshot.
   /// One timer per call: the call lands in `<prefix>.query_batch_seconds`

@@ -40,8 +40,7 @@ bool MatchProgram::avx2_available() {
   return ok;
 }
 
-void MatchProgram::run_batch_avx2(const PacketHeader* hs,
-                                  const std::size_t* which, std::size_t n,
+void MatchProgram::run_batch_avx2(const PacketHeader* hs, std::size_t n,
                                   AtomId* out) const {
   // The header gather reads the header array as a flat dword array: lane
   // base = slot * kWords32.  Both casts below feed only gather intrinsics
@@ -67,8 +66,7 @@ void MatchProgram::run_batch_avx2(const PacketHeader* hs,
 
   const auto admit = [&](int l) {
     if (next >= n) return false;
-    const std::size_t slot = which ? which[next] : next;
-    ++next;
+    const std::size_t slot = next++;
     slots[l] = slot;
     bases[l] = static_cast<std::uint32_t>(slot * PacketHeader::kWords32);
     pcs[l] = entry_;

@@ -41,18 +41,9 @@ std::size_t MatchProgram::steps(const PacketHeader& h) const {
   return n;
 }
 
-void MatchProgram::run_batch_scalar(const PacketHeader* hs,
-                                    const std::size_t* which, std::size_t n,
+void MatchProgram::run_batch_scalar(const PacketHeader* hs, std::size_t n,
                                     AtomId* out) const {
-  const MatchInsn* prog = code_;
-  if (which == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = run_one(prog, entry_, hs[i]);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = which[i];
-    out[slot] = run_one(prog, entry_, hs[slot]);
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = run_one(code_, entry_, hs[i]);
 }
 
 }  // namespace apc::engine

@@ -285,24 +285,22 @@ std::size_t MatchProgram::longest_path(const MatchInsn* code, std::size_t count,
   return depth[entry & kTargetMask];
 }
 
-void MatchProgram::run_batch(const PacketHeader* hs, const std::size_t* which,
-                             std::size_t n, AtomId* out,
+void MatchProgram::run_batch(const PacketHeader* hs, std::size_t n, AtomId* out,
                              KernelKind kernel) const {
   if (n == 0) return;
   if (kernel == KernelKind::kAvx2 && avx2_available())
-    run_batch_avx2(hs, which, n, out);
+    run_batch_avx2(hs, n, out);
   else
-    run_batch_scalar(hs, which, n, out);
+    run_batch_scalar(hs, n, out);
 }
 
 #if !defined(APC_HAVE_AVX2_KERNEL)
 // AVX2 kernel compiled out (non-x86 target or -DAPC_ENABLE_AVX2=OFF): the
 // dispatcher only ever sees the scalar path.
 bool MatchProgram::avx2_available() { return false; }
-void MatchProgram::run_batch_avx2(const PacketHeader* hs,
-                                  const std::size_t* which, std::size_t n,
+void MatchProgram::run_batch_avx2(const PacketHeader* hs, std::size_t n,
                                   AtomId* out) const {
-  run_batch_scalar(hs, which, n, out);
+  run_batch_scalar(hs, n, out);
 }
 #endif
 

@@ -1,5 +1,5 @@
 // MatchProgram — a frozen snapshot compiled to a flat, branchless match
-// program: the snapshot's only stage-1 executor behind its header cache.
+// program: the snapshot's only stage-1 executor.
 //
 // An interpreted walk (FlatSnapshot::classify_walk, kept as the test oracle)
 // follows the AP Tree: about log k whole predicates per header (paper SS V),
@@ -130,19 +130,17 @@ class MatchProgram {
   /// Instructions run() executes to classify `h` (0 for a leaf entry).
   std::size_t steps(const PacketHeader& h) const;
 
-  /// Classifies `n` headers into `out`; `which`, when non-null, selects the
-  /// header/output indices to process (the snapshot's cache-miss list).
-  /// Dispatches to the best kernel the CPU supports (AVX2 via CPUID when the
-  /// kernel was built, scalar otherwise).
-  void run_batch(const PacketHeader* hs, const std::size_t* which,
-                 std::size_t n, AtomId* out) const {
-    run_batch(hs, which, n, out, dispatch_kernel());
+  /// Classifies `hs[0..n)` into `out[0..n)`.  Dispatches to the best
+  /// kernel the CPU supports (AVX2 via CPUID when the kernel was built,
+  /// scalar otherwise).
+  void run_batch(const PacketHeader* hs, std::size_t n, AtomId* out) const {
+    run_batch(hs, n, out, dispatch_kernel());
   }
   /// Same, forcing a kernel — the differential tests and the bench's
   /// scalar-vs-SIMD rows.  Requesting kAvx2 on a CPU without AVX2 (or in an
   /// AVX2-less build) runs the scalar kernel.
-  void run_batch(const PacketHeader* hs, const std::size_t* which,
-                 std::size_t n, AtomId* out, KernelKind kernel) const;
+  void run_batch(const PacketHeader* hs, std::size_t n, AtomId* out,
+                 KernelKind kernel) const;
 
   /// True when the AVX2 kernel is compiled in AND the CPU reports AVX2.
   static bool avx2_available();
@@ -172,12 +170,11 @@ class MatchProgram {
   static std::size_t longest_path(const MatchInsn* code, std::size_t count,
                                   std::uint32_t entry);
 
-  void run_batch_scalar(const PacketHeader* hs, const std::size_t* which,
-                        std::size_t n, AtomId* out) const;
+  void run_batch_scalar(const PacketHeader* hs, std::size_t n,
+                        AtomId* out) const;
   /// Defined in kernel_avx2.cpp when APC_HAVE_AVX2_KERNEL is set; otherwise
   /// a scalar forwarder (program.cpp).
-  void run_batch_avx2(const PacketHeader* hs, const std::size_t* which,
-                      std::size_t n, AtomId* out) const;
+  void run_batch_avx2(const PacketHeader* hs, std::size_t n, AtomId* out) const;
 
   // Instruction storage is always read through (code_, code_count_): a
   // compiled program points it at its own insns_ vector; an adopted program

@@ -27,7 +27,7 @@ std::string ProgramProof::summary() const {
 ProgramProof prove_program(const MatchInsn* code, std::size_t count,
                            std::uint32_t entry, const AtomUniverse& atoms,
                            bdd::BddManager& mgr,
-                           const HeaderAtomCache::Mask& tested_bits) {
+                           const HeaderBits& tested_bits) {
   ProgramProof proof;
   const std::size_t capacity = atoms.capacity();
   const auto target_ok = [&](std::uint32_t jump) {

@@ -12,9 +12,9 @@
 // carries reach AND cube, its fail edge reach AND NOT cube, and a leaf jump
 // ORs what it receives into its atom's set.  The program is correct iff
 // every live atom's set equals AtomUniverse::bdd_of(atom) and no dead atom
-// is reached.  The proof also checks the header cache's key: every live
-// atom's BDD support must lie inside the snapshot's tested_bits, because
-// the cache masks every other bit away.
+// is reached.  The proof also bounds the program's support: every live
+// atom's BDD support must lie inside the snapshot's tested_bits, the
+// header bits the frozen predicates test.
 //
 // Writer side only: the proof builds BDDs in the classifier's manager,
 // which is single-threaded, so it must not race classifier updates.
@@ -53,7 +53,7 @@ struct ProgramProof {
 ProgramProof prove_program(const MatchInsn* code, std::size_t count,
                            std::uint32_t entry, const AtomUniverse& atoms,
                            bdd::BddManager& mgr,
-                           const HeaderAtomCache::Mask& tested_bits);
+                           const HeaderBits& tested_bits);
 
 /// Proves the snapshot's program against the classifier it was built from
 /// (which must not have changed since).

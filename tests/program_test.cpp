@@ -40,7 +40,6 @@ using engine::QueryEngine;
 
 FlatSnapshot::Options program_options() {
   FlatSnapshot::Options o;
-  o.header_cache_capacity = 0;  // classify_into goes straight to the kernel
   o.behavior_table_budget = 0;
   return o;
 }
@@ -83,31 +82,13 @@ void expect_kernels_match(const FlatSnapshot& snap,
   const MatchProgram* prog = snap.program();
   ASSERT_NE(prog, nullptr);
   std::vector<AtomId> scalar(hs.size()), simd(hs.size());
-  prog->run_batch(hs.data(), nullptr, hs.size(), scalar.data(),
-                  KernelKind::kScalar);
-  prog->run_batch(hs.data(), nullptr, hs.size(), simd.data(), KernelKind::kAvx2);
+  prog->run_batch(hs.data(), hs.size(), scalar.data(), KernelKind::kScalar);
+  prog->run_batch(hs.data(), hs.size(), simd.data(), KernelKind::kAvx2);
   for (std::size_t i = 0; i < hs.size(); ++i) {
     const AtomId oracle = snap.classify_walk(hs[i]);
     ASSERT_EQ(oracle, prog->run(hs[i])) << "scalar run, header " << i;
     ASSERT_EQ(oracle, scalar[i]) << "scalar batch, header " << i;
     ASSERT_EQ(oracle, simd[i]) << "avx2 batch, header " << i;
-  }
-  // The `which` path (the cache-miss list shape): every third header, odd
-  // count, untouched slots must stay untouched.
-  constexpr AtomId kUntouched = 0xFFFFFFFu;
-  std::vector<std::size_t> which;
-  for (std::size_t i = 0; i < hs.size(); i += 3) which.push_back(i);
-  std::vector<AtomId> sel(hs.size(), kUntouched);
-  prog->run_batch(hs.data(), which.data(), which.size(), sel.data(),
-                  KernelKind::kAvx2);
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < hs.size(); ++i) {
-    if (w < which.size() && which[w] == i) {
-      ASSERT_EQ(sel[i], scalar[i]) << "which path, header " << i;
-      ++w;
-    } else {
-      ASSERT_EQ(sel[i], kUntouched) << "slot " << i << " written unexpectedly";
-    }
   }
 }
 
@@ -133,7 +114,7 @@ TEST(MatchProgram, DifferentialExhaustiveAcrossAtoms) {
 TEST(MatchProgram, EverySnapshotHasAnAccountedProgram) {
   // Built (with and without accelerators), republished, and loaded
   // (mapped and owned) snapshots all carry a program: it is the only
-  // stage-1 executor behind the header cache.
+  // stage-1 executor.
   Dataset d = datasets::internet2_like(Scale::Tiny, 3);
   auto mgr = Dataset::make_manager();
   ApClassifier clf(d.net, mgr);
@@ -298,15 +279,15 @@ TEST(MatchProgram, ChurnKernelQueriesAgainstConcurrentRepublish) {
   EXPECT_NE(eng.snapshot()->program(), nullptr);
 }
 
-std::size_t popcount(const engine::HeaderAtomCache::Mask& bits) {
+std::size_t popcount(const engine::HeaderBits& bits) {
   std::size_t n = 0;
   for (const std::uint64_t w : bits) n += static_cast<std::size_t>(std::popcount(w));
   return n;
 }
 
 /// Header bits one instruction tests, as a header-wide mask.
-engine::HeaderAtomCache::Mask insn_bits(const MatchInsn& insn) {
-  engine::HeaderAtomCache::Mask bits{};
+engine::HeaderBits insn_bits(const MatchInsn& insn) {
+  engine::HeaderBits bits{};
   const std::uint32_t word =
       (insn.on_match >> MatchProgram::kWordShift) & MatchProgram::kWordFieldMask;
   bits[word / 2] = std::uint64_t{insn.mask} << (32 * (word % 2));
@@ -332,11 +313,11 @@ TEST(MatchProgram, NoPathTestsAHeaderBitTwice) {
 
     // below[pc]: bits tested on any walk from pc to a leaf, pc included;
     // depth[pc]: instructions on the longest such walk.
-    std::vector<engine::HeaderAtomCache::Mask> below(prog.instruction_count());
+    std::vector<engine::HeaderBits> below(prog.instruction_count());
     std::vector<std::size_t> depth(prog.instruction_count(), 0);
     const std::function<void(std::uint32_t)> visit = [&](std::uint32_t pc) {
       if (depth[pc] != 0) return;
-      engine::HeaderAtomCache::Mask after{};
+      engine::HeaderBits after{};
       std::size_t deepest = 0;
       for (const std::uint32_t j : {code[pc].on_match, code[pc].on_fail}) {
         if ((j & MatchProgram::kLeafBit) != 0) continue;
@@ -431,7 +412,7 @@ TEST(ProgramProof, CatchesUnsupportedAtomsAndMalformedPrograms) {
   const MatchProgram& prog = *snap->program();
   ASSERT_GT(prog.instruction_count(), 0u);
 
-  // A header-cache key that drops a tested bit would merge atoms.
+  // A tested_bits that drops a bit some atom's BDD tests is refused.
   auto bits = snap->tested_bits();
   bits[0] &= bits[0] - 1;  // clear the lowest tested bit of word 0
   const auto narrow = engine::prove_program(prog.instructions(),
@@ -472,7 +453,7 @@ AtomId run_bounded(const std::vector<MatchInsn>& code, std::uint32_t entry,
 /// flipped value bit, or a match/fail jump retargeted to a random
 /// instruction or atom.  Word indices stay intact.
 std::vector<MatchInsn> mutate(const MatchProgram& prog,
-                              const engine::HeaderAtomCache::Mask& tested,
+                              const engine::HeaderBits& tested,
                               std::size_t atom_capacity, Rng& rng) {
   std::vector<MatchInsn> code(prog.instructions(),
                               prog.instructions() + prog.instruction_count());

@@ -520,14 +520,12 @@ void mixed_batch_at_every_ingress(const ClusterWorld& w,
   }
 }
 
-// Inputs: 3 shards with the default engine, and 4 shards with the header
-// cache off, so every header of the batch reaches the kernel.
+// Inputs: 3 shards and the default 4.
 TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
   ClusterWorld w;
   for (const std::size_t shards : {3u, 4u}) {
     SCOPED_TRACE(shards);
     ShardedCluster::Options opts = w.cluster_options(shards);
-    if (shards == 4) opts.engine.header_cache_capacity = 0;
     ShardedCluster cluster(w.data.net, opts);
     ASSERT_EQ(cluster.shard_count(), shards);
     EXPECT_EQ(cluster.epoch(), 0u);

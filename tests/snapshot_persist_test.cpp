@@ -79,13 +79,10 @@ TEST(SnapshotPersist, LoadedSnapshotHonorsAcceleratorOptions) {
 
   FlatSnapshot::Options off;
   off.behavior_table_budget = 0;
-  off.header_cache_capacity = 0;
   const auto bare = load_snapshot(path, off);
   EXPECT_EQ(bare->behavior_table_mode(), FlatSnapshot::BehaviorTableMode::kDisabled);
-  EXPECT_EQ(bare->header_cache(), nullptr);
 
-  const auto accel = load_snapshot(path);  // defaults: cache + lazy table
-  EXPECT_NE(accel->header_cache(), nullptr);
+  const auto accel = load_snapshot(path);  // defaults: lazy table
   EXPECT_NE(accel->behavior_table_mode(), FlatSnapshot::BehaviorTableMode::kDisabled);
   // Lazy cells fill on first use and agree with the walk.
   for (const PacketHeader& h : fx.probes) {
