@@ -2,8 +2,11 @@
 // classification path: the constants behind every figure.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_util.hpp"
 #include "rules/compiler.hpp"
+#include "server/protocol.hpp"
 
 using namespace apc;
 using namespace apc::bench;
@@ -102,6 +105,37 @@ BENCHMARK_F(SmallWorldFixture, Stage2Only)(benchmark::State& state) {
     benchmark::DoNotOptimize(world->clf->behavior_of(atom, 0));
   }
 }
+
+// The request parser alone, one wire line per iteration, on the lines of
+// servebench's cold-rules workload: rule_trace headers on Stanford-like
+// tiny.  The canonical C and Q lines are what format_classify and
+// format_query write; the tabbed twin is the C lines with tabs for spaces,
+// which the general parser takes (line check, tokenizer, one conversion
+// per token).
+enum class WireForm { kClassify, kQuery, kTabbedClassify };
+
+void BM_ParseRequest(benchmark::State& state, WireForm form) {
+  const datasets::Dataset data = datasets::stanford_like(datasets::Scale::Tiny, 11);
+  Rng rng(6);
+  std::vector<std::string> lines;
+  for (const PacketHeader& h : datasets::rule_trace(data.net, 1024, rng)) {
+    const auto ingress = static_cast<BoxId>(rng.uniform(data.net.topology.box_count()));
+    std::string line = form == WireForm::kQuery ? server::format_query(ingress, h)
+                                                : server::format_classify(h);
+    if (form == WireForm::kTabbedClassify) std::replace(line.begin(), line.end(), ' ', '\t');
+    lines.push_back(std::move(line));
+  }
+  server::Request req;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server::parse_request(lines[i++ & 1023], 1, req));
+    benchmark::DoNotOptimize(req);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_ParseRequest, canonical_c, WireForm::kClassify);
+BENCHMARK_CAPTURE(BM_ParseRequest, canonical_q, WireForm::kQuery);
+BENCHMARK_CAPTURE(BM_ParseRequest, tabbed_c, WireForm::kTabbedClassify);
 
 }  // namespace
 

@@ -102,10 +102,8 @@ std::uint32_t parse_uint(std::string_view s, std::size_t line, const char* what,
 
 std::uint64_t parse_hex64(std::string_view s, std::size_t line, const char* what) {
   std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), v, 16);
-  if (s.empty() || s.size() > 16 || ec != std::errc{} ||
-      ptr != s.data() + s.size())
+  const char* const end = s.data() + s.size();
+  if (s.empty() || s.size() > 16 || scan_hex64(s.data(), end, v) != end)
     parse_fail(line, std::string("bad ") + what + ": " + std::string(s));
   return v;
 }

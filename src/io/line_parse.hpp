@@ -13,6 +13,7 @@
 // Every failure is a typed apc::Error(kParse) carrying a line number.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -54,5 +55,34 @@ std::uint32_t parse_uint(std::string_view s, std::size_t line, const char* what,
 /// Same contract for a full-width hexadecimal token (no "0x" prefix, 1-16
 /// hex digits) — the wire form of packet-header words.
 std::uint64_t parse_hex64(std::string_view s, std::size_t line, const char* what);
+
+/// Value of each byte as a hex digit (either case), or 0xFF for a byte that
+/// is not one.
+inline constexpr std::array<std::uint8_t, 256> kHexDigitValue = [] {
+  std::array<std::uint8_t, 256> t{};
+  t.fill(0xFF);
+  for (int c = 0; c < 10; ++c) t['0' + c] = static_cast<std::uint8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    t['a' + c] = static_cast<std::uint8_t>(10 + c);
+    t['A' + c] = static_cast<std::uint8_t>(10 + c);
+  }
+  return t;
+}();
+
+/// The one hex conversion: reads the hex digits (either case, no prefix)
+/// at the front of [p, end), at most 16 of them, into `v` and returns the
+/// first byte it did not read.  Returns `p` when [p, end) starts with no
+/// digit; a 17th digit is left unread, for the caller to reject.
+inline const char* scan_hex64(const char* p, const char* end, std::uint64_t& v) {
+  const char* const stop = end - p > 16 ? p + 16 : end;
+  std::uint64_t x = 0;
+  for (; p != stop; ++p) {
+    const std::uint8_t d = kHexDigitValue[static_cast<unsigned char>(*p)];
+    if (d > 0xF) break;
+    x = x << 4 | d;
+  }
+  v = x;
+  return p;
+}
 
 }  // namespace apc::io

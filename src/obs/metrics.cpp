@@ -52,8 +52,9 @@ double LatencyHistogram::quantile(double q) const {
     seen += counts[b];
     if (seen >= rank) {
       if (b == 0) return 0.0;
-      // Bucket b covers [2^(b-1), 2^b); report the geometric midpoint,
-      // clamped to the observed maximum for the top bucket.
+      // Bucket b covers [2^(b-1), 2^b); report its arithmetic midpoint,
+      // 1.5x the lower edge, clamped to the observed maximum (the clamp
+      // only bites in the bucket that holds the maximum).
       const double lo = std::ldexp(1.0, static_cast<int>(b) - 1);
       const double mid = lo * 1.5;
       const double mx = static_cast<double>(max());

@@ -128,9 +128,10 @@ class LatencyHistogram {
     return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
   }
 
-  /// Quantile estimate (q in [0, 1]): the geometric midpoint of the bucket
-  /// containing the q-th recorded value.  Exact for the bucket, <= 2x within
-  /// it.  Returns 0 when empty.
+  /// Quantile estimate (q in [0, 1]): 1.5x the lower edge of the bucket
+  /// containing the q-th recorded value (the bucket's arithmetic midpoint),
+  /// clamped to the observed maximum.  Exact for the bucket; within it the
+  /// estimate is -25% to +50% off the true value.  Returns 0 when empty.
   double quantile(double q) const;
 
   struct Summary {

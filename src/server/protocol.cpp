@@ -48,6 +48,46 @@ RuleSpec parse_rule(const std::string_view* toks, std::size_t n, std::size_t lin
   return spec;
 }
 
+/// The fast path: a canonical C/Q line, as format_classify and format_query
+/// write it — "C" or "Q <ingress>", then five hex words, one space before
+/// each field and nothing after the last.  The ingress takes 1-10 decimal
+/// digits and at most 2^32-1, a word 1-16 hex digits in either case.  One
+/// forward scan checks, splits and converts the bytes.  Returns false,
+/// with `out` untouched, for any other line: the general parser below then
+/// accepts it or rejects it with its message.  A canonical line is at most
+/// 97 ASCII bytes, so it is within the line cap and valid UTF-8.
+bool parse_canonical(std::string_view line, Request& out) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  if (p == end || (*p != 'C' && *p != 'Q')) return false;
+  const bool query = *p++ == 'Q';
+  std::uint64_t ingress = 0;
+  if (query) {
+    if (p == end || *p++ != ' ') return false;
+    const char* const first = p;
+    const char* const stop = end - p > 10 ? p + 10 : end;
+    for (; p != stop && static_cast<unsigned char>(*p - '0') < 10; ++p)
+      ingress = ingress * 10 + static_cast<std::uint64_t>(*p - '0');
+    if (p == first || ingress > 0xFFFFFFFFull) return false;
+  }
+  std::array<std::uint64_t, PacketHeader::kWords> w;
+  for (std::uint64_t& word : w) {
+    if (p == end || *p++ != ' ') return false;
+    const char* const first = p;
+    p = io::scan_hex64(p, end, word);
+    if (p == first) return false;
+  }
+  if (p != end) return false;
+  out.header = PacketHeader::from_words(w);
+  if (query) {
+    out.kind = RequestKind::kQuery;
+    out.ingress = static_cast<BoxId>(ingress);
+  } else {
+    out.kind = RequestKind::kClassify;
+  }
+  return true;
+}
+
 /// Writes the lower-case hex digits of `v` at `p`; returns the end.
 char* put_hex(char* p, std::uint64_t v) { return std::to_chars(p, p + 16, v, 16).ptr; }
 /// Writes the decimal digits of `v` at `p`; returns the end.
@@ -66,6 +106,7 @@ void append_words(std::string& out, const PacketHeader& h) {
 }  // namespace
 
 bool parse_request(std::string_view line, std::size_t lineno, Request& out) {
+  if (parse_canonical(line, out)) return true;
   io::check_line(line, lineno);
   std::string_view toks[kMaxTokens];
   const std::size_t n = io::tokenize(line, toks, kMaxTokens);

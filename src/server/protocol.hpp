@@ -36,13 +36,20 @@
 //                     shed / read-only shard / draining; retry later
 //   500 <message>     internal error
 //
-// Parsing reuses the hardened io/line_parse helpers: 64 KiB line cap,
-// structural UTF-8 validation, bounded integer parses with typed
-// apc::Error(kParse) failures.  The request path does no heap work: a line
-// is tokenized into views of the caller's buffer, its header words land in
-// the PacketHeader directly, and answers are appended to a caller's reused
-// buffer (append_classify_answer, append_behavior_summary; the
-// format_behavior_summary that returns a fresh string delegates).
+// A canonical C/Q line — what format_classify and format_query write:
+// single spaces, a decimal ingress of 1-10 digits, five hex words of 1-16
+// digits, nothing after the last — is parsed in one forward scan that
+// checks, splits and converts together (io::scan_hex64 per word).  Every
+// other line takes the hardened io/line_parse helpers: 64 KiB line cap,
+// structural UTF-8 validation, the tokenizer (any C-locale whitespace,
+// '#' comments), bounded integer parses with typed apc::Error(kParse)
+// failures.  That general path writes every error message, so a line the
+// scan passes over fails exactly as it always did.  The request path does
+// no heap work: a line is read in place from the caller's buffer, its
+// header words land in the PacketHeader directly, and answers are appended
+// to a caller's reused buffer (append_classify_answer,
+// append_behavior_summary; the format_behavior_summary that returns a
+// fresh string delegates).
 #pragma once
 
 #include <cstdint>

@@ -7,11 +7,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "datasets/datasets.hpp"
 #include "datasets/traces.hpp"
 #include "server/cluster.hpp"
+#include "server/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -86,11 +89,14 @@ namespace {
 // The cold-rules shape of the serving benchmark: 64-line batches of
 // rule_trace headers with random source and port bits, on a default
 // 4-shard cluster over Stanford-like tiny; even lines C, odd lines Q at a
-// random ingress.  Four warm-up batches, one per shard (one BatchAnswers
-// visits the shards in turn), bring every scratch vector to the capacity
-// any 64-line batch needs.  After that, run_batch_into into the same
-// BatchAnswers must allocate nothing: the pinned view, the engine's
-// inputs, the engine call and the kernel call all reuse memory.
+// random ingress.  Each batch goes the server's way from its wire text to
+// its reply: every line through parse_request into a reused item vector,
+// GO through run_batch_into into one BatchAnswers, and the status and
+// answer lines appended to a reused reply string.  Four warm-up batches,
+// one per shard (one BatchAnswers visits the shards in turn), bring every
+// scratch buffer to the capacity any 64-line batch needs.  After that a
+// batch must allocate nothing: the parse, the pinned view, the engine's
+// inputs, the engine call, the kernel call and the reply all reuse memory.
 TEST(ShardedCluster, SteadyStateBatchDoesNotAllocate) {
   const datasets::Dataset data = datasets::stanford_like(datasets::Scale::Tiny, 11);
   ShardedCluster::Options opts;
@@ -111,33 +117,72 @@ TEST(ShardedCluster, SteadyStateBatchDoesNotAllocate) {
     }
     return batch;
   };
+  // A batch's wire text, as a client sends it: its C/Q lines, then GO.
+  const auto wire_of = [](const std::vector<ShardedCluster::BatchItem>& batch) {
+    std::string wire;
+    for (const ShardedCluster::BatchItem& item : batch) {
+      wire += item.is_query ? format_query(item.ingress, item.header)
+                            : format_classify(item.header);
+      wire += '\n';
+    }
+    return wire + "GO\n";
+  };
+  std::vector<ShardedCluster::BatchItem> items;
   ShardedCluster::BatchAnswers answers;
+  std::string reply;
+  // What TcpServer does with one batch's lines (framing aside).
+  const auto serve = [&](std::string_view wire) {
+    std::size_t lineno = 0;
+    for (std::size_t pos = 0; pos < wire.size();) {
+      const std::size_t nl = wire.find('\n', pos);
+      Request req;
+      if (parse_request(wire.substr(pos, nl - pos), ++lineno, req)) {
+        if (req.kind == RequestKind::kGo) {
+          cluster.run_batch_into(items, answers);
+          items.clear();
+          reply.clear();
+          reply += "201 ";
+          append_uint(reply, answers.epoch);
+          reply += ' ';
+          append_uint(reply, answers.size());
+          reply += '\n';
+          for (std::size_t i = 0; i < answers.size(); ++i) {
+            answers.append_line(i, reply);
+            reply += '\n';
+          }
+        } else {
+          items.push_back({req.kind == RequestKind::kQuery, req.header, req.ingress});
+        }
+      }
+      pos = nl + 1;
+    }
+  };
   for (std::size_t s = 0; s < shards; ++s)
-    cluster.run_batch_into(make_batch([&](std::size_t, ShardedCluster::BatchItem& item) {
-                             item.is_query = true;
-                             item.ingress = static_cast<BoxId>(s);
-                           }),
-                           answers);
+    serve(wire_of(make_batch([&](std::size_t, ShardedCluster::BatchItem& item) {
+      item.is_query = true;
+      item.ingress = static_cast<BoxId>(s);
+    })));
   std::vector<std::vector<ShardedCluster::BatchItem>> batches(32);
-  for (auto& batch : batches)
+  std::vector<std::string> wires;
+  for (auto& batch : batches) {
     batch = make_batch([&](std::size_t i, ShardedCluster::BatchItem& item) {
       item.is_query = i % 2 == 1;
       item.ingress = static_cast<BoxId>(rng.uniform(boxes));
     });
+    wires.push_back(wire_of(batch));
+  }
   g_allocations.store(0);
   g_counting.store(true);
-  for (const auto& batch : batches) cluster.run_batch_into(batch, answers);
+  for (const std::string& wire : wires) serve(wire);
   g_counting.store(false);
-  EXPECT_EQ(g_allocations.load(), 0u) << "over " << batches.size() << " batches";
+  EXPECT_EQ(g_allocations.load(), 0u) << "over " << wires.size() << " batches";
 
-  // The answers are still the cluster's own.
+  // The reply is still the cluster's own answer to the last batch.
   const ShardedCluster::BatchResult want = cluster.run_batch(batches.back());
-  ASSERT_EQ(answers.size(), want.lines.size());
-  for (std::size_t i = 0; i < answers.size(); ++i) {
-    std::string line;
-    answers.append_line(i, line);
-    EXPECT_EQ(line, want.lines[i]) << "item " << i;
-  }
+  std::string want_reply = "201 " + std::to_string(want.epoch) + ' ' +
+                           std::to_string(want.lines.size()) + '\n';
+  for (const std::string& line : want.lines) want_reply += line + '\n';
+  EXPECT_EQ(reply, want_reply);
 }
 
 }  // namespace
